@@ -86,6 +86,7 @@ json::Value quality_payload(const sched::DriverReport& report) {
   quality.set("wait_mean_s",
               placed > 0 ? wait_sum / static_cast<double>(placed) : 0.0);
   quality.set("decisions", report.decision_count);
+  quality.set("capacity_skips", report.capacity_skips);
   quality.set("advance_events", report.advance_count);
   return quality;
 }
@@ -93,6 +94,10 @@ json::Value quality_payload(const sched::DriverReport& report) {
 json::Value timing_payload(const sched::DriverReport& report) {
   json::Value timing;
   timing.set("decision_latency_us", report.decision_latency_us.to_json());
+  // Split by outcome: the mixed mean moves with the mix of cheap declines
+  // and placements, which the driver's capacity gate changes.
+  timing.set("placed_latency_us", report.placed_latency_us.to_json());
+  timing.set("declined_latency_us", report.declined_latency_us.to_json());
   // The per-decision vs per-advance split (Section 5.5.3): scale
   // regressions attribute to the decision path (candidate scoring) or the
   // event path (completion processing + rate updates). The scoped event

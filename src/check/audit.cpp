@@ -237,18 +237,35 @@ util::Status validate(const cluster::ClusterState& state) {
     }
   }
 
-  // Occupancy counters: the fragmented-machine count is maintained
-  // incrementally, so replay it from ownership.
+  // Occupancy counters and the capacity index are maintained
+  // incrementally, so replay them from ownership: per-machine free counts,
+  // the machines-by-free-count histogram and the fragmented-machine count.
   {
     int fragmented = 0;
+    std::vector<int> hist(state.machine_free_histogram().size(), 0);
     for (int machine = 0; machine < machines; ++machine) {
       const std::vector<int>& gpus = topology.gpus_of_machine(machine);
       int machine_free = 0;
       for (const int gpu : gpus) {
         if (state.gpu_free(gpu)) ++machine_free;
       }
+      if (state.machine_free_count(machine) != machine_free) {
+        return util::Error{util::fmt(
+            "cluster: machine {} free count {} but ownership implies {}",
+            machine, state.machine_free_count(machine), machine_free)};
+      }
+      ++hist[static_cast<size_t>(machine_free)];
       if (machine_free > 0 && machine_free < static_cast<int>(gpus.size())) {
         ++fragmented;
+      }
+    }
+    const std::span<const int> index = state.machine_free_histogram();
+    for (size_t k = 0; k < hist.size(); ++k) {
+      if (index[k] != hist[k]) {
+        return util::Error{util::fmt(
+            "cluster: {} machines indexed with {} free GPUs but replay "
+            "gives {}",
+            index[k], k, hist[k])};
       }
     }
     if (state.fragmented_machine_count() != fragmented) {

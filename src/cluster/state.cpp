@@ -50,6 +50,14 @@ ClusterState::ClusterState(const topo::TopologyGraph& topology,
     machine_free_[static_cast<size_t>(machine)] =
         static_cast<int>(topology.gpus_of_machine(machine).size());
   }
+  const auto widest = std::max_element(machine_free_.begin(),
+                                       machine_free_.end());
+  machine_hist_.assign(
+      static_cast<size_t>(widest == machine_free_.end() ? 0 : *widest) + 1,
+      0);
+  for (const int free : machine_free_) {
+    ++machine_hist_[static_cast<size_t>(free)];
+  }
 }
 
 void ClusterState::set_execution_noise(double sigma, std::uint64_t seed) {
@@ -116,10 +124,12 @@ void ClusterState::track_gpu(int gpu, bool allocated) {
       static_cast<int>(topology_->gpus_of_machine(machine).size());
   const bool was_fragmented = free > 0 && free < total;
   const int delta = allocated ? -1 : 1;
+  --machine_hist_[static_cast<size_t>(free)];
   free += delta;
   free_gpu_count_ += delta;
   GTS_DCHECK(free >= 0 && free <= total, "machine ", machine,
              " free-GPU counter out of range: ", free);
+  ++machine_hist_[static_cast<size_t>(free)];
   const bool is_fragmented = free > 0 && free < total;
   fragmented_machines_ +=
       (is_fragmented ? 1 : 0) - (was_fragmented ? 1 : 0);

@@ -110,6 +110,43 @@ class ClusterState {
   std::vector<int> free_gpus_of_machine(int machine) const;
   /// O(1): maintained incrementally from allocation deltas.
   int free_gpu_count() const noexcept { return free_gpu_count_; }
+
+  // --- capacity index ------------------------------------------------------
+  // Free GPUs per machine plus a histogram of machines by free count, both
+  // updated per GPU flip in O(1) (DESIGN.md section 21). Schedulers skip a
+  // machine by its count before building a free list; the driver and the
+  // shard router decline a shape that cannot fit with one may_fit call.
+  /// Free GPUs on `machine`.
+  int machine_free_count(int machine) const {
+    return machine_free_[static_cast<size_t>(machine)];
+  }
+  /// Largest free-GPU count of any single machine: a top-down scan of
+  /// the histogram, at most GPUs-per-machine + 1 buckets.
+  int max_machine_free() const noexcept {
+    int k = static_cast<int>(machine_hist_.size()) - 1;
+    while (k > 0 && machine_hist_[static_cast<size_t>(k)] == 0) --k;
+    return k;
+  }
+  /// Machines with at least one free GPU.
+  int machines_with_free() const noexcept {
+    return topology_->machine_count() - machine_hist_.front();
+  }
+  /// Entry k: machines with exactly k free GPUs.
+  std::span<const int> machine_free_histogram() const noexcept {
+    return machine_hist_;
+  }
+  /// O(1) necessary condition for placing `request` now — exactly the
+  /// capacity rules check::audit_placement enforces on every placement:
+  /// num_gpus free GPUs; for single-node jobs one machine holding all of
+  /// them; for anti-collocated jobs num_gpus machines with a free GPU.
+  /// False proves no valid placement exists; true promises nothing.
+  bool may_fit(const jobgraph::JobRequest& request) const noexcept {
+    return free_gpu_count_ >= request.num_gpus &&
+           (!request.profile.single_node ||
+            max_machine_free() >= request.num_gpus) &&
+           (!request.profile.anti_collocate ||
+            machines_with_free() >= request.num_gpus);
+  }
   int running_job_count() const { return static_cast<int>(jobs_.size()); }
 
   /// Monotonic counter bumped by every allocation-relevant mutation
@@ -330,8 +367,8 @@ class ClusterState {
 
   void add_flows(const RunningJob& job, int delta);
   void index_job(const RunningJob& job, bool insert);
-  /// Maintains the O(1) occupancy counters across one GPU's
-  /// allocation-state flip.
+  /// Maintains the O(1) occupancy counters and the capacity index across
+  /// one GPU's allocation-state flip.
   void track_gpu(int gpu, bool allocated);
   /// Updates the obs gauges / trace counters that track occupancy from the
   /// incrementally maintained counters; a single branch (and O(1) work)
@@ -347,9 +384,11 @@ class ClusterState {
   std::vector<std::vector<int>> jobs_by_link_;  // link -> job ids, ascending
   std::vector<double> host_bw_used_;  // per machine, GB/s
   std::vector<FinishEntry> finish_heap_;  // jobs with rate > 0
-  // Occupancy counters, updated per GPU flip (publish_occupancy_metrics
-  // and free_gpu_count read them in O(1)).
+  // Occupancy counters and the capacity index, updated per GPU flip
+  // (publish_occupancy_metrics, free_gpu_count and may_fit read them in
+  // O(1)).
   std::vector<int> machine_free_;  // free GPUs per machine
+  std::vector<int> machine_hist_;  // machines with exactly k free GPUs
   int free_gpu_count_ = 0;
   int fragmented_machines_ = 0;
   bool full_event_recompute_ = false;

@@ -116,6 +116,7 @@ PolicyComparison compare_policies(const std::vector<jobgraph::JobRequest>& jobs,
     entry.mean_waiting = report.recorder.mean_waiting_time();
     entry.mean_decision_us = report.mean_decision_seconds() * 1e6;
     entry.events = report.events;
+    entry.capacity_skips = report.capacity_skips;
     entry.qos_slowdowns = report.recorder.sorted_qos_slowdowns();
     entry.qos_wait_slowdowns = report.recorder.sorted_qos_wait_slowdowns();
     entry.sched_stats = stats;

@@ -69,8 +69,7 @@ bool KubeTopologyScheduler::filter(const jobgraph::JobRequest& job,
   if (!state.host_bw_available(node, job.profile.host_bw_demand_gbps)) {
     return false;
   }
-  const int free =
-      static_cast<int>(state.free_gpus_of_machine(node).size());
+  const int free = state.machine_free_count(node);
   if (job.profile.anti_collocate) return free >= 1;
   return free >= job.num_gpus;
 }
@@ -81,8 +80,8 @@ std::optional<sched::Placement> KubeTopologyScheduler::place_in_node(
   // One utility-driven DRB mapping restricted to the node's free GPUs —
   // exactly what the TOPO-AWARE scheduler's scalable path evaluates per
   // candidate machine.
+  if (state.machine_free_count(node) < job.num_gpus) return std::nullopt;
   const std::vector<int> free = state.free_gpus_of_machine(node);
-  if (static_cast<int>(free.size()) < job.num_gpus) return std::nullopt;
   const sched::UtilityModel utility(weights_);
   return sched::drb_place(job, free, state, utility);
 }

@@ -46,6 +46,7 @@ json::Value policy_entry_json(const exp::PolicyComparison::Entry& entry,
   o["qos_wait_p95"] = wait.p95;
   o["mean_wait_s"] = entry.mean_waiting;
   o["sched_stats"] = scheduler_stats_json(entry.sched_stats);
+  o["capacity_skips"] = entry.capacity_skips;
   // Wall-clock measurement: reserved "timing" subtree, excluded from the
   // determinism contract (see runner::kTimingKey).
   json::Object timing;

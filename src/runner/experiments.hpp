@@ -17,7 +17,7 @@ namespace gts::runner {
 ///   { "events": N,
 ///     "policies": { "<policy>": { "makespan_s", "slo_violations",
 ///         "qos_mean", "qos_p95", "qos_max", "qos_wait_mean",
-///         "qos_wait_p95", "mean_wait_s",
+///         "qos_wait_p95", "mean_wait_s", "sched_stats", "capacity_skips",
 ///         "timing": { "mean_decision_us" } } } }
 /// With `include_curves`, each policy also carries the sorted slowdown
 /// arrays ("qos_curve", "qos_wait_curve") the Fig. 10 charts plot.
@@ -26,7 +26,8 @@ json::Value large_scale_payload(const exp::LargeScaleOptions& options,
 
 /// Flattens a finished four-policy comparison into the standard payload
 /// object described above: per-policy QoS metrics, deterministic
-/// "sched_stats" (cache + DRB counters), and a "timing" subtree carrying
+/// "sched_stats" (cache + DRB counters) and "capacity_skips" (queue offers
+/// the driver's capacity gate declined), and a "timing" subtree carrying
 /// the mean decision latency plus the full per-decision histogram.
 json::Value policy_comparison_payload(const exp::PolicyComparison& comparison,
                                       bool include_curves = false);

@@ -59,6 +59,9 @@ bool job_can_ever_fit(const jobgraph::JobRequest& request,
     return false;
   }
   if (request.profile.anti_collocate) {
+    // Tasks on distinct machines: a single-node job has only one machine,
+    // so no placement of more than one task passes check::audit_placement.
+    if (request.profile.single_node && request.num_gpus > 1) return false;
     return request.num_gpus <= topology.machine_count();
   }
   if (request.profile.single_node) {
@@ -372,6 +375,18 @@ void Driver::scheduling_pass() {
       continue;
     }
     const jobgraph::JobRequest& request = it->request;
+    if (!state_.may_fit(request)) {
+      // Capacity gate (DESIGN.md section 21): no valid placement exists,
+      // so every policy would decline. Decline it the same way — same
+      // attempted version and postponement count — without the offer.
+      it->attempted_version = capacity_version_;
+      report_.recorder.on_postpone(request.id);
+      ++report_.capacity_skips;
+      GTS_METRIC_COUNT("sched.capacity_skips", 1);
+      if (scheduler_.blocking_queue()) break;
+      ++it;
+      continue;
+    }
 
     obs::SpanGuard decision_span(obs::kSched, "sched.decide");
     decision_span.arg("job", request.id)
@@ -390,6 +405,8 @@ void Driver::scheduling_pass() {
     report_.decision_seconds += decision_seconds;
     ++report_.decision_count;
     report_.decision_latency_us.record(decision_us);
+    (placement ? report_.placed_latency_us : report_.declined_latency_us)
+        .record(decision_us);
     GTS_METRIC_COUNT("sched.decisions", 1);
     GTS_METRIC_HISTOGRAM("sched.decision_latency_us", decision_us,
                          obs::latency_bounds_us());

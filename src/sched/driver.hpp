@@ -73,11 +73,21 @@ struct DriverReport {
   /// the number of placement attempts (Section 5.5.3).
   double decision_seconds = 0.0;
   long long decision_count = 0;
+  /// Queue offers declined by the capacity gate (ClusterState::may_fit)
+  /// without calling Scheduler::place. Deterministic: decision_count +
+  /// capacity_skips is the number of offers an ungated driver makes.
+  long long capacity_skips = 0;
   /// Per-decision latency distribution (microseconds), recorded for every
   /// run — this is the report-local histogram bench_overhead aggregates;
   /// the obs registry histogram "sched.decision_latency_us" is only fed
   /// when metrics are enabled.
   obs::HistogramData decision_latency_us;
+  /// decision_latency_us split by outcome. A mean over mixed outcomes
+  /// moves whenever the mix does — the capacity gate removes the cheapest
+  /// declines (DESIGN.md section 21) — so compare placements with
+  /// placements.
+  obs::HistogramData placed_latency_us;
+  obs::HistogramData declined_latency_us;
   double mean_decision_seconds() const {
     return decision_count == 0 ? 0.0
                                : decision_seconds /

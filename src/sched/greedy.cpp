@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "obs/explain.hpp"
 #include "obs/trace.hpp"
@@ -28,14 +29,42 @@ std::optional<Placement> place_on_machine_gpus(std::vector<int> gpus,
   return placement;
 }
 
+/// Anti-collocated jobs take one GPU per machine: the lowest free GPU of
+/// each machine with one, visiting machines by id or, with
+/// `tightest_first`, by free count and then id.
+std::optional<Placement> place_one_per_machine(
+    const jobgraph::JobRequest& request, const cluster::ClusterState& state,
+    bool tightest_first) {
+  std::vector<int> order(
+      static_cast<size_t>(state.topology().machine_count()));
+  std::iota(order.begin(), order.end(), 0);
+  if (tightest_first) {
+    std::stable_sort(order.begin(), order.end(), [&state](int a, int b) {
+      return state.machine_free_count(a) < state.machine_free_count(b);
+    });
+  }
+  std::vector<int> gpus;
+  for (const int machine : order) {
+    if (static_cast<int>(gpus.size()) >= request.num_gpus) break;
+    if (state.machine_free_count(machine) == 0) continue;
+    const std::vector<int> free = state.free_gpus_of_machine(machine);
+    gpus.push_back(*std::min_element(free.begin(), free.end()));
+  }
+  return place_on_machine_gpus(std::move(gpus), request.num_gpus);
+}
+
 }  // namespace
 
 std::optional<Placement> FcfsScheduler::place(
     const jobgraph::JobRequest& request, const cluster::ClusterState& state) {
   GTS_TRACE_SPAN(obs::kSched, "fcfs.place");
   const topo::TopologyGraph& topology = state.topology();
+  if (request.profile.anti_collocate) {
+    return place_one_per_machine(request, state, /*tightest_first=*/false);
+  }
   // First machine that fits, lowest GPU ids first.
   for (int machine = 0; machine < topology.machine_count(); ++machine) {
+    if (state.machine_free_count(machine) < request.num_gpus) continue;
     std::vector<int> free = state.free_gpus_of_machine(machine);
     std::sort(free.begin(), free.end());
     if (auto placement = place_on_machine_gpus(std::move(free),
@@ -55,13 +84,15 @@ std::optional<Placement> BestFitScheduler::place(
     const jobgraph::JobRequest& request, const cluster::ClusterState& state) {
   GTS_TRACE_SPAN(obs::kSched, "bestfit.place");
   const topo::TopologyGraph& topology = state.topology();
+  if (request.profile.anti_collocate) {
+    return place_one_per_machine(request, state, /*tightest_first=*/true);
+  }
 
   // Tightest machine that fits.
   int best_machine = -1;
   int best_free = std::numeric_limits<int>::max();
   for (int machine = 0; machine < topology.machine_count(); ++machine) {
-    const int free =
-        static_cast<int>(state.free_gpus_of_machine(machine).size());
+    const int free = state.machine_free_count(machine);
     if (free >= request.num_gpus && free < best_free) {
       best_free = free;
       best_machine = machine;

@@ -10,6 +10,7 @@ namespace gts::sched {
 
 /// FCFS: strict FIFO; first machine (lowest id) with enough free GPUs,
 /// lowest-id free GPUs first. The queue blocks behind an unplaceable head.
+/// Anti-collocated jobs take one GPU from each of the lowest-id machines.
 class FcfsScheduler final : public Scheduler {
  public:
   std::string name() const override { return "FCFS"; }
@@ -20,6 +21,7 @@ class FcfsScheduler final : public Scheduler {
 
 /// Best Fit: chooses the machine with the fewest free GPUs that still fits
 /// the job, and inside it the sockets that are already most used.
+/// Anti-collocated jobs take one GPU from each of the tightest machines.
 class BestFitScheduler final : public Scheduler {
  public:
   std::string name() const override { return "BF"; }

@@ -54,9 +54,12 @@ std::vector<int> filter_hosts(const jobgraph::JobRequest& request,
     std::vector<int> gpus;
     int machines_with_free = 0;
     for (int machine = 0; machine < topology.machine_count(); ++machine) {
-      if (!state.host_bw_available(machine, share)) continue;
+      if (state.machine_free_count(machine) == 0 ||
+          !state.host_bw_available(machine, share)) {
+        continue;
+      }
       const std::vector<int> free = state.free_gpus_of_machine(machine);
-      if (!free.empty()) ++machines_with_free;
+      ++machines_with_free;
       gpus.insert(gpus.end(), free.begin(), free.end());
     }
     if (machines_with_free < request.num_gpus) return {};
@@ -67,11 +70,12 @@ std::vector<int> filter_hosts(const jobgraph::JobRequest& request,
     // Only machines that can hold the whole job, GPUs and bandwidth.
     std::vector<int> gpus;
     for (int machine = 0; machine < topology.machine_count(); ++machine) {
-      if (!state.host_bw_available(machine, demand)) continue;
-      const std::vector<int> free = state.free_gpus_of_machine(machine);
-      if (static_cast<int>(free.size()) >= request.num_gpus) {
-        gpus.insert(gpus.end(), free.begin(), free.end());
+      if (state.machine_free_count(machine) < request.num_gpus ||
+          !state.host_bw_available(machine, demand)) {
+        continue;
       }
+      const std::vector<int> free = state.free_gpus_of_machine(machine);
+      gpus.insert(gpus.end(), free.begin(), free.end());
     }
     return gpus;
   }
@@ -81,7 +85,10 @@ std::vector<int> filter_hosts(const jobgraph::JobRequest& request,
   const double share = demand / std::max(1, request.num_gpus);
   std::vector<int> gpus;
   for (int machine = 0; machine < topology.machine_count(); ++machine) {
-    if (!state.host_bw_available(machine, share)) continue;
+    if (state.machine_free_count(machine) == 0 ||
+        !state.host_bw_available(machine, share)) {
+      continue;
+    }
     const std::vector<int> free = state.free_gpus_of_machine(machine);
     gpus.insert(gpus.end(), free.begin(), free.end());
   }

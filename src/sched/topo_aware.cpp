@@ -196,12 +196,12 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
   std::vector<int> socket_free_scratch;
   for (int machine = 0; machine < topology.machine_count(); ++machine) {
     // Section 4.3 capacity constraints: GPUs and host memory bandwidth.
-    if (!state.host_bw_available(machine,
+    if (state.machine_free_count(machine) < request.num_gpus ||
+        !state.host_bw_available(machine,
                                  request.profile.host_bw_demand_gbps)) {
       continue;
     }
     std::vector<int> free = state.free_gpus_of_machine(machine);
-    if (static_cast<int>(free.size()) < request.num_gpus) continue;
     socket_free_scratch.assign(
         static_cast<size_t>(topology.sockets_of_machine(machine)) + 1, 0);
     int best_socket_free = 0;

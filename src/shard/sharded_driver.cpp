@@ -169,7 +169,8 @@ int ShardedDriver::route_one(const jobgraph::JobRequest& request) {
   candidates.reserve(cells_.size());
   for (const Cell& cell : cells_) {
     candidates.push_back(
-        {cell.summary.get(), cell.graph, cell.driver->queue_depth()});
+        {cell.summary.get(), &cell.driver->state(),
+         cell.driver->queue_depth()});
   }
   const RouteDecision decision = route_job(request, candidates, model_);
   const double latency_us = static_cast<double>(obs::wall_now_us() - t0_us);
@@ -679,7 +680,8 @@ void ShardedDriver::restore_waiting(const jobgraph::JobRequest& request,
     candidates.reserve(cells_.size());
     for (const Cell& cell : cells_) {
       candidates.push_back(
-          {cell.summary.get(), cell.graph, cell.driver->queue_depth()});
+          {cell.summary.get(), &cell.driver->state(),
+           cell.driver->queue_depth()});
     }
     const RouteDecision decision = route_job(request, candidates, model_);
     shard = decision.shard >= 0 ? decision.shard : 0;
@@ -714,7 +716,10 @@ sched::DriverReport ShardedDriver::merged_report() const {
     const sched::DriverReport& r = cell.driver->report();
     report.decision_seconds += r.decision_seconds;
     report.decision_count += r.decision_count;
+    report.capacity_skips += r.capacity_skips;
     report.decision_latency_us.merge(r.decision_latency_us);
+    report.placed_latency_us.merge(r.placed_latency_us);
+    report.declined_latency_us.merge(r.declined_latency_us);
     report.advance_seconds += r.advance_seconds;
     report.advance_count += r.advance_count;
     report.advance_latency_us.merge(r.advance_latency_us);

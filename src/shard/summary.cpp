@@ -9,17 +9,10 @@
 namespace gts::shard {
 
 CellSummary::CellSummary(const topo::TopologyGraph& cell) {
-  total_gpus_ = cell.gpu_count();
-  free_total_ = total_gpus_;
-  const int machines = cell.machine_count();
-  machine_free_.assign(static_cast<size_t>(machines), 0);
-  gpu_machine_.resize(static_cast<size_t>(total_gpus_));
-  gpu_socket_slot_.resize(static_cast<size_t>(total_gpus_));
-
+  gpu_socket_slot_.resize(static_cast<size_t>(cell.gpu_count()));
   // Flat socket slots: machine-major, socket-minor.
-  int max_machine_gpus = 0;
   int max_socket_gpus = 0;
-  for (int m = 0; m < machines; ++m) {
+  for (int m = 0; m < cell.machine_count(); ++m) {
     const int sockets = cell.sockets_of_machine(m);
     for (int s = 0; s < sockets; ++s) {
       const std::vector<int>& gpus = cell.gpus_of_socket(m, s);
@@ -31,68 +24,36 @@ CellSummary::CellSummary(const topo::TopologyGraph& cell) {
                                  static_cast<int>(gpus.size()));
       for (const int gpu : gpus) {
         gpu_socket_slot_[static_cast<size_t>(gpu)] = slot;
-        gpu_machine_[static_cast<size_t>(gpu)] = m;
-        ++machine_free_[static_cast<size_t>(m)];
       }
     }
-    max_machine_gpus =
-        std::max(max_machine_gpus, machine_free_[static_cast<size_t>(m)]);
-  }
-  machines_with_free_ = machines;
-  frag_sum_ = 0.0;
-  for (size_t slot = 0; slot < socket_free_.size(); ++slot) {
-    if (socket_free_[slot] > 0) frag_sum_ += 1.0;
-  }
-
-  machine_hist_.assign(static_cast<size_t>(max_machine_gpus) + 1, 0);
-  for (const int free : machine_free_) {
-    ++machine_hist_[static_cast<size_t>(free)];
   }
   socket_hist_.assign(static_cast<size_t>(max_socket_gpus) + 1, 0);
   for (const int free : socket_free_) {
+    if (free > 0) frag_sum_ += 1.0;
     ++socket_hist_[static_cast<size_t>(free)];
   }
-}
-
-void CellSummary::bump(std::vector<int>& hist, int from, int to) {
-  --hist[static_cast<size_t>(from)];
-  ++hist[static_cast<size_t>(to)];
 }
 
 void CellSummary::on_allocation(std::span<const int> gpus, bool allocated) {
   const int delta = allocated ? -1 : 1;
   for (const int gpu : gpus) {
-    GTS_DCHECK(gpu >= 0 && gpu < total_gpus_,
+    GTS_DCHECK(gpu >= 0 && gpu < static_cast<int>(gpu_socket_slot_.size()),
                "cell summary: GPU id ", gpu, " out of range");
-    const int machine = gpu_machine_[static_cast<size_t>(gpu)];
     const int slot = gpu_socket_slot_[static_cast<size_t>(gpu)];
-    int& m_free = machine_free_[static_cast<size_t>(machine)];
-    bump(machine_hist_, m_free, m_free + delta);
-    if (allocated && m_free == 1) --machines_with_free_;
-    if (!allocated && m_free == 0) ++machines_with_free_;
-    m_free += delta;
     int& s_free = socket_free_[static_cast<size_t>(slot)];
-    bump(socket_hist_, s_free, s_free + delta);
+    --socket_hist_[static_cast<size_t>(s_free)];
     s_free += delta;
+    ++socket_hist_[static_cast<size_t>(s_free)];
     frag_sum_ += delta * socket_inv_size_[static_cast<size_t>(slot)];
-    free_total_ += delta;
   }
 }
 
-namespace {
-
-int top_nonzero(const std::vector<int>& hist) {
-  for (int k = static_cast<int>(hist.size()) - 1; k > 0; --k) {
-    if (hist[static_cast<size_t>(k)] > 0) return k;
+int CellSummary::max_free_socket() const {
+  for (int k = static_cast<int>(socket_hist_.size()) - 1; k > 0; --k) {
+    if (socket_hist_[static_cast<size_t>(k)] > 0) return k;
   }
   return 0;
 }
-
-}  // namespace
-
-int CellSummary::max_free_machine() const { return top_nonzero(machine_hist_); }
-
-int CellSummary::max_free_socket() const { return top_nonzero(socket_hist_); }
 
 double CellSummary::fragmentation() const {
   return socket_free_.empty()
@@ -103,38 +64,28 @@ double CellSummary::fragmentation() const {
 bool filter_admits(const jobgraph::JobRequest& request,
                    const ShardCandidate& candidate,
                    const perf::DlWorkloadModel& model) {
-  if (!sched::job_can_ever_fit(request, *candidate.topology, model)) {
-    return false;
-  }
-  const CellSummary& summary = *candidate.summary;
-  if (summary.free_total() < request.num_gpus) return false;
-  if (request.profile.single_node &&
-      summary.max_free_machine() < request.num_gpus) {
-    return false;
-  }
-  if (request.profile.anti_collocate &&
-      summary.machines_with_free() < request.num_gpus) {
-    return false;
-  }
-  return true;
+  const cluster::ClusterState& state = *candidate.state;
+  return sched::job_can_ever_fit(request, state.topology(), model) &&
+         state.may_fit(request);
 }
 
 int score_shard(const jobgraph::JobRequest& request,
                 const ShardCandidate& candidate) {
   const CellSummary& summary = *candidate.summary;
+  const cluster::ClusterState& state = *candidate.state;
   // Packing tier: prefer shards that can keep the job's communication
   // local (socket > machine > spanning) — the same ordering TOPO-AWARE's
   // utility rewards, estimated from aggregates alone.
   int score = 10;
   if (summary.max_free_socket() >= request.num_gpus) {
     score = 40;
-  } else if (summary.max_free_machine() >= request.num_gpus) {
+  } else if (state.max_machine_free() >= request.num_gpus) {
     score = 25;
   }
-  if (summary.total_gpus() > 0) {
-    score += static_cast<int>(std::lround(
-        30.0 * static_cast<double>(summary.free_total()) /
-        static_cast<double>(summary.total_gpus())));
+  if (const int total = state.topology().gpu_count(); total > 0) {
+    score += static_cast<int>(
+        std::lround(30.0 * static_cast<double>(state.free_gpu_count()) /
+                    static_cast<double>(total)));
   }
   score += std::max(0, 20 - 2 * candidate.queue_depth);
   score += static_cast<int>(std::lround(10.0 * summary.fragmentation()));
@@ -151,9 +102,10 @@ RouteDecision route_job(const jobgraph::JobRequest& request,
     const ShardCandidate& candidate = candidates[static_cast<size_t>(shard)];
     if (!filter_admits(request, candidate, model)) {
       ++decision.filtered;
-      if (sched::job_can_ever_fit(request, *candidate.topology, model) &&
-          candidate.summary->free_total() > best_free) {
-        best_free = candidate.summary->free_total();
+      const cluster::ClusterState& state = *candidate.state;
+      if (sched::job_can_ever_fit(request, state.topology(), model) &&
+          state.free_gpu_count() > best_free) {
+        best_free = state.free_gpu_count();
         fallback = shard;
       }
       continue;

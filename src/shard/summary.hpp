@@ -1,22 +1,24 @@
 // Per-cell routing summaries and the two-stage inter-shard router
 // (DESIGN.md section 19).
 //
-// A CellSummary is the router's cheap aggregate view of one cell: free
-// GPUs in total, per machine and per socket (as max-tier histograms),
-// machines with any free GPU, and the Eq. 5 fragmentation estimate. It is
-// maintained incrementally — O(GPUs of the job) per placement/completion
-// event via ClusterState's allocation listener — so routing never rescans
-// a cell.
+// A CellSummary is the router's per-socket view of one cell: a max-tier
+// histogram of free GPUs per socket and the Eq. 5 fragmentation estimate.
+// It is maintained incrementally — O(GPUs of the job) per
+// placement/completion event via ClusterState's allocation listener — so
+// routing never rescans a cell. Machine-level capacity (free total,
+// largest free machine, machines with a free GPU) comes from the cell
+// state's own capacity index (ClusterState, DESIGN.md section 21).
 //
 // Routing runs two stages before any full scheduler pass happens:
 //
 //   Filter — rejects shards that *provably* cannot place the job right
-//            now. Only necessary conditions are checked (free total,
-//            largest free machine for single-node jobs, machines with a
-//            free GPU for anti-collocated jobs), so the Filter never
-//            rejects a shard the full scheduler could have placed into —
-//            the soundness invariant tests/shard_test.cpp holds over
-//            random topologies.
+//            now: job_can_ever_fit on the cell topology, then the cell
+//            state's may_fit — the same O(1) predicate the driver's
+//            capacity gate uses, which encodes exactly the capacity rules
+//            check::audit_placement enforces. So the Filter never rejects
+//            a shard the full scheduler could have placed into — the
+//            soundness invariant tests/shard_test.cpp holds over random
+//            occupancy for all four policies.
 //   Score  — ranks surviving shards 0..100 (packing tier, free capacity,
 //            queue pressure, fragmentation; the k8s shim's score idiom).
 //            Ties break toward the lowest shard id.
@@ -29,6 +31,7 @@
 #include <span>
 #include <vector>
 
+#include "cluster/state.hpp"
 #include "jobgraph/jobgraph.hpp"
 #include "perf/model.hpp"
 #include "topo/topology.hpp"
@@ -45,12 +48,8 @@ class CellSummary {
   /// or freed as one job-sized event.
   void on_allocation(std::span<const int> gpus, bool allocated);
 
-  int total_gpus() const noexcept { return total_gpus_; }
-  int free_total() const noexcept { return free_total_; }
-  int machines_with_free() const noexcept { return machines_with_free_; }
-  /// Largest number of free GPUs on any single machine / socket
-  /// (top-down histogram scan; machines hold at most a few GPUs).
-  int max_free_machine() const;
+  /// Largest number of free GPUs on any single socket (top-down histogram
+  /// scan; sockets hold at most a few GPUs).
   int max_free_socket() const;
   int socket_count() const noexcept {
     return static_cast<int>(socket_free_.size());
@@ -59,26 +58,18 @@ class CellSummary {
   double fragmentation() const;
 
  private:
-  void bump(std::vector<int>& hist, int from, int to);
-
-  int total_gpus_ = 0;
-  int free_total_ = 0;
-  int machines_with_free_ = 0;
   double frag_sum_ = 0.0;  // sum over sockets of free/size
-  std::vector<int> gpu_machine_;      // per local GPU
   std::vector<int> gpu_socket_slot_;  // per local GPU, flat socket index
   std::vector<double> socket_inv_size_;  // per socket slot, 1/size
-  std::vector<int> machine_free_;     // free GPUs per machine
   std::vector<int> socket_free_;      // free GPUs per socket slot
-  std::vector<int> machine_hist_;     // machines with exactly k free GPUs
   std::vector<int> socket_hist_;      // sockets with exactly k free GPUs
 };
 
-/// One routing candidate: the cell's summary + static topology, plus its
-/// current queue depth (jobs already waiting there).
+/// One routing candidate: the cell's summary and state (whose topology is
+/// the cell's), plus its current queue depth (jobs already waiting there).
 struct ShardCandidate {
   const CellSummary* summary = nullptr;
-  const topo::TopologyGraph* topology = nullptr;
+  const cluster::ClusterState* state = nullptr;
   int queue_depth = 0;
 };
 

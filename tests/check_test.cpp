@@ -214,6 +214,42 @@ TEST_F(ClusterAuditTest, StateAuditCatchesOwnershipCorruption) {
             std::string::npos);
 }
 
+TEST_F(ClusterAuditTest, CapacityIndexFollowsCorruptedOwnership) {
+  // The capacity index (per-machine free counts, the machines-by-free-count
+  // histogram and its maximum) is a projection of the ownership table, so
+  // it must stay consistent with a corrupted table: validate then reports
+  // the job/owner mismatch itself, never an index drift.
+  state_.place(job(1, 2), {0, 1}, 0.0);
+  ASSERT_TRUE(check::validate(state_).is_ok());
+  EXPECT_EQ(state_.machine_free_count(0), 2);
+  EXPECT_EQ(state_.max_machine_free(), 4);
+
+  // Phantom owners take every free GPU of machine 1.
+  for (const int gpu : {4, 5, 6, 7}) state_.corrupt_gpu_owner_for_test(gpu, 99);
+  EXPECT_EQ(state_.machine_free_count(1), 0);
+  EXPECT_EQ(state_.max_machine_free(), 2);
+  EXPECT_EQ(state_.machines_with_free(), 1);
+  EXPECT_FALSE(state_.may_fit(job(2, 3)));
+  const util::Status phantom = check::validate(state_);
+  ASSERT_FALSE(phantom.is_ok());
+  EXPECT_NE(phantom.error().message.find("no running job"), std::string::npos)
+      << phantom.error().message;
+
+  // Handing job 1's GPU to nobody frees it in the index as well.
+  for (const int gpu : {4, 5, 6, 7}) state_.corrupt_gpu_owner_for_test(gpu, -1);
+  state_.corrupt_gpu_owner_for_test(1, -1);
+  EXPECT_EQ(state_.machine_free_count(0), 3);
+  const util::Status lost = check::validate(state_);
+  ASSERT_FALSE(lost.is_ok());
+  EXPECT_NE(lost.error().message.find("GPU 1"), std::string::npos)
+      << lost.error().message;
+
+  state_.corrupt_gpu_owner_for_test(1, 1);  // repair
+  EXPECT_TRUE(check::validate(state_).is_ok());
+  EXPECT_EQ(state_.machine_free_histogram()[2], 1);
+  EXPECT_EQ(state_.machine_free_histogram()[4], 1);
+}
+
 TEST_F(ClusterAuditTest, PlacementAuditEnforcesShapeAndConstraints) {
   // Wrong GPU count for the task graph.
   EXPECT_FALSE(

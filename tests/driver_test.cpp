@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 #include "perf/profile.hpp"
@@ -101,6 +103,39 @@ TEST_F(DriverTest, ImpossibleJobRejectedNotDeadlocked) {
   EXPECT_EQ(report.rejected_jobs, 1);
   EXPECT_TRUE(report.recorder.find(0)->finished());
   EXPECT_FALSE(report.recorder.find(1)->placed());
+}
+
+TEST_F(DriverTest, SingleNodeSpreadRejectedWithoutBlockingFcfs) {
+  // Tasks on distinct machines, yet all on one machine: no placement of
+  // this shape passes the audit, so it is refused at submission instead of
+  // sitting at the head of a blocking queue for good.
+  const topo::TopologyGraph cluster = topo::builders::make_cluster(
+      4, 4, topo::builders::MachineShape::kPower8Minsky);
+  const auto scheduler = make_scheduler(Policy::kFcfs);
+  Driver driver(cluster, model_, *scheduler);
+  JobRequest spread = perf::make_profiled_dl(
+      0, 0.0, NeuralNet::kAlexNet, 1, 2, 0.0, model_, cluster, 400);
+  spread.profile.single_node = true;
+  spread.profile.anti_collocate = true;
+  EXPECT_EQ(driver.submit(spread), SubmitResult::kNeverFits);
+  JobRequest lone = spread;
+  lone.id = 1;
+  lone.num_gpus = 1;
+  lone.comm_graph = jobgraph::JobGraph::all_to_all(1, 4.0);
+  EXPECT_EQ(driver.submit(lone), SubmitResult::kAccepted);
+  ASSERT_EQ(driver.submit(perf::make_profiled_dl(
+                2, 1.0, NeuralNet::kAlexNet, 1, 2, 0.0, model_, cluster,
+                400)),
+            SubmitResult::kAccepted);
+  driver.advance_all();
+  EXPECT_EQ(driver.report().rejected_jobs, 1);
+  const cluster::JobRecord* refused = driver.report().recorder.find(0);
+  EXPECT_TRUE(refused == nullptr || !refused->placed());
+  for (const int id : {1, 2}) {
+    const cluster::JobRecord* record = driver.report().recorder.find(id);
+    ASSERT_NE(record, nullptr) << id;
+    EXPECT_TRUE(record->finished()) << id;
+  }
 }
 
 TEST_F(DriverTest, SeriesRecordedWhenEnabled) {
@@ -211,6 +246,90 @@ TEST_F(DriverTest, MakespanIsLastCompletion) {
     latest = std::max(latest, record.end);
   }
   EXPECT_DOUBLE_EQ(report.end_time, latest);
+}
+
+// --- capacity gate -----------------------------------------------------------
+//
+// Decisions on a queue-heavy trace — the Fig. 11 Scenario 2 shape on 50
+// Minsky machines: 500 jobs, lambda = 2 jobs/min per machine, 250
+// iterations — are pinned by committed per-policy digests, recorded
+// before the driver had a capacity gate. The gate declines only offers no
+// policy could place, so the schedule, the postponement total and the
+// offer total (scheduler calls + gate skips) must all stay exactly put.
+
+/// 64-bit FNV-1a over every job record: id, GPU list, and the bits of the
+/// start, end and placement-utility doubles.
+std::uint64_t decision_digest(const cluster::Recorder& recorder) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  };
+  const auto bits = [](double value) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, &value, sizeof word);
+    return word;
+  };
+  for (const cluster::JobRecord& record : recorder.records()) {
+    mix(static_cast<std::uint64_t>(record.id));
+    mix(record.gpus.size());
+    for (const int gpu : record.gpus) mix(static_cast<std::uint64_t>(gpu));
+    mix(bits(record.start));
+    mix(bits(record.end));
+    mix(bits(record.placement_utility));
+  }
+  return hash;
+}
+
+struct PinnedPolicy {
+  Policy policy;
+  std::uint64_t digest;
+  long long postponements;
+  long long offers;  // Scheduler::place calls before the gate existed
+};
+
+TEST(CapacityGateTest, QueueHeavyDecisionsMatchCommittedDigests) {
+  const topo::TopologyGraph topology = topo::builders::make_cluster(
+      50, 4, topo::builders::MachineShape::kPower8Minsky);
+  const perf::DlWorkloadModel model{perf::CalibrationParams::paper_minsky()};
+  trace::GeneratorOptions generator;
+  generator.job_count = 500;
+  generator.seed = 6;
+  generator.iterations = 250;
+  generator.arrival_rate_per_minute = 2.0 * 50;
+  const std::vector<JobRequest> jobs =
+      trace::generate_workload(generator, model, topology);
+
+  const PinnedPolicy pinned[] = {
+      {Policy::kBestFit, 0xf975dc3cca382916ULL, 4287, 4787},
+      {Policy::kFcfs, 0x8d2d940924880e97ULL, 280, 780},
+      {Policy::kTopoAware, 0x02c5b489fd024585ULL, 4629, 5129},
+      {Policy::kTopoAwareP, 0x40c3fad06c5f80c3ULL, 4097, 4597},
+  };
+  for (const PinnedPolicy& pin : pinned) {
+    const std::string name(to_string(pin.policy));
+    const auto scheduler = make_scheduler(pin.policy);
+    Driver driver(topology, model, *scheduler);
+    const DriverReport report = driver.run(jobs);
+    int finished = 0;
+    for (const cluster::JobRecord& record : report.recorder.records()) {
+      if (record.finished()) ++finished;
+    }
+    EXPECT_EQ(finished, 500) << name;
+    EXPECT_EQ(decision_digest(report.recorder), pin.digest) << name;
+    EXPECT_EQ(report.recorder.total_postponements(), pin.postponements)
+        << name;
+    EXPECT_EQ(report.decision_count + report.capacity_skips, pin.offers)
+        << name;
+    EXPECT_GT(report.capacity_skips, 0) << name << ": the gate never fired";
+    EXPECT_EQ(report.placed_latency_us.count(), 500) << name;
+    EXPECT_EQ(report.placed_latency_us.count() +
+                  report.declined_latency_us.count(),
+              report.decision_count)
+        << name;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "check/audit.hpp"
 #include "cluster/state.hpp"
 #include "perf/profile.hpp"
 #include "sched/greedy.hpp"
@@ -110,6 +111,44 @@ TEST_F(SchedTest, FilterHostsAntiCollocate) {
   j.num_gpus = 2;
   j.comm_graph = jobgraph::JobGraph::all_to_all(2, 4.0);
   EXPECT_EQ(filter_hosts(j, state).size(), 8u);
+}
+
+TEST_F(SchedTest, GreedyPoliciesSpreadAntiCollocatedJobs) {
+  const topo::TopologyGraph cluster =
+      topo::builders::cluster(3, MachineShape::kPower8Minsky);
+  cluster::ClusterState state(cluster, model_);
+  // Machine 1 keeps one free GPU (7); machines 0 and 2 are empty.
+  state.place(perf::make_profiled_dl(9, 0.0, NeuralNet::kAlexNet, 1, 3, 0.0,
+                                     model_, cluster, 700),
+              {4, 5, 6}, 0.0);
+  JobRequest spread = perf::make_profiled_dl(1, 0.0, NeuralNet::kAlexNet, 1,
+                                             3, 0.5, model_, cluster, 700);
+  spread.profile.single_node = false;
+  spread.profile.anti_collocate = true;
+
+  FcfsScheduler fcfs;
+  BestFitScheduler best_fit;
+  const auto first = fcfs.place(spread, state);
+  ASSERT_TRUE(first.has_value());
+  // Lowest-id machines, lowest free GPU of each.
+  EXPECT_EQ(first->gpus, (std::vector<int>{0, 7, 8}));
+  const auto tightest = best_fit.place(spread, state);
+  ASSERT_TRUE(tightest.has_value());
+  // Tightest machine first, then by machine id.
+  EXPECT_EQ(tightest->gpus, (std::vector<int>{7, 0, 8}));
+  for (const auto* placement : {&first, &tightest}) {
+    const util::Status audit =
+        check::audit_placement(spread, (*placement)->gpus, state);
+    EXPECT_TRUE(audit.is_ok()) << audit.error().message;
+  }
+
+  // Four tasks need four machines.
+  JobRequest wide = spread;
+  wide.num_gpus = 4;
+  wide.comm_graph = jobgraph::JobGraph::all_to_all(4, 4.0);
+  EXPECT_FALSE(fcfs.place(wide, state).has_value());
+  EXPECT_FALSE(best_fit.place(wide, state).has_value());
+  EXPECT_FALSE(state.may_fit(wide));
 }
 
 // ---------------------------------------------------------- TOPO-AWARE ----

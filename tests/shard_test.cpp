@@ -6,9 +6,9 @@
 //   * a 1-shard ShardedDriver is byte-identical to a plain Driver on the
 //     Fig. 8 prototype workload and on a 500-job generated trace;
 //   * an N-shard run is byte-identical for --shard-threads {1, 2, 8};
-//   * the router's Filter stage is sound: it never rejects a shard the
-//     full scheduler would have placed the job into (checked over seeded
-//     random occupancy patterns);
+//   * the router's Filter stage and the driver's capacity gate are sound:
+//     they never reject a shard any of the four policies would have
+//     placed the job into (checked over seeded random occupancy patterns);
 //   * a sharded ServiceCore snapshot restores and re-snapshots
 //     byte-identically, and the continuation matches the uninterrupted
 //     run verb-for-verb.
@@ -243,58 +243,65 @@ TEST_F(ShardDifferentialTest, ShardedRunPlacesEveryGlobalGpuOnce) {
 // --- router Filter soundness ------------------------------------------------
 
 TEST(ShardRouterTest, FilterNeverRejectsAPlaceableShard) {
-  // The Filter may only reject on *necessary* conditions: whenever the
-  // full scheduler can place a job into a cell's current state, the
-  // Filter must admit that cell. Checked over seeded random occupancy.
+  // The Filter and the driver's capacity gate share one predicate,
+  // ClusterState::may_fit, and may only reject on *necessary* conditions:
+  // whenever a policy's scheduler can place a job into a cell's current
+  // state, may_fit must hold and the Filter must admit that cell. Checked
+  // for all four policies over seeded random occupancy.
   const perf::DlWorkloadModel model{perf::CalibrationParams::paper_minsky()};
   const topo::TopologyGraph cell = topo::builders::make_cluster(
       3, 4, MachineShape::kPower8Minsky);
 
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    cluster::ClusterState state(cell, model);
-    CellSummary summary(cell);
-    state.set_allocation_listener(
-        [&summary](std::span<const int> gpus, bool allocated) {
-          summary.on_allocation(gpus, allocated);
-        });
-    const auto scheduler = sched::make_scheduler(sched::Policy::kTopoAwareP);
+  for (const sched::Policy policy :
+       {sched::Policy::kBestFit, sched::Policy::kFcfs,
+        sched::Policy::kTopoAware, sched::Policy::kTopoAwareP}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      const std::string label = std::string(sched::to_string(policy)) +
+                                " seed " + std::to_string(seed);
+      cluster::ClusterState state(cell, model);
+      CellSummary summary(cell);
+      state.set_allocation_listener(
+          [&summary](std::span<const int> gpus, bool allocated) {
+            summary.on_allocation(gpus, allocated);
+          });
+      const auto scheduler = sched::make_scheduler(policy);
 
-    // Seeded random occupancy: keep placing random-size blockers until
-    // one fails; min_utility 0 so the scheduler never declines by SLO.
-    std::uint64_t rng = seed * 2654435761u + 1;
-    const auto next = [&rng](int bound) {
-      rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-      return static_cast<int>((rng >> 33) % static_cast<std::uint64_t>(bound));
-    };
-    int blocker_id = 1000;
-    for (int k = next(10); k >= 0; --k) {
-      const int gpus = 1 << next(3);  // 1, 2 or 4
-      const JobRequest blocker = perf::make_profiled_dl(
-          blocker_id++, 0.0, NeuralNet::kAlexNet, 4, gpus, 0.0, model, cell);
-      const auto placement = scheduler->place(blocker, state);
-      if (!placement) break;
-      state.place(blocker, placement->gpus, 0.0, placement->utility);
-    }
-    ASSERT_EQ(summary.free_total(), state.free_gpu_count())
-        << "summary drifted at seed " << seed;
-
-    // Probes: every job size x constraint combination must obey the
-    // implication place-able => Filter-admitted.
-    const ShardCandidate candidate{&summary, &cell, /*queue_depth=*/0};
-    int probe_id = 1;
-    for (const int gpus : {1, 2, 3, 4}) {
-      for (const bool anti : {false, true}) {
-        JobRequest probe = perf::make_profiled_dl(
-            probe_id++, 0.0, NeuralNet::kGoogLeNet, 4, gpus, 0.0, model,
+      // Seeded random occupancy: keep placing random-size blockers until
+      // one fails; min_utility 0 so the scheduler never declines by SLO.
+      std::uint64_t rng = seed * 2654435761u + 1;
+      const auto next = [&rng](int bound) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<int>((rng >> 33) %
+                                static_cast<std::uint64_t>(bound));
+      };
+      int blocker_id = 1000;
+      for (int k = next(10); k >= 0; --k) {
+        const int gpus = 1 << next(3);  // 1, 2 or 4
+        const JobRequest blocker = perf::make_profiled_dl(
+            blocker_id++, 0.0, NeuralNet::kAlexNet, 4, gpus, 0.0, model,
             cell);
-        if (anti) {
-          probe.profile.single_node = false;
-          probe.profile.anti_collocate = true;
-        }
-        const auto placement = scheduler->place(probe, state);
-        if (placement.has_value()) {
+        const auto placement = scheduler->place(blocker, state);
+        if (!placement) break;
+        state.place(blocker, placement->gpus, 0.0, placement->utility);
+      }
+
+      // Probes: every job size x constraint combination must obey the
+      // implication place-able => may_fit => Filter-admitted.
+      const ShardCandidate candidate{&summary, &state, /*queue_depth=*/0};
+      int probe_id = 1;
+      for (const int gpus : {1, 2, 3, 4}) {
+        for (const int shape : {0, 1, 2}) {  // single-node, multi, anti
+          JobRequest probe = perf::make_profiled_dl(
+              probe_id++, 0.0, NeuralNet::kGoogLeNet, 4, gpus, 0.0, model,
+              cell);
+          probe.profile.single_node = shape == 0;
+          probe.profile.anti_collocate = shape == 2;
+          if (!scheduler->place(probe, state).has_value()) continue;
+          EXPECT_TRUE(state.may_fit(probe))
+              << label << " gpus " << gpus << " shape " << shape
+              << ": the capacity gate would skip a placeable job";
           EXPECT_TRUE(filter_admits(probe, candidate, model))
-              << "seed " << seed << " gpus " << gpus << " anti " << anti
+              << label << " gpus " << gpus << " shape " << shape
               << ": Filter rejected a placeable cell";
         }
       }
@@ -307,10 +314,11 @@ TEST(ShardRouterTest, ScoreBreaksTiesTowardLowestShard) {
   const topo::TopologyGraph a = topo::builders::power8_minsky();
   const topo::TopologyGraph b = topo::builders::power8_minsky();
   const CellSummary sa(a), sb(b);
+  const cluster::ClusterState state_a(a, model), state_b(b, model);
   const JobRequest job = perf::make_profiled_dl(
       1, 0.0, NeuralNet::kAlexNet, 4, 2, 0.0, model, a);
   const std::vector<ShardCandidate> candidates = {
-      ShardCandidate{&sa, &a, 0}, ShardCandidate{&sb, &b, 0}};
+      ShardCandidate{&sa, &state_a, 0}, ShardCandidate{&sb, &state_b, 0}};
   const RouteDecision decision = route_job(job, candidates, model);
   EXPECT_EQ(decision.shard, 0);
   EXPECT_EQ(decision.filtered, 0);

@@ -243,12 +243,29 @@ def _require_number(path, where, value, minimum=None):
         fail(path, f"{where}: expected >= {minimum}, got {value!r}")
 
 
+_OPTIONAL_HISTOGRAMS = ("advance_latency_us", "placed_latency_us",
+                        "declined_latency_us")
+
+
+def _validate_capacity_skips(path, where, run):
+    """Queue offers the driver's capacity gate declined without calling
+    the scheduler: deterministic, so outside `timing`, and a non-negative
+    integer. Optional, because documents that predate the gate lack it."""
+    if "capacity_skips" not in run:
+        return
+    value = run["capacity_skips"]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        fail(path, f"{where}.capacity_skips: expected non-negative integer, "
+                   f"got {value!r}")
+
+
 def _validate_scale_payload(path, where, payload):
     """BENCH_scale replicas: router counters, per-shard rows and the
     router timing subtree next to the per-decision histogram."""
     sharded = payload["sharded"]
     if not isinstance(sharded, dict):
         fail(path, f"{where}: 'sharded' must be an object")
+    _validate_capacity_skips(path, f"{where}: sharded", sharded)
     router = sharded.get("router")
     if not isinstance(router, dict):
         fail(path, f"{where}: sharded.router missing")
@@ -284,17 +301,20 @@ def _validate_scale_payload(path, where, payload):
             fail(path, f"{where}: sharded.timing.{name} missing")
         validate_histogram(path, f"{where}: sharded.timing.{name}",
                            timing[name])
-    # Per-advance split (event-path overhaul): optional so baselines that
-    # predate it still validate, but when present it must be a histogram.
-    if "advance_latency_us" in timing:
-        validate_histogram(path, f"{where}: sharded.timing.advance_latency_us",
-                           timing["advance_latency_us"])
+    # Per-advance split (event-path overhaul) and the decision latency split
+    # by outcome: optional so baselines that predate them still validate,
+    # but when present each must be a histogram.
+    for name in _OPTIONAL_HISTOGRAMS:
+        if name in timing:
+            validate_histogram(path, f"{where}: sharded.timing.{name}",
+                               timing[name])
     # The unsharded oracle only runs up to --oracle-max machines; when it
     # did, the placement-quality delta must ride along.
     if "unsharded" in payload:
         oracle = payload["unsharded"]
         if not isinstance(oracle, dict):
             fail(path, f"{where}: 'unsharded' must be an object")
+        _validate_capacity_skips(path, f"{where}: unsharded", oracle)
         oracle_timing = oracle.get("timing")
         if (not isinstance(oracle_timing, dict) or
                 "decision_latency_us" not in oracle_timing):
@@ -308,11 +328,11 @@ def _validate_scale_payload(path, where, payload):
             fail(path, f"{where}: oracle ran but 'delta' missing")
         for key in ("utility_mean", "jct_mean_s", "makespan_s"):
             _require_number(path, f"{where}: delta.{key}", delta.get(key))
-        if isinstance(oracle_timing, dict) and \
-                "advance_latency_us" in oracle_timing:
-            validate_histogram(
-                path, f"{where}: unsharded.timing.advance_latency_us",
-                oracle_timing["advance_latency_us"])
+        for name in _OPTIONAL_HISTOGRAMS:
+            if name in oracle_timing:
+                validate_histogram(
+                    path, f"{where}: unsharded.timing.{name}",
+                    oracle_timing[name])
 
 
 def _validate_advance_micro_payload(path, where, payload):
@@ -410,6 +430,12 @@ def validate_bench(path, doc):
                            f"{metadata['pipeline']!r}")
         if "sharded" in payload:
             _validate_scale_payload(path, where, payload)
+        policies = payload.get("policies")
+        if isinstance(policies, dict):
+            for policy, run in policies.items():
+                if isinstance(run, dict):
+                    _validate_capacity_skips(
+                        path, f"{where}: policies.{policy}", run)
         if metadata.get("experiment") == "advance_micro":
             _validate_advance_micro_payload(path, where, payload)
     aggregates = doc.get("aggregates")
