@@ -7,8 +7,8 @@
 
 #include "check/check.hpp"
 #include "obs/trace.hpp"
-#include "runner/thread_pool.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gts::runner {
 
@@ -94,8 +94,8 @@ SweepResult run_sweep(const SweepOptions& options, const ReplicaFn& fn) {
 
   const auto t0 = std::chrono::steady_clock::now();
   {
-    ThreadPool pool(options.threads);
-    parallel_for(pool, replica_count, [&](int index) {
+    util::ThreadPool pool(options.threads);
+    util::parallel_for(pool, replica_count, [&](int index) {
       const int scenario_index = index / seed_count;
       const int seed_index = index % seed_count;
       ReplicaContext context;

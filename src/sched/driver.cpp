@@ -207,20 +207,25 @@ std::vector<ShardInfo> Driver::shard_infos() const {
   return {info};
 }
 
+RunningJobView running_view(const cluster::RunningJob& job,
+                            std::span<const int> gpus) {
+  RunningJobView view;
+  view.request = &job.request;
+  view.gpus = gpus;
+  view.start_time = job.start_time;
+  view.progress_iterations = job.progress_iterations;
+  view.last_update = job.last_update;
+  view.rate = job.rate;
+  view.placement_utility = job.placement_utility;
+  view.noise_factor = job.noise_factor;
+  view.p2p = job.p2p;
+  return view;
+}
+
 void Driver::visit_running(
     const std::function<bool(const RunningJobView&)>& fn) const {
   for (const auto& [id, job] : state_.running_jobs()) {
-    RunningJobView view;
-    view.request = &job.request;
-    view.gpus = job.gpus;
-    view.start_time = job.start_time;
-    view.progress_iterations = job.progress_iterations;
-    view.last_update = job.last_update;
-    view.rate = job.rate;
-    view.placement_utility = job.placement_utility;
-    view.noise_factor = job.noise_factor;
-    view.p2p = job.p2p;
-    if (!fn(view)) return;
+    if (!fn(running_view(job, job.gpus))) return;
   }
 }
 
@@ -365,7 +370,6 @@ void Driver::scheduling_pass() {
   pass_span.arg("queue", static_cast<double>(queue_.size()));
 
   // Algorithm 1: offer queued jobs oldest-first while resources remain.
-  bool placed_any = false;
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (state_.free_gpu_count() == 0) break;
     if (it->attempted_version == capacity_version_) {
@@ -437,8 +441,10 @@ void Driver::scheduling_pass() {
       GTS_CHECK(audit.is_ok(), "placement audit for job ", request.id, ": ",
                 audit.error().message);
     }
+    // Greedy schedulers leave utility at 0: score their placement with
+    // the shared model so SLO accounting covers every policy.
     double utility = placement->utility;
-    if (options_.evaluate_utility && utility == 0.0) {
+    if (utility == 0.0) {
       utility =
           shared_utility_.placement_utility(request, placement->gpus, state_);
     }
@@ -474,7 +480,6 @@ void Driver::scheduling_pass() {
     GTS_FLIGHT_AT(obs::FlightKind::kDecision, request.id, decision_us,
                   utility, "placed", now);
     it = queue_.erase(it);
-    placed_any = true;
   }
   if (options_.record_series) {
     report_.recorder.sample(state_, now);
@@ -483,7 +488,6 @@ void Driver::scheduling_pass() {
                     static_cast<double>(queue_.size()), obs::depth_bounds());
   GTS_METRIC_WINDOW("cluster.fragmentation", state_.fragmentation(),
                     obs::fraction_bounds());
-  (void)placed_any;
   arm_completion_event();
 }
 

@@ -39,9 +39,6 @@ struct DriverOptions {
   /// still predict with the noise-free model, as in the paper's cloud.
   double noise_sigma = 0.0;
   std::uint64_t noise_seed = 1234;
-  /// Evaluate every enacted placement with the shared utility model (for
-  /// SLO accounting); greedy schedulers do not produce their own utility.
-  bool evaluate_utility = true;
   UtilityWeights utility_weights{};
   /// Self-audit mode (check subsystem): validate the topology up front,
   /// replay every proposed placement through check::audit_placement before
@@ -115,6 +112,11 @@ struct DriverReport {
   /// at zero by all paper scenarios.
   int rejected_jobs = 0;
 };
+
+/// The view of a running job whose GPUs the caller publishes as `gpus`
+/// (the job's own ids, or their global translation in a sharded cell).
+RunningJobView running_view(const cluster::RunningJob& job,
+                            std::span<const int> gpus);
 
 class Driver : public DriverApi {
  public:

@@ -57,8 +57,8 @@ class TopoAwareScheduler final : public Scheduler {
   /// co-runner count, free capacity) and only the best `candidate_limit`
   /// run the full DRB + utility evaluation. Below it, one DRB runs over
   /// the whole filtered GPU set exactly as in Algorithm 1.
-  int direct_drb_machine_limit = 4;
-  int candidate_limit = 16;
+  static constexpr int direct_drb_machine_limit = 4;
+  static constexpr int candidate_limit = 16;
 
   std::string name() const override {
     return postpone_ ? "TOPO-AWARE-P" : "TOPO-AWARE";

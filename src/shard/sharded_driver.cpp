@@ -1,6 +1,7 @@
 #include "shard/sharded_driver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -17,44 +18,27 @@ namespace gts::shard {
 ShardedDriver::ShardedDriver(const topo::TopologyGraph& topology,
                              const perf::DlWorkloadModel& model,
                              ShardedOptions options)
-    : topology_(topology), model_(model), options_(std::move(options)) {
+    : model_(model), options_(std::move(options)) {
   GTS_CHECK(!options_.driver.allocation_listener,
             "ShardedOptions::driver.allocation_listener is reserved for the "
             "facade's cell summaries");
-  const int machines = std::max(1, topology_.machine_count());
+  const int machines = std::max(1, topology.machine_count());
   const int shards = std::clamp(options_.shards, 1, machines);
-  delegate_ = shards == 1;
   cells_.reserve(static_cast<size_t>(shards));
-
-  if (delegate_) {
-    // One cell spanning everything: run a Driver over the *original*
-    // topology object, no routing, no summaries — literal byte-identity
-    // with an unsharded Driver.
-    Cell cell;
-    cell.graph = &topology_;
-    cell.scheduler =
-        sched::make_scheduler(options_.policy, options_.driver.utility_weights);
-    cell.driver = std::make_unique<sched::Driver>(
-        topology_, model_, *cell.scheduler, options_.driver);
-    cells_.push_back(std::move(cell));
-    return;
-  }
-
-  gpu_shard_.assign(static_cast<size_t>(topology_.gpu_count()), -1);
-  gpu_local_.assign(static_cast<size_t>(topology_.gpu_count()), -1);
+  gpu_shard_.assign(static_cast<size_t>(topology.gpu_count()), -1);
+  gpu_local_.assign(static_cast<size_t>(topology.gpu_count()), -1);
   const auto ranges = partition_machines(machines, shards);
   for (int s = 0; s < shards; ++s) {
     Cell cell;
     cell.topo = std::make_unique<CellTopology>(
-        extract_cell(topology_, ranges[static_cast<size_t>(s)].first,
+        extract_cell(topology, ranges[static_cast<size_t>(s)].first,
                      ranges[static_cast<size_t>(s)].second));
-    cell.graph = &cell.topo->graph;
     for (size_t local = 0; local < cell.topo->gpu_to_global.size(); ++local) {
       const int global = cell.topo->gpu_to_global[local];
       gpu_shard_[static_cast<size_t>(global)] = s;
       gpu_local_[static_cast<size_t>(global)] = static_cast<int>(local);
     }
-    cell.summary = std::make_unique<CellSummary>(*cell.graph);
+    cell.summary = std::make_unique<CellSummary>(cell.topo->graph);
     cell.scheduler =
         sched::make_scheduler(options_.policy, options_.driver.utility_weights);
     sched::DriverOptions driver_options = options_.driver;
@@ -64,20 +48,13 @@ ShardedDriver::ShardedDriver(const topo::TopologyGraph& topology,
           summary->on_allocation(gpus, allocated);
         };
     cell.driver = std::make_unique<sched::Driver>(
-        *cell.graph, model_, *cell.scheduler, std::move(driver_options));
+        cell.topo->graph, model_, *cell.scheduler, std::move(driver_options));
     cells_.push_back(std::move(cell));
   }
-  if (options_.shard_threads > 1) {
+  if (options_.shard_threads > 1 && shards > 1) {
     pool_ = std::make_unique<util::ThreadPool>(
         std::min(options_.shard_threads, shards));
   }
-}
-
-std::pair<int, int> ShardedDriver::cell_machines(int shard) const {
-  const Cell& cell = cells_.at(static_cast<size_t>(shard));
-  if (!cell.topo) return {0, topology_.machine_count()};
-  return {cell.topo->machine_begin,
-          cell.topo->machine_begin + cell.graph->machine_count()};
 }
 
 bool ShardedDriver::known_id(int job_id) const {
@@ -87,13 +64,12 @@ bool ShardedDriver::known_id(int job_id) const {
 
 bool ShardedDriver::any_cell_fits(const jobgraph::JobRequest& request) const {
   for (const Cell& cell : cells_) {
-    if (sched::job_can_ever_fit(request, *cell.graph, model_)) return true;
+    if (sched::job_can_ever_fit(request, cell.topo->graph, model_)) return true;
   }
   return false;
 }
 
 sched::SubmitResult ShardedDriver::submit(const jobgraph::JobRequest& request) {
-  if (delegate_) return cells_[0].driver->submit(request);
   if (draining_) return sched::SubmitResult::kDraining;
   if (known_id(request.id)) {
     GTS_LOG_WARN("shard", "duplicate job id ", request.id, "; refused");
@@ -118,7 +94,6 @@ sched::SubmitResult ShardedDriver::submit(const jobgraph::JobRequest& request) {
 }
 
 bool ShardedDriver::cancel(int job_id) {
-  if (delegate_) return cells_[0].driver->cancel(job_id);
   if (const auto it = pending_.find(job_id); it != pending_.end()) {
     local_recorder_.on_submit(it->second.request);
     local_recorder_.on_cancel(job_id, now_);
@@ -132,24 +107,21 @@ bool ShardedDriver::cancel(int job_id) {
 }
 
 void ShardedDriver::drain() {
-  if (delegate_) {
-    cells_[0].driver->drain();
-    return;
-  }
   // Only the facade refuses submits: cells must keep accepting the routed
   // arrivals the facade already admitted.
   draining_ = true;
 }
 
-bool ShardedDriver::draining() const {
-  if (delegate_) return cells_[0].driver->draining();
-  return draining_;
-}
+bool ShardedDriver::draining() const { return draining_; }
 
 void ShardedDriver::advance_cells_to(double t) {
   const auto advance = [this, t](int i) {
     sched::Driver& driver = *cells_[static_cast<size_t>(i)].driver;
-    if (driver.now() < t) driver.advance_to(t);
+    if (std::isinf(t)) {
+      driver.advance_all();
+    } else if (driver.now() < t) {
+      driver.advance_to(t);
+    }
   };
   // Cells share no mutable state, so advancing them on pool workers keeps
   // per-cell event order (and therefore every decision) byte-identical.
@@ -163,8 +135,7 @@ void ShardedDriver::advance_cells_to(double t) {
   }
 }
 
-int ShardedDriver::route_one(const jobgraph::JobRequest& request) {
-  const std::int64_t t0_us = obs::wall_now_us();
+std::vector<ShardCandidate> ShardedDriver::candidates() const {
   std::vector<ShardCandidate> candidates;
   candidates.reserve(cells_.size());
   for (const Cell& cell : cells_) {
@@ -172,7 +143,12 @@ int ShardedDriver::route_one(const jobgraph::JobRequest& request) {
         {cell.summary.get(), &cell.driver->state(),
          cell.driver->queue_depth()});
   }
-  const RouteDecision decision = route_job(request, candidates, model_);
+  return candidates;
+}
+
+int ShardedDriver::route_one(const jobgraph::JobRequest& request) {
+  const std::int64_t t0_us = obs::wall_now_us();
+  const RouteDecision decision = route_job(request, candidates(), model_);
   const double latency_us = static_cast<double>(obs::wall_now_us() - t0_us);
   route_latency_us_.record(latency_us);
   ++routed_;
@@ -206,8 +182,6 @@ void ShardedDriver::route_batch(double ta, std::vector<PendingJob> batch) {
               " refused routed job ", pending.request.id, ": ",
               sched::to_string(result));
   }
-  // Fire the arrival events just scheduled at `ta`.
-  advance_cells_to(ta);
 }
 
 void ShardedDriver::route_pending_until(double t) {
@@ -242,10 +216,6 @@ void ShardedDriver::route_pending_until(double t) {
 }
 
 void ShardedDriver::advance_to(double t) {
-  if (delegate_) {
-    cells_[0].driver->advance_to(t);
-    return;
-  }
   GTS_DCHECK(t >= now_ - 1e-9, "advance into the past: t=", t,
              " now=", now_);
   route_pending_until(t);
@@ -254,16 +224,9 @@ void ShardedDriver::advance_to(double t) {
 }
 
 double ShardedDriver::advance_all() {
-  if (delegate_) return cells_[0].driver->advance_all();
-  route_pending_until(std::numeric_limits<double>::infinity());
-  const auto run_cell = [this](int i) {
-    cells_[static_cast<size_t>(i)].driver->advance_all();
-  };
-  if (pool_ && !obs::explain_enabled()) {
-    util::parallel_for(*pool_, static_cast<int>(cells_.size()), run_cell);
-  } else {
-    for (int i = 0; i < static_cast<int>(cells_.size()); ++i) run_cell(i);
-  }
+  constexpr double kEnd = std::numeric_limits<double>::infinity();
+  route_pending_until(kEnd);
+  advance_cells_to(kEnd);
   for (const Cell& cell : cells_) {
     now_ = std::max(now_, cell.driver->now());
   }
@@ -277,7 +240,6 @@ void ShardedDriver::checkpoint_progress() {
 }
 
 bool ShardedDriver::idle() const {
-  if (delegate_) return cells_[0].driver->idle();
   if (!pending_.empty()) return false;
   for (const Cell& cell : cells_) {
     if (!cell.driver->idle()) return false;
@@ -285,10 +247,7 @@ bool ShardedDriver::idle() const {
   return true;
 }
 
-double ShardedDriver::now() const {
-  if (delegate_) return cells_[0].driver->now();
-  return now_;
-}
+double ShardedDriver::now() const { return now_; }
 
 int ShardedDriver::queue_depth() const {
   int depth = 0;
@@ -297,7 +256,6 @@ int ShardedDriver::queue_depth() const {
 }
 
 int ShardedDriver::pending_count() const {
-  if (delegate_) return cells_[0].driver->pending_count();
   // A routed arrival whose timestamp equals the cell clock has not fired
   // yet — it is pending inside the cell driver, not the facade.
   int count = static_cast<int>(pending_.size());
@@ -332,7 +290,6 @@ int ShardedDriver::free_gpu_count() const {
 }
 
 double ShardedDriver::fragmentation() const {
-  if (delegate_) return cells_[0].driver->fragmentation();
   // Socket-weighted mean over cells == the whole-cluster Eq. 5 mean.
   double weighted = 0.0;
   int sockets = 0;
@@ -387,15 +344,14 @@ sched::LifecycleSummary ShardedDriver::lifecycle() const {
 }
 
 std::vector<sched::ShardInfo> ShardedDriver::shard_infos() const {
-  if (delegate_) return cells_[0].driver->shard_infos();
   std::vector<sched::ShardInfo> infos;
   infos.reserve(cells_.size());
   for (int s = 0; s < static_cast<int>(cells_.size()); ++s) {
     const Cell& cell = cells_[static_cast<size_t>(s)];
     sched::ShardInfo info;
     info.shard = s;
-    info.machines = cell.graph->machine_count();
-    info.gpus = cell.graph->gpu_count();
+    info.machines = cell.topo->graph.machine_count();
+    info.gpus = cell.topo->graph.gpu_count();
     info.free_gpus = cell.driver->free_gpu_count();
     info.running = cell.driver->running_job_count();
     info.queued = cell.driver->queue_depth();
@@ -424,10 +380,6 @@ std::vector<int> ShardedDriver::to_global(const Cell& cell,
                                           std::span<const int> gpus) const {
   std::vector<int> global;
   global.reserve(gpus.size());
-  if (!cell.topo) {
-    global.assign(gpus.begin(), gpus.end());
-    return global;
-  }
   for (const int gpu : gpus) {
     global.push_back(cell.topo->gpu_to_global.at(static_cast<size_t>(gpu)));
   }
@@ -437,16 +389,12 @@ std::vector<int> ShardedDriver::to_global(const Cell& cell,
 cluster::JobRecord ShardedDriver::translated_record(
     const Cell& cell, const cluster::JobRecord& record) const {
   cluster::JobRecord copy = record;
-  if (cell.topo && !copy.gpus.empty()) copy.gpus = to_global(cell, copy.gpus);
+  if (!copy.gpus.empty()) copy.gpus = to_global(cell, copy.gpus);
   return copy;
 }
 
 void ShardedDriver::visit_running(
     const std::function<bool(const sched::RunningJobView&)>& fn) const {
-  if (delegate_) {
-    cells_[0].driver->visit_running(fn);
-    return;
-  }
   // K-way merge by job id over the cells' id-ordered running maps.
   using Iter = std::map<int, cluster::RunningJob>::const_iterator;
   std::vector<Iter> its;
@@ -470,28 +418,14 @@ void ShardedDriver::visit_running(
     if (best < 0) return;
     const Cell& cell = cells_[static_cast<size_t>(best)];
     const cluster::RunningJob& job = its[static_cast<size_t>(best)]->second;
-    sched::RunningJobView view;
-    view.request = &job.request;
     scratch = to_global(cell, job.gpus);
-    view.gpus = scratch;
-    view.start_time = job.start_time;
-    view.progress_iterations = job.progress_iterations;
-    view.last_update = job.last_update;
-    view.rate = job.rate;
-    view.placement_utility = job.placement_utility;
-    view.noise_factor = job.noise_factor;
-    view.p2p = job.p2p;
-    if (!fn(view)) return;
+    if (!fn(sched::running_view(job, scratch))) return;
     ++its[static_cast<size_t>(best)];
   }
 }
 
 void ShardedDriver::visit_waiting(
     const std::function<bool(const sched::WaitingView&)>& fn) const {
-  if (delegate_) {
-    cells_[0].driver->visit_waiting(fn);
-    return;
-  }
   struct Item {
     double arrival;
     int id;
@@ -531,10 +465,6 @@ void ShardedDriver::visit_waiting(
 
 void ShardedDriver::visit_records(
     const std::function<bool(const cluster::JobRecord&)>& fn) const {
-  if (delegate_) {
-    cells_[0].driver->visit_records(fn);
-    return;
-  }
   std::vector<cluster::JobRecord> records;
   for (const cluster::JobRecord& record : local_recorder_.records()) {
     records.push_back(record);
@@ -556,7 +486,6 @@ void ShardedDriver::visit_records(
 
 std::optional<cluster::JobRecord> ShardedDriver::job_record(
     int job_id) const {
-  if (delegate_) return cells_[0].driver->job_record(job_id);
   if (const cluster::JobRecord* record = local_recorder_.find(job_id)) {
     return *record;
   }
@@ -571,7 +500,6 @@ std::optional<cluster::JobRecord> ShardedDriver::job_record(
 }
 
 std::vector<jobgraph::JobRequest> ShardedDriver::pending_arrivals() const {
-  if (delegate_) return cells_[0].driver->pending_arrivals();
   std::vector<jobgraph::JobRequest> pending;
   pending.reserve(pending_.size());
   for (const auto& [id, entry] : pending_) pending.push_back(entry.request);
@@ -594,7 +522,6 @@ std::vector<jobgraph::JobRequest> ShardedDriver::pending_arrivals() const {
 
 util::Status ShardedDriver::begin_restore(double now,
                                           std::uint64_t capacity_version) {
-  if (delegate_) return cells_[0].driver->begin_restore(now, capacity_version);
   if (now_ != 0.0 || !pending_.empty() || !routed_shard_.empty() ||
       routed_ != 0) {
     return util::Error{
@@ -618,12 +545,6 @@ util::Status ShardedDriver::restore_running(
     const jobgraph::JobRequest& request, const std::vector<int>& gpus,
     double start_time, double progress_iterations, double placement_utility,
     double noise_factor, int postponements) {
-  if (delegate_) {
-    return cells_[0].driver->restore_running(request, gpus, start_time,
-                                             progress_iterations,
-                                             placement_utility, noise_factor,
-                                             postponements);
-  }
   if (gpus.empty()) {
     return util::Error{
         util::fmt("restore job {}: no GPUs in snapshot", request.id)};
@@ -661,11 +582,6 @@ util::Status ShardedDriver::restore_running(
 void ShardedDriver::restore_waiting(const jobgraph::JobRequest& request,
                                     std::uint64_t attempted_version,
                                     int postponements, int shard_hint) {
-  if (delegate_) {
-    cells_[0].driver->restore_waiting(request, attempted_version,
-                                      postponements);
-    return;
-  }
   int shard = -1;
   if (shard_hint >= 0 && shard_hint < static_cast<int>(cells_.size())) {
     // The snapshot recorded which cell held the job; re-queue it there so
@@ -676,14 +592,7 @@ void ShardedDriver::restore_waiting(const jobgraph::JobRequest& request,
     // Older snapshot (or a different shard layout): re-route against the
     // restored occupancy — running jobs restore first, so the summaries
     // are current. No router telemetry: this is reconstruction.
-    std::vector<ShardCandidate> candidates;
-    candidates.reserve(cells_.size());
-    for (const Cell& cell : cells_) {
-      candidates.push_back(
-          {cell.summary.get(), &cell.driver->state(),
-           cell.driver->queue_depth()});
-    }
-    const RouteDecision decision = route_job(request, candidates, model_);
+    const RouteDecision decision = route_job(request, candidates(), model_);
     shard = decision.shard >= 0 ? decision.shard : 0;
   }
   Cell& cell = cells_[static_cast<size_t>(shard)];
@@ -741,7 +650,6 @@ sched::DriverReport ShardedDriver::merged_report() const {
 
 sched::DriverReport ShardedDriver::run(
     std::vector<jobgraph::JobRequest> jobs) {
-  if (delegate_) return cells_[0].driver->run(std::move(jobs));
   std::stable_sort(jobs.begin(), jobs.end(),
                    [](const jobgraph::JobRequest& a,
                       const jobgraph::JobRequest& b) {

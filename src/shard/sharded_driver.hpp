@@ -23,9 +23,10 @@
 // the explain JSONL pillar enabled, cells advance serially so decision
 // records keep a deterministic file order.
 //
-// A 1-shard facade does not route at all: every call delegates to a
-// single Driver over the *original* topology object, making the 1-shard
-// configuration literally byte-identical to an unsharded Driver.
+// One shard is one cell spanning every machine, run through the same
+// router, summary, id translation and restore path as N cells;
+// tests/shard_test.cpp holds it byte-identical to an unsharded Driver
+// under all four policies.
 #pragma once
 
 #include <map>
@@ -42,8 +43,8 @@ namespace gts::shard {
 struct ShardedOptions {
   /// Number of cells; clamped to [1, machines].
   int shards = 1;
-  /// Worker threads advancing cells concurrently; <= 1 advances serially.
-  /// Any value produces byte-identical results.
+  /// Worker threads advancing cells concurrently; <= 1 (or a single
+  /// cell) advances serially. Any value produces byte-identical results.
   int shard_threads = 1;
   /// Placement policy instantiated per cell.
   sched::Policy policy = sched::Policy::kTopoAwareP;
@@ -69,8 +70,6 @@ class ShardedDriver : public sched::DriverApi {
   const sched::Driver& cell(int shard) const {
     return *cells_.at(static_cast<size_t>(shard)).driver;
   }
-  /// Global machine range [begin, end) of a cell.
-  std::pair<int, int> cell_machines(int shard) const;
 
   // --- DriverApi -----------------------------------------------------------
   sched::SubmitResult submit(const jobgraph::JobRequest& request) override;
@@ -119,13 +118,11 @@ class ShardedDriver : public sched::DriverApi {
 
  private:
   struct Cell {
-    /// Heap-held so `graph` and the Driver's topology reference stay
-    /// stable as cells_ grows; null in delegate mode (the original graph
-    /// is used directly).
+    /// Heap-held so the Driver's topology reference and the summary the
+    /// allocation listener points at stay stable as cells_ grows.
     std::unique_ptr<CellTopology> topo;
-    const topo::TopologyGraph* graph = nullptr;
     std::unique_ptr<sched::Scheduler> scheduler;
-    std::unique_ptr<CellSummary> summary;  // null in delegate mode
+    std::unique_ptr<CellSummary> summary;
     std::unique_ptr<sched::Driver> driver;
     long long routed = 0;
   };
@@ -136,31 +133,32 @@ class ShardedDriver : public sched::DriverApi {
 
   bool known_id(int job_id) const;
   bool any_cell_fits(const jobgraph::JobRequest& request) const;
-  /// Advances every cell whose clock is behind to `t` (pool-parallel when
-  /// configured and the explain pillar is off).
+  /// Advances every cell whose clock is behind to `t`, or runs every cell
+  /// to completion when `t` is +infinity (pool-parallel when configured
+  /// and the explain pillar is off).
   void advance_cells_to(double t);
+  /// One routing candidate per cell, indexed by shard.
+  std::vector<ShardCandidate> candidates() const;
   /// Routes one arrival batch: all pending jobs with arrival time `ta`,
   /// in submission order. Cells are first advanced to `ta` (so summaries
-  /// reflect completions up to the arrival), each job is routed and
-  /// submitted to its cell, then cells advance to `ta` again to fire the
-  /// just-scheduled arrival events.
+  /// reflect completions up to the arrival), then each job is routed and
+  /// submitted to its cell. Its arrival event fires on the cell's next
+  /// advance past `ta` — unlike Driver::advance_to(t), the facade leaves
+  /// arrivals at exactly `t` pending.
   void route_batch(double ta, std::vector<PendingJob> batch);
   /// Extracts, groups by arrival, and routes every pending arrival <= t.
   void route_pending_until(double t);
   int route_one(const jobgraph::JobRequest& request);
-  /// Translates cell-local GPU ids to global ids (identity in delegate
-  /// mode).
+  /// Translates cell-local GPU ids to global ids.
   std::vector<int> to_global(const Cell& cell,
                              std::span<const int> gpus) const;
   cluster::JobRecord translated_record(const Cell& cell,
                                        const cluster::JobRecord& record) const;
   sched::DriverReport merged_report() const;
 
-  const topo::TopologyGraph& topology_;
   const perf::DlWorkloadModel& model_;
   ShardedOptions options_;
   std::vector<Cell> cells_;
-  bool delegate_ = false;  // 1-shard: forward everything to cells_[0]
   double now_ = 0.0;
   bool draining_ = false;
   long long seq_counter_ = 0;

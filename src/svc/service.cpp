@@ -185,6 +185,13 @@ Response ServiceCore::submit_one(long long request_id,
                   options_.config.max_queue),
         options_.config.retry_after_ms);
   }
+  // A restored driver only knows the snapshot's live jobs; ids that went
+  // terminal before it are remembered in history_ alone.
+  if (history_.count(job.id) > 0) {
+    return Response::failure(
+        request_id, ErrorCode::kConflict,
+        util::fmt("job id {} already submitted", job.id));
+  }
   // Wire submissions carry only the manifest; the profile anchors come
   // from the same model-backed profiling the batch paths use, keeping
   // service and prototype placements identical on the same workload.
@@ -208,7 +215,6 @@ Response ServiceCore::submit_one(long long request_id,
           request_id, ErrorCode::kConflict,
           util::fmt("job id {} already submitted", job.id));
     case sched::SubmitResult::kNeverFits: {
-      rejected_.insert(job.id);
       json::Value record;
       record.set("id", job.id);
       record.set("state", "rejected");

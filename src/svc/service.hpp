@@ -25,7 +25,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -161,8 +160,6 @@ class ServiceCore {
   /// Terminal jobs (finished/cancelled/rejected) as status-shaped JSON,
   /// keyed by job id; carried across snapshot/restore.
   std::map<int, json::Value> history_ GTS_GUARDED_BY(serial_);
-  /// Ids refused with never_fits (they briefly touch the recorder).
-  std::set<int> rejected_ GTS_GUARDED_BY(serial_);
   int next_auto_id_ GTS_GUARDED_BY(serial_) = 1;
   bool shutdown_requested_ GTS_GUARDED_BY(serial_) = false;
 };

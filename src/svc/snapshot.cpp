@@ -208,11 +208,8 @@ util::Status ServiceCore::restore_json_locked(const json::Value& document) {
   if (auto status = driver_->finish_restore(); !status) return status;
 
   history_.clear();
-  rejected_.clear();
   for (const json::Value& record : document.at("history").as_array()) {
-    const int id = static_cast<int>(record.at("id").as_int());
-    history_[id] = record;
-    if (record.at("state").as_string() == "rejected") rejected_.insert(id);
+    history_[static_cast<int>(record.at("id").as_int())] = record;
   }
   next_auto_id_ = static_cast<int>(document.at("next_auto_id").as_int(1));
   if (document.at("draining").as_bool(false)) driver_->drain();

@@ -9,8 +9,7 @@
 //
 // Lived in src/runner/ until the scheduler grew parallel candidate
 // scoring; gts_sched cannot link gts_runner (the dependency arrow points
-// the other way), so the pool moved down to util. runner/thread_pool.hpp
-// remains as a forwarding alias for existing includes.
+// the other way), so the pool moved down to util.
 #pragma once
 
 #include <deque>

@@ -12,7 +12,7 @@
 #include "json/json.hpp"
 #include "runner/experiments.hpp"
 #include "runner/sweep.hpp"
-#include "runner/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gts::runner {
 namespace {
@@ -50,7 +50,7 @@ TEST(SeedSpecTest, RejectsGarbage) {
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
   std::atomic<int> sum{0};
   {
-    ThreadPool pool(4);
+    util::ThreadPool pool(4);
     for (int i = 1; i <= 100; ++i) {
       pool.submit([&sum, i] { sum += i; });
     }
@@ -61,8 +61,9 @@ TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {
   std::vector<std::atomic<int>> hits(64);
-  ThreadPool pool(8);
-  parallel_for(pool, 64, [&](int i) { ++hits[static_cast<size_t>(i)]; });
+  util::ThreadPool pool(8);
+  util::parallel_for(pool, 64,
+                     [&](int i) { ++hits[static_cast<size_t>(i)]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 

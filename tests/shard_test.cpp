@@ -4,7 +4,8 @@
 // unsharded sched::Driver, so nearly every test here is differential:
 //   * cell extraction preserves machine/GPU structure and id mappings;
 //   * a 1-shard ShardedDriver is byte-identical to a plain Driver on the
-//     Fig. 8 prototype workload and on a 500-job generated trace;
+//     Fig. 8 prototype workload and, under all four policies, on a 500-job
+//     generated trace at two arrival rates;
 //   * an N-shard run is byte-identical for --shard-threads {1, 2, 8};
 //   * the router's Filter stage and the driver's capacity gate are sound:
 //     they never reject a shard any of the four policies would have
@@ -136,19 +137,22 @@ class ShardDifferentialTest : public ::testing::Test {
  protected:
   perf::DlWorkloadModel model_{perf::CalibrationParams::paper_minsky()};
 
-  sched::DriverReport run_unsharded(const topo::TopologyGraph& topology,
-                                    std::vector<JobRequest> jobs) {
-    const auto scheduler = sched::make_scheduler(sched::Policy::kTopoAwareP);
+  sched::DriverReport run_unsharded(
+      const topo::TopologyGraph& topology, std::vector<JobRequest> jobs,
+      sched::Policy policy = sched::Policy::kTopoAwareP) {
+    const auto scheduler = sched::make_scheduler(policy);
     sched::Driver driver(topology, model_, *scheduler);
     return driver.run(std::move(jobs));
   }
 
-  sched::DriverReport run_sharded(const topo::TopologyGraph& topology,
-                                  std::vector<JobRequest> jobs, int shards,
-                                  int shard_threads = 1) {
+  sched::DriverReport run_sharded(
+      const topo::TopologyGraph& topology, std::vector<JobRequest> jobs,
+      int shards, int shard_threads = 1,
+      sched::Policy policy = sched::Policy::kTopoAwareP) {
     ShardedOptions options;
     options.shards = shards;
     options.shard_threads = shard_threads;
+    options.policy = policy;
     ShardedDriver driver(topology, model_, options);
     return driver.run(std::move(jobs));
   }
@@ -167,21 +171,41 @@ TEST_F(ShardDifferentialTest, OneShardMatchesDriverOnFig8Workload) {
 }
 
 TEST_F(ShardDifferentialTest, OneShardMatchesDriverOn500JobTrace) {
+  // One cell runs the full routing/translation path, so it must equal
+  // the plain Driver under every policy. Two arrival rates: the
+  // generator's default and Scenario 2's 2 jobs/min per machine (fig11's
+  // load). On these 4 machines both keep the queue long: 54-62 offers
+  // per job under BF and TOPO-AWARE(-P), almost all of them re-offers.
   const topo::TopologyGraph topology = topo::builders::make_cluster(
       4, 4, MachineShape::kPower8Minsky);
-  trace::GeneratorOptions options;
-  options.job_count = 500;
-  options.iterations = 400;
-  options.seed = 42;
-  const auto jobs = trace::generate_workload(options, model_, topology);
-  ASSERT_EQ(jobs.size(), 500u);
+  const double default_rate = trace::GeneratorOptions{}.arrival_rate_per_minute;
+  for (const double rate : {default_rate, 2.0 * topology.machine_count()}) {
+    trace::GeneratorOptions options;
+    options.job_count = 500;
+    options.iterations = 400;
+    options.seed = 42;
+    options.arrival_rate_per_minute = rate;
+    const auto jobs = trace::generate_workload(options, model_, topology);
+    ASSERT_EQ(jobs.size(), 500u);
 
-  const sched::DriverReport want = run_unsharded(topology, jobs);
-  const sched::DriverReport got = run_sharded(topology, jobs, /*shards=*/1);
+    for (const sched::Policy policy :
+         {sched::Policy::kFcfs, sched::Policy::kBestFit,
+          sched::Policy::kTopoAware, sched::Policy::kTopoAwareP}) {
+      const std::string label = "trace500 " +
+                                std::string(sched::to_string(policy)) +
+                                " rate=" + std::to_string(rate);
+      const sched::DriverReport want =
+          run_unsharded(topology, jobs, policy);
+      const sched::DriverReport got = run_sharded(
+          topology, jobs, /*shards=*/1, /*shard_threads=*/1, policy);
 
-  expect_identical_recorders(got.recorder, want.recorder, "trace500");
-  EXPECT_EQ(got.decision_count, want.decision_count);
-  EXPECT_EQ(got.rejected_jobs, want.rejected_jobs);
+      expect_identical_recorders(got.recorder, want.recorder, label);
+      EXPECT_EQ(got.decision_count, want.decision_count) << label;
+      EXPECT_EQ(got.capacity_skips, want.capacity_skips) << label;
+      EXPECT_EQ(got.rejected_jobs, want.rejected_jobs) << label;
+      EXPECT_GT(want.recorder.total_postponements(), 0) << label;
+    }
+  }
 }
 
 // --- shard-thread determinism -----------------------------------------------

@@ -55,9 +55,10 @@ class ServiceCoreTest : public ::testing::Test {
             2, topo::builders::MachineShape::kPower8Minsky)),
         model_(perf::CalibrationParams::paper_minsky()) {}
 
-  ServiceCore make_core(int max_queue = 64) {
+  ServiceCore make_core(int max_queue = 64, int shard_count = 1) {
     ServiceOptions options;
     options.config.max_queue = max_queue;
+    options.config.shard_count = shard_count;
     options.config.retry_after_ms = 25.0;
     options.self_audit = true;
     return ServiceCore(topology_, model_, options);
@@ -297,6 +298,28 @@ TEST_F(ServiceCoreTest, SnapshotRestoreStateIdentity) {
     const std::string b =
         encode(restored.handle(make_request(70 + i, "status", params)));
     EXPECT_EQ(a, b) << "job " << i << " diverged after restore";
+  }
+}
+
+TEST_F(ServiceCoreTest, RestoredCoreRefusesIdsFinishedBeforeSnapshot) {
+  // The snapshot carries finished jobs only in the service history, not
+  // in the driver: the restored core must still refuse their ids exactly
+  // as the uninterrupted one does.
+  for (const int shards : {1, 2}) {
+    ServiceCore original = make_core(/*max_queue=*/64, shards);
+    ASSERT_TRUE(submit(original, dl_job(1, 0.0, 2), 1).ok);
+    ASSERT_TRUE(submit(original, dl_job(2, 0.0, 2), 2).ok);
+    ASSERT_TRUE(advance_all(original).ok);
+
+    ServiceCore restored = make_core(/*max_queue=*/64, shards);
+    const auto status = restored.restore_json(original.snapshot_json());
+    ASSERT_TRUE(status) << status.error().message;
+
+    const std::string want = encode(submit(original, dl_job(1, 0.0, 2), 3));
+    const std::string got = encode(submit(restored, dl_job(1, 0.0, 2), 3));
+    EXPECT_EQ(got, want) << "shards=" << shards;
+    EXPECT_NE(want.find("job id 1 already submitted"), std::string::npos)
+        << want;
   }
 }
 
