@@ -8,36 +8,29 @@
 //             probe the driver runs after every mutation to re-arm its
 //             completion event)
 //
-// Every scenario runs the identical deterministic event sequence twice:
-// once on the scoped event path (link-indexed touched sets, the default)
-// and once with full_event_recompute — the differential oracle that
-// re-rates every running job per event, the pre-scoping behaviour. Both
-// passes produce byte-identical cluster state (tests/event_path_test.cpp
-// proves it); this bench measures the work difference: scoped cost is
-// O(jobs touching the placed/removed job's machines and links), oracle
-// cost is O(resident jobs) model evaluations per event.
+// Every scenario runs one deterministic event sequence on the scoped
+// event path (link-indexed touched sets): each event costs O(jobs
+// touching the placed/removed job's machines and links).
 //
 // The multi-machine share axis is the interference-scoping stress knob:
 // multi-machine jobs put flows on shared inter-machine links, so their
-// placement used to trigger the all-jobs fallback. The scoped path walks
+// placement used to trigger an all-jobs fallback. The scoped path walks
 // the link->jobs index instead and stays flat as the share grows.
 //
 // Like bench_decision_micro, the event sequence is replayed --repeats
 // times and each event records its minimum stage time across repeats.
 // Stage latencies land in the payload "timing" subtree (gated by
 // tools/bench_compare.py against bench/baselines/BENCH_advance_micro.json);
-// the events/sec throughput and the scoped-vs-oracle speedup ride in the
-// same subtree as scalars — reported, but not gated (higher is better,
-// and the gate only understands latencies).
+// the events/sec throughput rides in the same subtree as a scalar —
+// reported, but not gated (higher is better, and the gate only
+// understands latencies).
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <deque>
 #include <string>
 #include <vector>
 
-#include "check/check.hpp"
 #include "cluster/state.hpp"
 #include "metrics/table.hpp"
 #include "obs/obs.hpp"
@@ -120,7 +113,7 @@ std::vector<jobgraph::JobRequest> event_jobs(
 
 /// Per-event stage latency of one pass, microseconds. Kind tells which
 /// stage the sample belongs to (the sequence is deterministic, so kinds
-/// line up across repeats and across the scoped/oracle passes).
+/// line up across repeats).
 enum class EventKind { kPlace, kRemove, kQuery };
 
 struct PassResult {
@@ -231,12 +224,10 @@ int main(int argc, char** argv) {
 
         // One pass = the whole event sequence against a fresh cluster:
         // first-free placement, evict-oldest when saturated, and the
-        // driver's completion-probe after every mutation. Placement does
-        // not consult rates, so the sequence is identical in both modes.
+        // driver's completion-probe after every mutation.
         std::vector<EventKind> kinds;
-        const auto run_pass = [&](bool full_recompute) {
+        const auto run_pass = [&] {
           cluster::ClusterState state(topology, model);
-          state.set_full_event_recompute(full_recompute);
           PassResult pass;
           std::deque<int> resident;  // placed job ids, oldest first
           std::vector<int> gpus;
@@ -289,64 +280,40 @@ int main(int argc, char** argv) {
           return pass;
         };
 
-        const auto run_mode = [&](bool full_recompute) {
-          PassResult best = run_pass(full_recompute);
-          for (int repeat = 1; repeat < repeats; ++repeat) {
-            best.min_with(run_pass(full_recompute));
-          }
-          return best;
-        };
-        const PassResult scoped = run_mode(false);
-        const PassResult full = run_mode(true);
-        GTS_CHECK(scoped.event_us.size() == full.event_us.size(),
-                  "event sequences diverged between modes");
+        PassResult best = run_pass();
+        for (int repeat = 1; repeat < repeats; ++repeat) {
+          best.min_with(run_pass());
+        }
 
-        const auto stage_histograms = [&](const PassResult& pass) {
-          obs::HistogramData place_us, remove_us, query_us;
-          for (size_t i = 0; i < pass.event_us.size(); ++i) {
-            switch (kinds[i]) {
-              case EventKind::kPlace: place_us.record(pass.event_us[i]); break;
-              case EventKind::kRemove:
-                remove_us.record(pass.event_us[i]);
-                break;
-              case EventKind::kQuery: query_us.record(pass.event_us[i]); break;
-            }
+        obs::HistogramData place_us, remove_us, query_us;
+        for (size_t i = 0; i < best.event_us.size(); ++i) {
+          switch (kinds[i]) {
+            case EventKind::kPlace: place_us.record(best.event_us[i]); break;
+            case EventKind::kRemove:
+              remove_us.record(best.event_us[i]);
+              break;
+            case EventKind::kQuery: query_us.record(best.event_us[i]); break;
           }
-          return std::array<obs::HistogramData, 3>{place_us, remove_us,
-                                                   query_us};
-        };
-        const auto events_per_sec = [&](const PassResult& pass) {
-          const double mutations =
-              static_cast<double>(pass.places + pass.removes);
-          return pass.wall_us > 0.0 ? mutations / (pass.wall_us * 1e-6)
-                                    : 0.0;
-        };
+        }
+        const double mutations =
+            static_cast<double>(best.places + best.removes);
 
         json::Object payload;
         payload["machines"] = m;
         payload["multi_pct"] = pct;
-        payload["places"] = scoped.places;
-        payload["removes"] = scoped.removes;
-        payload["queries"] = scoped.queries;
-        payload["events"] = scoped.places + scoped.removes;
-        const auto [place_us, remove_us, query_us] = stage_histograms(scoped);
-        const auto [full_place_us, full_remove_us, full_query_us] =
-            stage_histograms(full);
-        const double scoped_eps = events_per_sec(scoped);
-        const double full_eps = events_per_sec(full);
+        payload["places"] = best.places;
+        payload["removes"] = best.removes;
+        payload["queries"] = best.queries;
+        payload["events"] = best.places + best.removes;
         json::Object timing;
         timing["place_us"] = place_us.to_json();
         timing["remove_us"] = remove_us.to_json();
         timing["query_us"] = query_us.to_json();
-        timing["full_place_us"] = full_place_us.to_json();
-        timing["full_remove_us"] = full_remove_us.to_json();
-        timing["full_query_us"] = full_query_us.to_json();
-        // Scalars, deliberately not named "*.mean": reported in
+        // A scalar, deliberately not named "*.mean": reported in
         // timing_aggregates but outside the regression gate (throughput is
         // higher-is-better, which the latency gate would misread).
-        timing["events_per_sec"] = scoped_eps;
-        timing["full_events_per_sec"] = full_eps;
-        timing["speedup"] = full_eps > 0.0 ? scoped_eps / full_eps : 0.0;
+        timing["events_per_sec"] =
+            best.wall_us > 0.0 ? mutations / (best.wall_us * 1e-6) : 0.0;
         payload[runner::kTimingKey] = std::move(timing);
         return json::Value(std::move(payload));
       });
@@ -354,8 +321,8 @@ int main(int argc, char** argv) {
   std::printf(
       "event-path microbenchmark: %zu scenarios x %zu seed(s), %.2fs wall\n",
       options.scenarios.size(), seeds->size(), result.wall_seconds);
-  metrics::Table table({"scenario", "place(us)", "remove(us)", "query(us)",
-                        "events/s", "oracle ev/s", "speedup"});
+  metrics::Table table(
+      {"scenario", "place(us)", "remove(us)", "query(us)", "events/s"});
   for (const std::string& scenario : options.scenarios) {
     const auto cell = [&](const char* metric, int digits) {
       return util::format_double(
@@ -366,8 +333,7 @@ int main(int argc, char** argv) {
     };
     table.add_row({scenario, cell("place_us.mean", 1),
                    cell("remove_us.mean", 1), cell("query_us.mean", 2),
-                   cell("events_per_sec", 0), cell("full_events_per_sec", 0),
-                   cell("speedup", 2)});
+                   cell("events_per_sec", 0)});
   }
   std::fputs(table.render().c_str(), stdout);
 

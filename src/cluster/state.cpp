@@ -190,15 +190,11 @@ void ClusterState::place(const jobgraph::JobRequest& request,
   const auto inserted = jobs_.emplace(request.id, std::move(job));
   RunningJob& placed = inserted.first->second;
   ++version_;
-  if (full_event_recompute_) {
-    recompute_all(now);
-  } else {
-    // Exactly the jobs whose rate inputs this placement changed: sharers
-    // of a touched machine (interference term) or of a traversed link
-    // (flow sharing) — including the new job itself via the indices.
-    gather_touched(touched, placed.flow_link_counts, touched_ids_);
-    for (const int id : touched_ids_) update_job_rate(jobs_.at(id), now);
-  }
+  // Exactly the jobs whose rate inputs this placement changed: sharers of
+  // a touched machine (interference term) or of a traversed link (flow
+  // sharing) — including the new job itself via the indices.
+  gather_touched(touched, placed.flow_link_counts, touched_ids_);
+  for (const int id : touched_ids_) update_job_rate(jobs_.at(id), now);
   if (allocation_listener_) {
     allocation_listener_(placed.gpus, /*allocated=*/true);
   }
@@ -251,14 +247,10 @@ void ClusterState::remove(int job_id, double now) {
   heap_erase(job);
   jobs_.erase(it);
   ++version_;
-  if (full_event_recompute_) {
-    recompute_all(now);
-  } else {
-    // The removed job is already unindexed, so the gather yields only the
-    // surviving machine/link sharers whose inputs the removal changed.
-    gather_touched(touched, links, touched_ids_);
-    for (const int id : touched_ids_) update_job_rate(jobs_.at(id), now);
-  }
+  // The removed job is already unindexed, so the gather yields only the
+  // surviving machine/link sharers whose inputs the removal changed.
+  gather_touched(touched, links, touched_ids_);
+  for (const int id : touched_ids_) update_job_rate(jobs_.at(id), now);
   if (allocation_listener_) {
     allocation_listener_(freed, /*allocated=*/false);
   }

@@ -196,19 +196,6 @@ class ClusterState {
   const RunningJob* find(int job_id) const;
   const std::map<int, RunningJob>& running_jobs() const { return jobs_; }
 
-  /// Oracle switch for differential tests: when true, every place/remove
-  /// re-rates ALL running jobs (the pre-scoping full recompute) instead of
-  /// the machine/link-scoped touched set. State writes are identical
-  /// either way — an untouched job's rate inputs are unchanged, so its
-  /// recomputed rate is bitwise-equal and the skip-on-equal-rate update
-  /// leaves it alone — the flag only changes how much redundant model work
-  /// is done. tests/event_path_test.cpp asserts byte-equality of the two
-  /// modes; bench_advance_micro quantifies the gap.
-  void set_full_event_recompute(bool on) noexcept {
-    full_event_recompute_ = on;
-  }
-  bool full_event_recompute() const noexcept { return full_event_recompute_; }
-
   // --- execution model -----------------------------------------------------
   /// Checkpoints every job at `now`: banks progress, rebases last_update,
   /// and refreshes the stored finish times from the banked values. Called
@@ -341,7 +328,7 @@ class ClusterState {
   /// skip-on-equal-rate is what makes full and scoped recomputes write
   /// identical state (DESIGN.md section 20).
   void update_job_rate(RunningJob& job, double now);
-  /// update_job_rate over every running job (oracle mode, restore path).
+  /// update_job_rate over every running job (the restore path).
   void recompute_all(double now);
   /// Job ids sharing a machine in `machines` or a link in `links` with a
   /// changed placement (sorted, unique) — the exact set whose rate inputs
@@ -391,7 +378,6 @@ class ClusterState {
   std::vector<int> machine_hist_;  // machines with exactly k free GPUs
   int free_gpu_count_ = 0;
   int fragmented_machines_ = 0;
-  bool full_event_recompute_ = false;
   std::uint64_t version_ = 0;
   std::uint64_t instance_id_ = 0;
   double noise_sigma_ = 0.0;

@@ -15,10 +15,9 @@
 // same way their buckets do), and the highest non-empty bucket is scanned
 // exactly for (max gain, min vertex id). Best-gain pop is therefore a
 // bucket walk, and a neighbor gain update is an O(1) bucket relink; the
-// result is identical, move for move, to a totally ordered
-// set<(-gain, vertex)> — fm_bipartition_reference keeps that original
-// std::set implementation alive as the oracle for the equivalence suite
-// (tests/perf_path_test.cpp).
+// result is identical, move for move, to the original totally ordered
+// set<(-gain, vertex)> implementation, pinned by a committed digest over
+// 1600 random graphs (tests/perf_path_test.cpp).
 //
 // All per-call storage (CSR adjacency, gains, buckets, move log) comes
 // from an FmScratch arena so the thousands of FM calls inside one DRB
@@ -91,12 +90,5 @@ double cut_weight(const FmGraph& graph, const std::vector<int>& side);
 FmResult fm_bipartition(const FmGraph& graph, std::vector<int> initial,
                         const FmOptions& options = {},
                         FmScratch* scratch = nullptr);
-
-/// The original totally-ordered-set implementation, kept as the oracle
-/// for the bucket-list equivalence suite. Move-for-move identical to
-/// fm_bipartition (same sides, cut, and pass count) by construction.
-FmResult fm_bipartition_reference(const FmGraph& graph,
-                                  std::vector<int> initial,
-                                  const FmOptions& options = {});
 
 }  // namespace gts::partition

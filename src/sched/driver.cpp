@@ -27,7 +27,6 @@ Driver::Driver(const topo::TopologyGraph& topology,
   if (options_.allocation_listener) {
     state_.set_allocation_listener(std::move(options_.allocation_listener));
   }
-  state_.set_full_event_recompute(options_.full_event_recompute);
   if (options_.noise_sigma > 0.0) {
     state_.set_execution_noise(options_.noise_sigma, options_.noise_seed);
   }

@@ -47,21 +47,15 @@ struct DriverOptions {
   /// event — meant for tests and debugging runs, off by default.
   bool self_audit = false;
   /// Fan candidate evaluation out across a worker pool inside the
-  /// scheduler (Scheduler::set_parallel_scoring). Decisions stay
-  /// byte-identical to the serial path (tests/parallel_scoring_test.cpp);
-  /// off by default so the serial oracle remains the reference.
+  /// scheduler (Scheduler::set_parallel_scoring). Decisions are
+  /// byte-identical at every worker count, and without a pool
+  /// (tests/parallel_scoring_test.cpp); off by default.
   bool parallel_scoring = false;
   /// Scoring workers when parallel_scoring is on; 0 = all cores.
   int scoring_threads = 0;
   /// Installed on the ClusterState before any traffic; the sharded
   /// scheduler's per-cell routing summaries subscribe here.
   cluster::ClusterState::AllocationListener allocation_listener;
-  /// Differential-test oracle: re-rate every running job on each
-  /// place/remove (the pre-scoping full recompute) instead of only the
-  /// machine/link-scoped touched set. Outcomes are byte-identical either
-  /// way (cluster::ClusterState::set_full_event_recompute); the flag only
-  /// changes how much redundant model work each event performs.
-  bool full_event_recompute = false;
 };
 
 struct DriverReport {

@@ -27,22 +27,8 @@ class Fnv128 {
   std::uint64_t h2_ = kBasis ^ 0x9e3779b97f4a7c15ULL;  // independent basis
 };
 
-void key_append(std::string* key, const void* bytes, size_t size) {
-  key->append(static_cast<const char*>(bytes), size);
-}
-
-void key_append_int(std::string* key, int value) {
-  key_append(key, &value, sizeof(value));
-}
-
-void key_append_double(std::string* key, double value) {
-  key_append(key, &value, sizeof(value));
-}
-
-/// Streams the key fields through any sink with add_int/add_double; the
-/// hashed and string keys stay field-for-field identical by construction.
-template <typename Sink>
-void stream_key_fields(Sink& sink, const jobgraph::JobRequest& request,
+/// Streams every field the evaluation depends on into `sink`.
+void stream_key_fields(Fnv128& sink, const jobgraph::JobRequest& request,
                        const std::vector<int>& available) {
   sink.add_int(static_cast<int>(available.size()));
   for (const int gpu : available) sink.add_int(gpu);
@@ -68,12 +54,6 @@ void stream_key_fields(Sink& sink, const jobgraph::JobRequest& request,
   }
 }
 
-struct StringSink {
-  std::string* key;
-  void add_int(int value) { key_append_int(key, value); }
-  void add_double(double value) { key_append_double(key, value); }
-};
-
 }  // namespace
 
 PlacementCacheKey hashed_placement_cache_key(
@@ -88,16 +68,6 @@ PlacementCacheKey hashed_placement_cache_key(
   key.last_gpu = available.empty() ? -1 : available.back();
   key.num_gpus = request.num_gpus;
   key.task_count = request.comm_graph.task_count();
-  return key;
-}
-
-std::string string_placement_cache_key(const jobgraph::JobRequest& request,
-                                       const std::vector<int>& available) {
-  std::string key;
-  key.reserve(64 + available.size() * sizeof(int) +
-              request.comm_graph.edges().size() * (2 * sizeof(int) + 8));
-  StringSink sink{&key};
-  stream_key_fields(sink, request, available);
   return key;
 }
 

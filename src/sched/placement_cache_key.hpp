@@ -11,13 +11,13 @@
 // payload (set size, first/last GPU, job shape) — no per-lookup string
 // allocation. A spurious hit would need a simultaneous collision of both
 // accumulators AND an identical payload; at the cache's size (thousands of
-// entries per allocation epoch) the probability is negligible, and the
-// equivalence suite pins hashed-key decisions to the byte-exact string
-// serialization (kept here as the test oracle) on the seeded 500-job trace.
+// entries per allocation epoch) the probability is negligible. The hashed
+// key replaced a byte-string serialization of the same fields; the seeded
+// 500-job trace's decisions and cache lookup/hit counts, identical under
+// both keys, are pinned by committed digests (tests/perf_path_test.cpp).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "jobgraph/jobgraph.hpp"
@@ -46,12 +46,5 @@ struct PlacementCacheKeyHash {
 /// The production key: hashed, allocation-free.
 PlacementCacheKey hashed_placement_cache_key(
     const jobgraph::JobRequest& request, const std::vector<int>& available);
-
-/// The legacy byte-string key over exactly the same fields; retained as
-/// the oracle for tests/perf_path_test.cpp's hashed-vs-string equivalence
-/// run (and selectable via
-/// TopoAwareScheduler::set_string_cache_keys_for_test).
-std::string string_placement_cache_key(const jobgraph::JobRequest& request,
-                                       const std::vector<int>& available);
 
 }  // namespace gts::sched

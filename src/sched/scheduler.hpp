@@ -44,9 +44,9 @@ class Scheduler {
   virtual bool blocking_queue() const { return false; }
 
   /// Opt into parallel candidate scoring with `threads` workers (< 0 = all
-  /// cores, 0 = back to serial). Decisions must stay byte-identical to the
-  /// serial path — parallelism is an implementation detail of place(), not
-  /// a policy change. Default: no-op (the greedy policies score one
+  /// cores, 0 = no pool). Decisions must stay byte-identical at every
+  /// thread count — parallelism is an implementation detail of place(),
+  /// not a policy change. Default: no-op (the greedy policies score one
   /// candidate at a time by construction).
   virtual void set_parallel_scoring(int /*threads*/) {}
 };

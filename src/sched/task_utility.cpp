@@ -7,12 +7,11 @@ namespace gts::sched {
 
 TaskUtility::TaskUtility(const jobgraph::JobRequest& request,
                          const cluster::ClusterState& state,
-                         const UtilityModel& model, bool incremental)
+                         const UtilityModel& model)
     : request_(request),
       state_(state),
       model_(model),
-      comm_weight_(normalized_comm_weight(request)),
-      incremental_(incremental) {
+      comm_weight_(normalized_comm_weight(request)) {
   const size_t tasks = static_cast<size_t>(request.comm_graph.task_count());
   adjacency_.resize(tasks);
   for (const jobgraph::CommEdge& edge : request.comm_graph.edges()) {
@@ -45,8 +44,7 @@ double TaskUtility::task_utility(int task, int side,
   int frag_free;
   // The caches apply only to the GPU sets announced by begin_bipartition;
   // a direct call against other vectors falls back to a full recompute.
-  if (incremental_ && bip_gpus_[side] == &side_gpus &&
-      bip_gpus_[1 - side] == &other_gpus) {
+  if (bip_gpus_[side] == &side_gpus && bip_gpus_[1 - side] == &other_gpus) {
     SideCache& cache = side_cache_[side];
     if (!cache.valid) {
       cache.d_intra = mean_internal_distance(side_gpus);

@@ -12,9 +12,9 @@
 // later call is O(task degree). Membership of a partner task in the
 // other side's routed list is a bitset probe instead of a linear find.
 //
-// `incremental = false` disables all of this and recomputes every factor
-// from scratch per call (the original behavior); the equivalence suite
-// (tests/perf_path_test.cpp) pins both modes to identical values.
+// A call against GPU vectors begin_bipartition did not mark recomputes
+// every factor from scratch; tests/perf_path_test.cpp holds the cached
+// aggregates to that fallback within 1e-9.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +31,7 @@ namespace gts::sched {
 class TaskUtility final : public partition::DrbCallbacks {
  public:
   TaskUtility(const jobgraph::JobRequest& request,
-              const cluster::ClusterState& state, const UtilityModel& model,
-              bool incremental = true);
+              const cluster::ClusterState& state, const UtilityModel& model);
 
   void begin_bipartition(const std::vector<int>& gpus0,
                          const std::vector<int>& gpus1) const override;
@@ -64,7 +63,6 @@ class TaskUtility final : public partition::DrbCallbacks {
   const cluster::ClusterState& state_;
   const UtilityModel& model_;
   double comm_weight_;
-  bool incremental_;
 
   // Per-task communication partners, edge order preserved so the weighted
   // sums accumulate in exactly the order of the original all-edges scan.

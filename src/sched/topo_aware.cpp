@@ -18,6 +18,22 @@ partition::SpanMode span_mode(const jobgraph::JobProfile& profile) {
   return partition::SpanMode::kPreferPack;
 }
 
+/// Adds `placement` to the explain record of the decision in flight, if
+/// any (the DecisionScope is thread-local, so only the decision thread
+/// ever sees one). The source is `source`, suffixed with `machine` when
+/// that is not negative.
+void explain_candidate(const Placement& placement, const char* source,
+                       int machine = -1) {
+  if (obs::DecisionScope* scope = obs::DecisionScope::current()) {
+    obs::ExplainCandidate candidate;
+    candidate.gpus = placement.gpus;
+    candidate.terms.utility = placement.utility;
+    candidate.source = source;
+    if (machine >= 0) candidate.source += std::to_string(machine);
+    scope->add_candidate(std::move(candidate));
+  }
+}
+
 }  // namespace
 
 std::optional<Placement> TopoAwareScheduler::place(
@@ -49,11 +65,11 @@ std::optional<Placement> TopoAwareScheduler::place(
   return placement;
 }
 
-std::optional<Placement> drb_place(const jobgraph::JobRequest& request,
-                                   const std::vector<int>& available,
-                                   const cluster::ClusterState& state,
-                                   const UtilityModel& utility,
-                                   partition::DrbStats* stats) {
+std::optional<Placement> drb_evaluate(const jobgraph::JobRequest& request,
+                                      const std::vector<int>& available,
+                                      const cluster::ClusterState& state,
+                                      const UtilityModel& utility,
+                                      partition::DrbStats* stats) {
   obs::SpanGuard span(obs::kDrb, "drb.map");
   span.arg("tasks", request.num_gpus)
       .arg("available", static_cast<double>(available.size()));
@@ -78,14 +94,29 @@ std::optional<Placement> drb_place(const jobgraph::JobRequest& request,
   placement.gpus = result.assignment;
   placement.utility = utility.placement_utility(request, placement.gpus, state);
   placement.satisfied = placement.utility + 1e-9 >= request.min_utility;
-  if (obs::DecisionScope* scope = obs::DecisionScope::current()) {
-    obs::ExplainCandidate candidate;
-    candidate.gpus = placement.gpus;
-    candidate.terms.utility = placement.utility;
-    candidate.source = "drb";
-    scope->add_candidate(std::move(candidate));
-  }
   return placement;
+}
+
+std::optional<Placement> drb_place(const jobgraph::JobRequest& request,
+                                   const std::vector<int>& available,
+                                   const cluster::ClusterState& state,
+                                   const UtilityModel& utility,
+                                   partition::DrbStats* stats) {
+  std::optional<Placement> placement =
+      drb_evaluate(request, available, state, utility, stats);
+  if (placement) explain_candidate(*placement, "drb");
+  return placement;
+}
+
+TopoAwareScheduler::CacheEntry TopoAwareScheduler::CacheEntry::of(
+    const std::optional<Placement>& placement) {
+  CacheEntry entry;
+  entry.mapped = placement.has_value();
+  if (placement) {
+    entry.gpus = placement->gpus;
+    entry.utility = placement->utility;
+  }
+  return entry;
 }
 
 void TopoAwareScheduler::set_parallel_scoring(int threads) {
@@ -106,12 +137,11 @@ void TopoAwareScheduler::refresh_cache_epoch(
   // which feed the utility, so the whole cache is flushed.
   if (cache_state_id_ != state.instance_id() ||
       cache_version_ != state.allocation_version()) {
-    if (!cache_.empty() || !string_cache_.empty()) {
+    if (!cache_.empty()) {
       ++cache_stats_.invalidations;
       GTS_METRIC_COUNT("cache.invalidations", 1);
       GTS_TRACE_INSTANT(obs::kCache, "cache.flush");
       cache_.clear();
-      string_cache_.clear();
     }
     cache_state_id_ = state.instance_id();
     cache_version_ = state.allocation_version();
@@ -129,34 +159,13 @@ std::optional<Placement> TopoAwareScheduler::map_onto(
 
   ++cache_stats_.lookups;
   GTS_METRIC_COUNT("cache.lookups", 1);
-  const auto record = [](const std::optional<Placement>& placement) {
-    CacheEntry entry;
-    entry.mapped = placement.has_value();
-    if (placement) {
-      entry.gpus = placement->gpus;
-      entry.utility = placement->utility;
-    }
-    return entry;
-  };
-
-  if (string_keys_for_test_) {
-    const std::string key = string_placement_cache_key(request, available);
-    if (const auto it = string_cache_.find(key); it != string_cache_.end()) {
-      return replay_cache_entry(it->second, request);
-    }
-    std::optional<Placement> placement =
-        drb_place(request, available, state, utility_, &stats_);
-    string_cache_.emplace(key, record(placement));
-    return placement;
-  }
-
   const PlacementCacheKey key = hashed_placement_cache_key(request, available);
   if (const auto it = cache_.find(key); it != cache_.end()) {
     return replay_cache_entry(it->second, request);
   }
   std::optional<Placement> placement =
       drb_place(request, available, state, utility_, &stats_);
-  cache_.emplace(key, record(placement));
+  cache_.emplace(key, CacheEntry::of(placement));
   return placement;
 }
 
@@ -170,13 +179,7 @@ std::optional<Placement> TopoAwareScheduler::replay_cache_entry(
   placement.gpus = entry.gpus;
   placement.utility = entry.utility;
   placement.satisfied = placement.utility + 1e-9 >= request.min_utility;
-  if (obs::DecisionScope* scope = obs::DecisionScope::current()) {
-    obs::ExplainCandidate candidate;
-    candidate.gpus = placement.gpus;
-    candidate.terms.utility = placement.utility;
-    candidate.source = "cache";
-    scope->add_candidate(std::move(candidate));
-  }
+  explain_candidate(placement, "cache");
   return placement;
 }
 
@@ -230,51 +233,25 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
     candidates.resize(static_cast<size_t>(candidate_limit));
   }
 
-  // Serial oracle path: evaluate candidates one at a time in pre-score
-  // order, keeping the FIRST maximum on utility ties (strict `>`). The
-  // parallel path below must reproduce this byte for byte.
-  if (scoring_pool_ == nullptr || candidates.size() < 2) {
-    std::optional<Placement> best;
-    for (const Candidate& candidate : candidates) {
-      std::optional<Placement> placement =
-          map_onto(request, candidate.free, state);
-      if (placement) {
-        if (obs::DecisionScope* scope = obs::DecisionScope::current()) {
-          obs::ExplainCandidate explain;
-          explain.gpus = placement->gpus;
-          explain.terms.utility = placement->utility;
-          explain.source = "best-machine:" + std::to_string(candidate.machine);
-          scope->add_candidate(std::move(explain));
-        }
-        if (!best || placement->utility > best->utility) {
-          best = std::move(placement);
-        }
-      }
-    }
-    return best;
-  }
-
-  // Parallel scoring (DESIGN.md §17). Three phases keep the decision
-  // byte-identical to the serial path:
+  // Three phases (DESIGN.md §17.1) make the decision independent of the
+  // scoring pool:
   //
   //   1. probe  (decision thread): cache lookups in candidate order —
   //      hits are resolved from the cache, misses collected;
-  //   2. score  (workers): the independent DRB + utility evaluations of
-  //      the misses, chunked deterministically. Workers see no scheduler
-  //      state: each writes one slot's placement + DrbStats, FmScratch
-  //      comes from the worker's thread-local arena, and the thread-local
-  //      DecisionScope is null off the decision thread, so explain
-  //      entries cannot be emitted out of order;
+  //   2. score: drb_evaluate over each miss, writing only that miss's
+  //      slot (placement + DrbStats). Without a pool, or with fewer than
+  //      2 misses, the misses are scored inline; otherwise they are
+  //      chunked deterministically over the pool, where FmScratch comes
+  //      from each worker's thread-local arena;
   //   3. reduce (decision thread): cache inserts, stats folds, explain
-  //      replay and the first-maximum reduction, all in candidate order.
+  //      entries and the first-maximum reduction, all in candidate order.
   struct Slot {
     const Candidate* candidate = nullptr;
     bool hit = false;
-    CacheEntry entry;             // valid when hit
-    PlacementCacheKey key;        // hashed-key mode, misses
-    std::string string_key;       // string-key oracle mode, misses
-    std::optional<Placement> result;  // worker output (miss)
-    partition::DrbStats stats;        // worker-local DRB counters (miss)
+    CacheEntry entry;                 // valid when hit
+    PlacementCacheKey key;            // misses, with the cache on
+    std::optional<Placement> result;  // scored placement (miss)
+    partition::DrbStats stats;        // slot-local DRB counters (miss)
   };
   std::vector<Slot> slots(candidates.size());
   std::vector<int> misses;
@@ -286,30 +263,27 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
     if (cache_enabled_) {
       ++cache_stats_.lookups;
       GTS_METRIC_COUNT("cache.lookups", 1);
-      if (string_keys_for_test_) {
-        slot.string_key =
-            string_placement_cache_key(request, slot.candidate->free);
-        if (const auto it = string_cache_.find(slot.string_key);
-            it != string_cache_.end()) {
-          slot.hit = true;
-          slot.entry = it->second;
-        }
-      } else {
-        slot.key = hashed_placement_cache_key(request, slot.candidate->free);
-        if (const auto it = cache_.find(slot.key); it != cache_.end()) {
-          slot.hit = true;
-          slot.entry = it->second;
-        }
+      slot.key = hashed_placement_cache_key(request, slot.candidate->free);
+      if (const auto it = cache_.find(slot.key); it != cache_.end()) {
+        slot.hit = true;
+        slot.entry = it->second;
       }
     }
     if (!slot.hit) misses.push_back(static_cast<int>(i));
   }
 
-  if (!misses.empty()) {
+  const int miss_count = static_cast<int>(misses.size());
+  const auto score = [&slots, &misses, &request, &state, this](int i) {
+    Slot& slot = slots[static_cast<size_t>(misses[static_cast<size_t>(i)])];
+    slot.result = drb_evaluate(request, slot.candidate->free, state,
+                               utility_, &slot.stats);
+  };
+  if (scoring_pool_ == nullptr || miss_count < 2) {
+    for (int i = 0; i < miss_count; ++i) score(i);
+  } else {
     // The topology's distance tables are lazily built mutable caches;
     // materialize them on this thread before concurrent readers arrive.
     topology.warm_caches();
-    const int miss_count = static_cast<int>(misses.size());
     const int chunk_count = std::min(
         miss_count, std::max(1, 2 * scoring_pool_->thread_count()));
     obs::SpanGuard fan_span(obs::kSched, "sched.parallel_score");
@@ -318,30 +292,16 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
     GTS_METRIC_COUNT("sched.parallel_chunks", chunk_count);
     util::parallel_for(
         *scoring_pool_, chunk_count,
-        [&slots, &misses, &request, &state, this, miss_count,
-         chunk_count](int chunk) {
+        [&score, miss_count, chunk_count](int chunk) {
           const int begin = chunk * miss_count / chunk_count;
           const int end = (chunk + 1) * miss_count / chunk_count;
           obs::SpanGuard span(obs::kSched, "sched.score_chunk");
           span.arg("chunk", static_cast<double>(chunk))
               .arg("candidates", static_cast<double>(end - begin));
-          for (int i = begin; i < end; ++i) {
-            Slot& slot = slots[static_cast<size_t>(misses[static_cast<size_t>(i)])];
-            slot.result = drb_place(request, slot.candidate->free, state,
-                                    utility_, &slot.stats);
-          }
+          for (int i = begin; i < end; ++i) score(i);
         });
   }
 
-  const auto record = [](const std::optional<Placement>& placement) {
-    CacheEntry entry;
-    entry.mapped = placement.has_value();
-    if (placement) {
-      entry.gpus = placement->gpus;
-      entry.utility = placement->utility;
-    }
-    return entry;
-  };
   std::optional<Placement> best;
   for (Slot& slot : slots) {
     std::optional<Placement> placement;
@@ -349,46 +309,20 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
       placement = replay_cache_entry(slot.entry, request);
     } else {
       if (cache_enabled_) {
-        if (string_keys_for_test_) {
-          string_cache_.emplace(std::move(slot.string_key),
-                                record(slot.result));
-        } else {
-          cache_.emplace(slot.key, record(slot.result));
-        }
+        cache_.emplace(slot.key, CacheEntry::of(slot.result));
       }
       stats_.bipartitions += slot.stats.bipartitions;
       stats_.fm_passes += slot.stats.fm_passes;
       stats_.max_depth = std::max(stats_.max_depth, slot.stats.max_depth);
       placement = std::move(slot.result);
-      if (placement) {
-        // The "drb" explain entry drb_place() would have written had it
-        // run on the decision thread, replayed in candidate order.
-        if (obs::DecisionScope* scope = obs::DecisionScope::current()) {
-          obs::ExplainCandidate candidate;
-          candidate.gpus = placement->gpus;
-          candidate.terms.utility = placement->utility;
-          candidate.source = "drb";
-          scope->add_candidate(std::move(candidate));
-        }
-      }
+      // The entry drb_place() writes for a mapped placement.
+      if (placement) explain_candidate(*placement, "drb");
     }
-    if (placement) {
-      if (obs::DecisionScope* scope = obs::DecisionScope::current()) {
-        obs::ExplainCandidate explain;
-        explain.gpus = placement->gpus;
-        explain.terms.utility = placement->utility;
-        explain.source =
-            "best-machine:" + std::to_string(slot.candidate->machine);
-        scope->add_candidate(std::move(explain));
-      }
-      // Strict `>` keeps the FIRST maximum — the serial tie-break. The
-      // test seam flips it to `>=` (last maximum) so CI can prove the
-      // differential harness catches a broken reduction order.
-      const bool better =
-          !best || (nondeterministic_reduction_for_test_
-                        ? placement->utility >= best->utility
-                        : placement->utility > best->utility);
-      if (better) best = std::move(placement);
+    if (!placement) continue;
+    explain_candidate(*placement, "best-machine:", slot.candidate->machine);
+    // Strict `>` keeps the FIRST maximum in candidate order.
+    if (!best || placement->utility > best->utility) {
+      best = std::move(placement);
     }
   }
   return best;

@@ -38,9 +38,18 @@ struct PlacementCacheStats {
 };
 
 /// Maps `request` onto the `available` GPUs with the utility-driven DRB
-/// (Algorithms 2/3) and evaluates the resulting placement. The building
-/// block behind TopoAwareScheduler and external integrations (the
-/// Kubernetes shim); `stats`, when given, accumulates DRB counters.
+/// (Algorithms 2/3) and evaluates the resulting placement. Writes nothing
+/// of the caller's but `stats` (when given, it accumulates DRB counters)
+/// and emits no explain output.
+std::optional<Placement> drb_evaluate(const jobgraph::JobRequest& request,
+                                      const std::vector<int>& available,
+                                      const cluster::ClusterState& state,
+                                      const UtilityModel& utility,
+                                      partition::DrbStats* stats = nullptr);
+
+/// drb_evaluate, plus the placement's "drb" entry in the explain record of
+/// the decision in flight. The building block behind TopoAwareScheduler
+/// and external integrations (the Kubernetes shim).
 std::optional<Placement> drb_place(const jobgraph::JobRequest& request,
                                    const std::vector<int>& available,
                                    const cluster::ClusterState& state,
@@ -84,10 +93,7 @@ class TopoAwareScheduler final : public Scheduler {
   void set_placement_cache_enabled(bool enabled) noexcept {
     const util::SerialGuard guard(cache_serial_);
     cache_enabled_ = enabled;
-    if (!enabled) {
-      cache_.clear();
-      string_cache_.clear();
-    }
+    if (!enabled) cache_.clear();
   }
   bool placement_cache_enabled() const noexcept {
     const util::SerialGuard guard(cache_serial_);
@@ -98,39 +104,19 @@ class TopoAwareScheduler final : public Scheduler {
     return cache_stats_;
   }
 
-  /// Test seam: key the cache by the legacy byte-string serialization
-  /// instead of the 128-bit FNV-1a key. The equivalence suite runs the
-  /// same trace in both modes and asserts byte-identical decisions.
-  void set_string_cache_keys_for_test(bool enabled) noexcept {
-    const util::SerialGuard guard(cache_serial_);
-    string_keys_for_test_ = enabled;
-    cache_.clear();
-    string_cache_.clear();
-  }
-
   /// Parallel candidate scoring (DESIGN.md §17): fan the per-candidate
   /// DRB + utility evaluations of place_on_best_machine() out across a
   /// private worker pool. `threads` > 0 sizes the pool, < 0 uses all
-  /// cores, 0 restores the serial oracle path. Decisions, explain output
-  /// and cache counters stay byte-identical to serial: cache probes and
-  /// all reduction/bookkeeping run on the decision thread in candidate
-  /// order, workers only compute independent (candidate -> placement)
+  /// cores, 0 drops the pool and scores inline. Decisions, explain output
+  /// and cache counters do not depend on the pool: cache probes and all
+  /// reduction/bookkeeping run on the decision thread in candidate order,
+  /// workers only compute independent (candidate -> placement)
   /// evaluations with their own DrbStats and thread-local FmScratch.
   void set_parallel_scoring(int threads) override;
-  /// Worker count of the scoring pool; 0 when scoring serially.
+  /// Worker count of the scoring pool; 0 when scoring inline.
   int scoring_threads() const noexcept {
     const util::SerialGuard guard(cache_serial_);
     return scoring_pool_ == nullptr ? 0 : scoring_pool_->thread_count();
-  }
-
-  /// Test seam for the CI negative self-test: make the parallel path's
-  /// reduction keep the LAST maximum instead of the first. On clusters
-  /// with utility ties between candidate machines this diverges from the
-  /// serial oracle, and the differential harness must go red — proving it
-  /// can actually detect a broken reduction order.
-  void set_nondeterministic_reduction_for_test(bool enabled) noexcept {
-    const util::SerialGuard guard(cache_serial_);
-    nondeterministic_reduction_for_test_ = enabled;
   }
 
  private:
@@ -142,7 +128,7 @@ class TopoAwareScheduler final : public Scheduler {
       const jobgraph::JobRequest& request,
       const cluster::ClusterState& state) GTS_REQUIRES(cache_serial_);
   /// Flushes the cache when the (state instance, allocation version)
-  /// epoch moved; shared by the serial and parallel scoring paths.
+  /// epoch moved; shared by map_onto and place_on_best_machine.
   void refresh_cache_epoch(const cluster::ClusterState& state)
       GTS_REQUIRES(cache_serial_);
 
@@ -156,6 +142,8 @@ class TopoAwareScheduler final : public Scheduler {
     bool mapped = false;
     std::vector<int> gpus;
     double utility = 0.0;
+
+    static CacheEntry of(const std::optional<Placement>& placement);
   };
 
   /// Replays a cache entry as a fresh placement decision, updating hit
@@ -173,22 +161,18 @@ class TopoAwareScheduler final : public Scheduler {
   // data race.
   mutable util::SerialCapability cache_serial_;
   bool cache_enabled_ GTS_GUARDED_BY(cache_serial_) = true;
-  bool string_keys_for_test_ GTS_GUARDED_BY(cache_serial_) = false;
   std::unordered_map<PlacementCacheKey, CacheEntry, PlacementCacheKeyHash>
       cache_ GTS_GUARDED_BY(cache_serial_);
-  std::unordered_map<std::string, CacheEntry> string_cache_
-      GTS_GUARDED_BY(cache_serial_);  // test oracle
   std::uint64_t cache_state_id_ GTS_GUARDED_BY(cache_serial_) =
       0;  // ClusterState::instance_id (0: none)
   std::uint64_t cache_version_ GTS_GUARDED_BY(cache_serial_) = ~0ULL;
   PlacementCacheStats cache_stats_ GTS_GUARDED_BY(cache_serial_);
-  /// Scoring pool (null = serial). Owned and driven exclusively by the
-  /// decision thread; workers never touch scheduler state — they write
-  /// into per-candidate slots local to one place_on_best_machine() call.
+  /// Scoring pool (null = score inline). Owned and driven exclusively by
+  /// the decision thread; workers never touch scheduler state — they
+  /// write into per-candidate slots local to one place_on_best_machine()
+  /// call.
   std::unique_ptr<util::ThreadPool> scoring_pool_
       GTS_GUARDED_BY(cache_serial_);
-  bool nondeterministic_reduction_for_test_ GTS_GUARDED_BY(cache_serial_) =
-      false;
 };
 
 }  // namespace gts::sched

@@ -119,7 +119,7 @@ void ShardedDriver::advance_cells_to(double t) {
     sched::Driver& driver = *cells_[static_cast<size_t>(i)].driver;
     if (std::isinf(t)) {
       driver.advance_all();
-    } else if (driver.now() < t) {
+    } else if (driver.now() <= t) {
       driver.advance_to(t);
     }
   };

@@ -133,7 +133,8 @@ class ShardedDriver : public sched::DriverApi {
 
   bool known_id(int job_id) const;
   bool any_cell_fits(const jobgraph::JobRequest& request) const;
-  /// Advances every cell whose clock is behind to `t`, or runs every cell
+  /// Advances every cell whose clock is at or behind `t` (a cell already
+  /// at `t` still fires arrivals routed to it at `t`), or runs every cell
   /// to completion when `t` is +infinity (pool-parallel when configured
   /// and the explain pillar is off).
   void advance_cells_to(double t);
@@ -143,8 +144,8 @@ class ShardedDriver : public sched::DriverApi {
   /// in submission order. Cells are first advanced to `ta` (so summaries
   /// reflect completions up to the arrival), then each job is routed and
   /// submitted to its cell. Its arrival event fires on the cell's next
-  /// advance past `ta` — unlike Driver::advance_to(t), the facade leaves
-  /// arrivals at exactly `t` pending.
+  /// advance to `ta` or later, so advance_to(t) enacts arrivals at exactly
+  /// `t`, as Driver::advance_to(t) does.
   void route_batch(double ta, std::vector<PendingJob> batch);
   /// Extracts, groups by arrival, and routes every pending arrival <= t.
   void route_pending_until(double t);

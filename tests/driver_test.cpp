@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <set>
 
+#include "decision_digest.hpp"
 #include "perf/profile.hpp"
 #include "trace/generator.hpp"
 #include "sched/driver.hpp"
@@ -252,36 +252,11 @@ TEST_F(DriverTest, MakespanIsLastCompletion) {
 //
 // Decisions on a queue-heavy trace — the Fig. 11 Scenario 2 shape on 50
 // Minsky machines: 500 jobs, lambda = 2 jobs/min per machine, 250
-// iterations — are pinned by committed per-policy digests, recorded
-// before the driver had a capacity gate. The gate declines only offers no
+// iterations — are pinned by committed per-policy digests
+// (tests/decision_digest.hpp), recorded before the driver had a capacity
+// gate. The gate declines only offers no
 // policy could place, so the schedule, the postponement total and the
 // offer total (scheduler calls + gate skips) must all stay exactly put.
-
-/// 64-bit FNV-1a over every job record: id, GPU list, and the bits of the
-/// start, end and placement-utility doubles.
-std::uint64_t decision_digest(const cluster::Recorder& recorder) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  const auto mix = [&hash](std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (8 * byte)) & 0xffU;
-      hash *= 1099511628211ULL;
-    }
-  };
-  const auto bits = [](double value) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, &value, sizeof word);
-    return word;
-  };
-  for (const cluster::JobRecord& record : recorder.records()) {
-    mix(static_cast<std::uint64_t>(record.id));
-    mix(record.gpus.size());
-    for (const int gpu : record.gpus) mix(static_cast<std::uint64_t>(gpu));
-    mix(bits(record.start));
-    mix(bits(record.end));
-    mix(bits(record.placement_utility));
-  }
-  return hash;
-}
 
 struct PinnedPolicy {
   Policy policy;
@@ -318,7 +293,10 @@ TEST(CapacityGateTest, QueueHeavyDecisionsMatchCommittedDigests) {
       if (record.finished()) ++finished;
     }
     EXPECT_EQ(finished, 500) << name;
-    EXPECT_EQ(decision_digest(report.recorder), pin.digest) << name;
+    const std::uint64_t digest =
+        testing_digest::decision_digest(report.recorder);
+    EXPECT_EQ(digest, pin.digest)
+        << name << " digest " << testing_digest::hex(digest);
     EXPECT_EQ(report.recorder.total_postponements(), pin.postponements)
         << name;
     EXPECT_EQ(report.decision_count + report.capacity_skips, pin.offers)

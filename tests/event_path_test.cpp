@@ -1,11 +1,13 @@
-// Event-path differential suite (DESIGN.md section 20): the scoped
-// O(touched) event path — link-indexed rate recompute, skip-on-equal-rate
-// regime anchoring, FlowDelta subtract-on-read, indexed finish-time heap —
-// must be byte-identical to the pre-scoping full recompute it replaced.
+// Event-path suite (DESIGN.md section 20): the scoped O(touched) event
+// path — link-indexed rate recompute, skip-on-equal-rate regime
+// anchoring, FlowDelta subtract-on-read, indexed finish-time heap — is
+// byte-identical to the pre-scoping full recompute it replaced.
 //
-//   * Scoped vs full_event_recompute oracle on seeded mixed traces with a
-//     heavy multi-machine share, at scoring threads {1, 8} and shard
-//     counts {1, 4}: every record (GPUs, start, end, utility) EXACT-equal.
+//   * Seeded mixed traces with a heavy multi-machine share, at scoring
+//     threads {1, 8} and shard counts {1, 4}, pinned by committed digests
+//     (tests/decision_digest.hpp) over every record plus the event count
+//     and end-time bits. Recorded while the full recompute still ran the
+//     same traces to identical records.
 //   * Heap vs the old all-jobs scan for next_completion, including
 //     bitwise rate ties (smaller id wins, the ordered-map tie-break) and
 //     zero-rate jobs (absent from the heap).
@@ -26,6 +28,7 @@
 #include "check/audit.hpp"
 #include "cluster/recorder.hpp"
 #include "cluster/state.hpp"
+#include "decision_digest.hpp"
 #include "perf/model.hpp"
 #include "perf/profile.hpp"
 #include "sched/driver.hpp"
@@ -73,24 +76,25 @@ std::vector<jobgraph::JobRequest> mixed_jobs(
   return jobs;
 }
 
-/// Byte-identity over the full record stream: EXPECT_EQ on doubles is an
-/// exact bitwise comparison, which is the whole point of this suite.
-void expect_identical_records(const cluster::Recorder& scoped,
-                              const cluster::Recorder& oracle,
-                              const std::string& label) {
-  ASSERT_EQ(scoped.records().size(), oracle.records().size()) << label;
-  for (size_t i = 0; i < scoped.records().size(); ++i) {
-    const cluster::JobRecord& a = scoped.records()[i];
-    const cluster::JobRecord& b = oracle.records()[i];
-    EXPECT_EQ(a.id, b.id) << label << " record " << i;
-    EXPECT_EQ(a.gpus, b.gpus) << label << " record " << i;
-    EXPECT_EQ(a.start, b.start) << label << " record " << i;
-    EXPECT_EQ(a.end, b.end) << label << " record " << i;
-    EXPECT_EQ(a.placement_utility, b.placement_utility)
-        << label << " record " << i;
-    EXPECT_EQ(a.postponements, b.postponements) << label << " record " << i;
-    EXPECT_EQ(a.p2p, b.p2p) << label << " record " << i;
-  }
+/// A run pinned by its record digest, event count and end-time bits.
+struct PinnedRun {
+  int axis;  // scoring threads or shard count
+  std::uint64_t digest;
+  std::uint64_t events;
+  std::uint64_t end_time_bits;
+};
+
+void expect_pinned(const sched::DriverReport& report, const PinnedRun& pin,
+                   const std::string& label) {
+  const std::uint64_t digest =
+      testing_digest::decision_digest(report.recorder);
+  const std::uint64_t end_bits =
+      testing_digest::Fnv1a::bits(report.end_time);
+  EXPECT_EQ(digest, pin.digest)
+      << label << " digest " << testing_digest::hex(digest);
+  EXPECT_EQ(report.events, pin.events) << label;
+  EXPECT_EQ(end_bits, pin.end_time_bits)
+      << label << " end_time bits " << testing_digest::hex(end_bits);
 }
 
 /// The pre-heap next_completion: linear scan over every running job,
@@ -111,58 +115,49 @@ std::optional<std::pair<int, double>> scan_next_completion(
   return best;
 }
 
-TEST(EventPathTest, ScopedMatchesFullRecomputeOracleAcrossThreadCounts) {
+TEST(EventPathTest, MixedTraceMatchesCommittedDigestsAcrossThreadCounts) {
   const topo::TopologyGraph topology =
       topo::builders::cluster(8, MachineShape::kPower8Minsky);
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
   const auto jobs = mixed_jobs(400, model, topology, /*seed=*/20260807);
 
-  for (const int threads : {1, 8}) {
-    const auto run_mode = [&](bool full_recompute) {
-      sched::TopoAwareScheduler scheduler({}, /*postpone=*/false);
-      sched::DriverOptions options;
-      options.record_series = false;
-      options.full_event_recompute = full_recompute;
-      if (threads > 1) {
-        options.parallel_scoring = true;
-        options.scoring_threads = threads;
-      }
-      sched::Driver driver(topology, model, scheduler, options);
-      return driver.run(jobs);
-    };
-    const sched::DriverReport oracle = run_mode(/*full_recompute=*/true);
-    const sched::DriverReport scoped = run_mode(/*full_recompute=*/false);
-    ASSERT_EQ(oracle.recorder.records().size(), 400u);
-    expect_identical_records(scoped.recorder, oracle.recorder,
-                             "threads=" + std::to_string(threads));
-    EXPECT_EQ(scoped.recorder.slo_violations(),
-              oracle.recorder.slo_violations());
-    EXPECT_EQ(scoped.events, oracle.events);
-    EXPECT_EQ(scoped.end_time, oracle.end_time);
+  const PinnedRun pinned[] = {
+      {1, 0xc25536f1ab59d127ULL, 800, 0x40c50ea64242ceb2ULL},
+      {8, 0xc25536f1ab59d127ULL, 800, 0x40c50ea64242ceb2ULL},
+  };
+  for (const PinnedRun& pin : pinned) {
+    sched::TopoAwareScheduler scheduler({}, /*postpone=*/false);
+    sched::DriverOptions options;
+    options.record_series = false;
+    if (pin.axis > 1) {
+      options.parallel_scoring = true;
+      options.scoring_threads = pin.axis;
+    }
+    sched::Driver driver(topology, model, scheduler, options);
+    const sched::DriverReport report = driver.run(jobs);
+    ASSERT_EQ(report.recorder.records().size(), 400u);
+    expect_pinned(report, pin, "threads=" + std::to_string(pin.axis));
   }
 }
 
-TEST(EventPathTest, ScopedMatchesFullRecomputeOracleAcrossShardCounts) {
+TEST(EventPathTest, MixedTraceMatchesCommittedDigestsAcrossShardCounts) {
   const topo::TopologyGraph topology =
       topo::builders::cluster(8, MachineShape::kPower8Minsky);
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
   const auto jobs = mixed_jobs(300, model, topology, /*seed=*/7);
 
-  for (const int shards : {1, 4}) {
-    const auto run_mode = [&](bool full_recompute) {
-      shard::ShardedOptions options;
-      options.shards = shards;
-      options.driver.record_series = false;
-      options.driver.full_event_recompute = full_recompute;
-      shard::ShardedDriver driver(topology, model, options);
-      return driver.run(jobs);
-    };
-    const sched::DriverReport oracle = run_mode(/*full_recompute=*/true);
-    const sched::DriverReport scoped = run_mode(/*full_recompute=*/false);
-    ASSERT_GT(oracle.recorder.records().size(), 0u);
-    expect_identical_records(scoped.recorder, oracle.recorder,
-                             "shards=" + std::to_string(shards));
-    EXPECT_EQ(scoped.end_time, oracle.end_time);
+  const PinnedRun pinned[] = {
+      {1, 0x58bb1423a2d53f7cULL, 600, 0x40a8bef445b5a225ULL},
+      {4, 0x30f1ff839733b8d8ULL, 600, 0x40b117a704ed79d3ULL},
+  };
+  for (const PinnedRun& pin : pinned) {
+    shard::ShardedOptions options;
+    options.shards = pin.axis;
+    options.driver.record_series = false;
+    shard::ShardedDriver driver(topology, model, options);
+    const sched::DriverReport report = driver.run(jobs);
+    ASSERT_GT(report.recorder.records().size(), 0u);
+    expect_pinned(report, pin, "shards=" + std::to_string(pin.axis));
   }
 }
 

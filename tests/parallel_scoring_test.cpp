@@ -1,18 +1,15 @@
 // Parallel candidate scoring (DESIGN.md §17): fanning the per-candidate
 // DRB + utility evaluations of TopoAwareScheduler across a worker pool
-// must be invisible in every observable output. The differential harness
-// replays a seeded 500-job trace against the serial oracle
-// (parallel_scoring off) and asserts byte-identical scheduling decisions,
-// explain JSONL and cache counters at 1, 2 and 8 worker threads, for both
-// postponement modes. The negative control flips the test-only
-// nondeterministic reduction seam (last-max instead of first-max
-// tie-break) and requires the harness to catch the divergence — proving
-// the suite would go red if the reduction order ever leaked into
-// decisions. CI runs this suite under ThreadSanitizer.
+// must be invisible in every observable output. The harness replays a
+// seeded 500-job trace without a pool and at 1, 2 and 8 worker threads,
+// for both postponement modes, and asserts byte-identical scheduling
+// decisions, explain JSONL and cache counters. The reduction's tie-break
+// is asserted directly: on identical empty machines every thread count
+// must pick the first candidate. CI runs this suite under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -51,12 +48,12 @@ DriverReport run_trace(const topo::TopologyGraph& topology,
 }
 
 void expect_identical_records(const cluster::Recorder& parallel,
-                              const cluster::Recorder& serial,
+                              const cluster::Recorder& no_pool,
                               const std::string& label) {
-  ASSERT_EQ(parallel.records().size(), serial.records().size()) << label;
+  ASSERT_EQ(parallel.records().size(), no_pool.records().size()) << label;
   for (size_t i = 0; i < parallel.records().size(); ++i) {
     const cluster::JobRecord& a = parallel.records()[i];
-    const cluster::JobRecord& b = serial.records()[i];
+    const cluster::JobRecord& b = no_pool.records()[i];
     EXPECT_EQ(a.id, b.id) << label << " record " << i;
     EXPECT_EQ(a.gpus, b.gpus) << label << " record " << i;
     EXPECT_DOUBLE_EQ(a.start, b.start) << label << " record " << i;
@@ -76,7 +73,7 @@ std::string read_file(const std::string& path) {
 
 /// Zero out `"decision_us":<number>` values. decision_us is the single
 /// documented wall-clock field in explain records (obs/explain.hpp) — it
-/// measures the place() call, so it varies between any two runs, serial
+/// measures the place() call, so it varies between any two runs, pooled
 /// or not. Everything else must match byte-for-byte.
 std::string mask_decision_us(std::string bytes) {
   const std::string key = "\"decision_us\":";
@@ -98,18 +95,18 @@ std::string mask_decision_us(std::string bytes) {
 // cluster (large enough that every single-node job takes the pre-scored
 // candidate path the parallel scorer fans out) schedules identically —
 // same GPUs, same times, same utilities, job by job — at every worker
-// count, and the cache/DRB counters match the serial oracle exactly.
-TEST(ParallelScoringTest, MatchesSerialOracleOn500JobTrace) {
+// count, and the cache/DRB counters match the run without a pool.
+TEST(ParallelScoringTest, MatchesNoPoolRunOn500JobTrace) {
   const topo::TopologyGraph topology =
       topo::builders::cluster(8, MachineShape::kPower8Minsky);
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
   const auto jobs = seeded_trace(model, topology, 500, /*seed=*/20260807);
 
   for (const bool postpone : {false, true}) {
-    TopoAwareScheduler serial({}, postpone);
-    const DriverReport oracle = run_trace(topology, model, serial, jobs);
-    ASSERT_EQ(oracle.recorder.records().size(), 500u);
-    EXPECT_EQ(serial.scoring_threads(), 0);
+    TopoAwareScheduler no_pool({}, postpone);
+    const DriverReport reference = run_trace(topology, model, no_pool, jobs);
+    ASSERT_EQ(reference.recorder.records().size(), 500u);
+    EXPECT_EQ(no_pool.scoring_threads(), 0);
 
     for (const int threads : {1, 2, 8}) {
       const std::string label = "postpone=" + std::to_string(postpone) +
@@ -117,35 +114,32 @@ TEST(ParallelScoringTest, MatchesSerialOracleOn500JobTrace) {
       TopoAwareScheduler parallel({}, postpone);
       parallel.set_parallel_scoring(threads);
       ASSERT_EQ(parallel.scoring_threads(), threads) << label;
-      // CI negative self-test: with GTS_TEST_BREAK_REDUCTION set, the
-      // reduction tie-break flips to last-max and this suite MUST go red
-      // — a green run under the env var means the harness lost its teeth.
-      if (std::getenv("GTS_TEST_BREAK_REDUCTION") != nullptr) {
-        parallel.set_nondeterministic_reduction_for_test(true);
-      }
       const DriverReport report = run_trace(topology, model, parallel, jobs);
 
-      expect_identical_records(report.recorder, oracle.recorder, label);
+      expect_identical_records(report.recorder, reference.recorder, label);
       EXPECT_EQ(report.recorder.slo_violations(),
-                oracle.recorder.slo_violations())
+                reference.recorder.slo_violations())
           << label;
 
       // Counters are part of the contract: probes happen on the decision
       // thread in candidate order, so hit/miss/flush sequences — not
-      // just decisions — must be indistinguishable from serial.
-      EXPECT_EQ(parallel.cache_stats().lookups, serial.cache_stats().lookups)
+      // just decisions — must not depend on the pool.
+      EXPECT_EQ(parallel.cache_stats().lookups,
+                no_pool.cache_stats().lookups)
           << label;
-      EXPECT_EQ(parallel.cache_stats().hits, serial.cache_stats().hits)
+      EXPECT_EQ(parallel.cache_stats().hits, no_pool.cache_stats().hits)
           << label;
       EXPECT_EQ(parallel.cache_stats().invalidations,
-                serial.cache_stats().invalidations)
+                no_pool.cache_stats().invalidations)
           << label;
       EXPECT_EQ(parallel.drb_stats().bipartitions,
-                serial.drb_stats().bipartitions)
+                no_pool.drb_stats().bipartitions)
           << label;
-      EXPECT_EQ(parallel.drb_stats().fm_passes, serial.drb_stats().fm_passes)
+      EXPECT_EQ(parallel.drb_stats().fm_passes,
+                no_pool.drb_stats().fm_passes)
           << label;
-      EXPECT_EQ(parallel.drb_stats().max_depth, serial.drb_stats().max_depth)
+      EXPECT_EQ(parallel.drb_stats().max_depth,
+                no_pool.drb_stats().max_depth)
           << label;
     }
   }
@@ -174,24 +168,25 @@ TEST(ParallelScoringTest, ExplainJsonlByteIdenticalAcrossThreadCounts) {
     obs::reset();
   };
 
-  const std::string serial_path =
-      ::testing::TempDir() + "parallel_scoring_serial.jsonl";
+  const std::string no_pool_path =
+      ::testing::TempDir() + "parallel_scoring_no_pool.jsonl";
   const std::string parallel_path =
       ::testing::TempDir() + "parallel_scoring_parallel.jsonl";
-  explain_run(0, serial_path);
-  const std::string serial_bytes = mask_decision_us(read_file(serial_path));
-  ASSERT_FALSE(serial_bytes.empty());
+  explain_run(0, no_pool_path);
+  const std::string no_pool_bytes =
+      mask_decision_us(read_file(no_pool_path));
+  ASSERT_FALSE(no_pool_bytes.empty());
   for (const int threads : {2, 8}) {
     explain_run(threads, parallel_path);
-    EXPECT_EQ(mask_decision_us(read_file(parallel_path)), serial_bytes)
+    EXPECT_EQ(mask_decision_us(read_file(parallel_path)), no_pool_bytes)
         << "threads=" << threads;
     std::remove(parallel_path.c_str());
   }
-  std::remove(serial_path.c_str());
+  std::remove(no_pool_path.c_str());
 }
 
-// set_parallel_scoring(0) tears the pool down and restores the serial
-// path; re-enabling mid-life keeps decisions identical (the pool is an
+// set_parallel_scoring(0) tears the pool down and scores inline;
+// re-enabling mid-life keeps decisions identical (the pool is an
 // implementation detail, not scheduler state).
 TEST(ParallelScoringTest, TogglingThePoolMidLifeKeepsDecisionsIdentical) {
   const topo::TopologyGraph topology =
@@ -199,8 +194,8 @@ TEST(ParallelScoringTest, TogglingThePoolMidLifeKeepsDecisionsIdentical) {
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
   const auto jobs = seeded_trace(model, topology, 60, /*seed=*/99);
 
-  TopoAwareScheduler serial({}, /*postpone=*/false);
-  const DriverReport oracle = run_trace(topology, model, serial, jobs);
+  TopoAwareScheduler no_pool({}, /*postpone=*/false);
+  const DriverReport reference = run_trace(topology, model, no_pool, jobs);
 
   TopoAwareScheduler toggled({}, /*postpone=*/false);
   toggled.set_parallel_scoring(4);
@@ -210,43 +205,33 @@ TEST(ParallelScoringTest, TogglingThePoolMidLifeKeepsDecisionsIdentical) {
   toggled.set_parallel_scoring(2);
   EXPECT_EQ(toggled.scoring_threads(), 2);
   const DriverReport report = run_trace(topology, model, toggled, jobs);
-  expect_identical_records(report.recorder, oracle.recorder, "toggled");
+  expect_identical_records(report.recorder, reference.recorder, "toggled");
 }
 
-// Negative control: the seeded nondeterministic reduction (last-max
-// tie-break instead of first-max) must produce a DIFFERENT placement on
-// a tie-rich symmetric cluster — the exact failure mode the differential
-// suite exists to catch. Eight identical empty machines tie on both the
-// pre-score and the utility, so first-max picks machine 0 and last-max
-// picks machine 7; if this assertion ever fails, the harness has lost
-// its teeth (a broken reduction would sail through green).
-TEST(ParallelScoringTest, NondeterministicReductionSeamIsDetected) {
+// The reduction keeps the FIRST maximum in candidate order. Eight
+// identical empty machines tie on both the pre-score and the utility, so
+// every thread count — no pool, and pools of 1, 2 and 8 workers — must
+// place the job on machine 0. A last-maximum reduction would pick
+// machine 7.
+TEST(ParallelScoringTest, UtilityTiesBreakTowardTheFirstMachine) {
   const topo::TopologyGraph topology =
       topo::builders::cluster(8, MachineShape::kPower8Minsky);
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
-  cluster::ClusterState state(topology, model);
+  const cluster::ClusterState state(topology, model);
   const jobgraph::JobRequest job = jobgraph::JobRequest::make_dl(
       1, 0.0, jobgraph::NeuralNet::kAlexNet, 4, 2, 0.4, 250);
 
-  TopoAwareScheduler serial({}, /*postpone=*/false);
-  const auto oracle = serial.place(job, state);
-  ASSERT_TRUE(oracle.has_value());
-
-  TopoAwareScheduler faithful({}, /*postpone=*/false);
-  faithful.set_parallel_scoring(4);
-  const auto same = faithful.place(job, state);
-  ASSERT_TRUE(same.has_value());
-  EXPECT_EQ(same->gpus, oracle->gpus);
-  EXPECT_DOUBLE_EQ(same->utility, oracle->utility);
-
-  TopoAwareScheduler broken({}, /*postpone=*/false);
-  broken.set_parallel_scoring(4);
-  broken.set_nondeterministic_reduction_for_test(true);
-  const auto diverged = broken.place(job, state);
-  ASSERT_TRUE(diverged.has_value());
-  EXPECT_NE(diverged->gpus, oracle->gpus)
-      << "the nondeterministic-reduction seam no longer diverges; the "
-         "differential suite cannot prove it would catch a real bug";
+  for (const int threads : {0, 1, 2, 8}) {
+    TopoAwareScheduler scheduler({}, /*postpone=*/false);
+    scheduler.set_parallel_scoring(threads);
+    const auto placement = scheduler.place(job, state);
+    ASSERT_TRUE(placement.has_value()) << "threads=" << threads;
+    ASSERT_EQ(placement->gpus.size(), 2u) << "threads=" << threads;
+    for (const int gpu : placement->gpus) {
+      EXPECT_EQ(topology.machine_of_gpu(gpu), 0)
+          << "threads=" << threads << " gpu " << gpu;
+    }
+  }
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
-// Seeded equivalence suite for the decision-path performance work: every
-// hot-path rewrite ships with the original implementation as an oracle and
-// is pinned to it here.
+// Committed-digest suite for the decision-path performance work. Each
+// hot-path rewrite was proven byte-identical to the implementation it
+// replaced; those proofs are now pinned as digests recorded while the old
+// implementations still ran next to them (tests/decision_digest.hpp):
 //
-//   * bucket-list FM == the std::set reference, side-for-side, on 200
-//     random graphs x 8 seeds (plus degenerate shapes), with one FmScratch
-//     arena reused across all calls and hammered from multiple threads;
-//   * TaskUtility's incremental side aggregates == recomputing every
-//     factor from scratch, to 1e-9, across random bipartitions of a live
-//     cluster;
-//   * the hashed placement-cache key == the legacy byte-string key,
-//     decision-for-decision, on the seeded 500-job regression trace.
+//   * bucket-list FM on 200 random graphs x 8 seeds and on degenerate
+//     shapes: one digest over every FmResult (sides, passes, cut bits),
+//     with one FmScratch arena reused across all calls, plus concurrent
+//     calls checked against single-threaded results;
+//   * TaskUtility's per-side aggregates == the recompute fallback used
+//     for GPU vectors begin_bipartition did not mark, to 1e-9, across
+//     random bipartitions of a live cluster;
+//   * the hashed placement-cache key's decisions and cache traffic on the
+//     seeded 500-job regression trace, for both postponement modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "cluster/recorder.hpp"
+#include "decision_digest.hpp"
 #include "partition/drb.hpp"
 #include "partition/fm.hpp"
 #include "perf/model.hpp"
@@ -34,7 +37,7 @@ namespace {
 
 using topo::builders::MachineShape;
 
-// --- bucket-list FM vs. the totally-ordered-set oracle ---------------------
+// --- bucket-list FM -----------------------------------------------------
 
 partition::FmGraph random_fm_graph(int vertices, double density,
                                    util::Rng& rng) {
@@ -65,21 +68,19 @@ std::vector<int> random_initial(int vertices, util::Rng& rng) {
   return initial;
 }
 
-void expect_same_result(const partition::FmResult& bucket,
-                        const partition::FmResult& reference,
-                        const std::string& context) {
-  EXPECT_EQ(bucket.side, reference.side) << context;
-  EXPECT_DOUBLE_EQ(bucket.cut_weight, reference.cut_weight) << context;
-  EXPECT_EQ(bucket.passes, reference.passes) << context;
-  EXPECT_DOUBLE_EQ(bucket.initial_cut, reference.initial_cut) << context;
-}
+using testing_digest::hex;
 
-// The ISSUE's headline FM property: 200 random graphs x 8 seeds, the
-// bucket-list implementation and the set-ordered reference agree on the
-// side vectors, the cut and the pass count — with a single scratch arena
-// reused across all 1600 calls.
-TEST(FmBucketListTest, MatchesReferenceOn200RandomGraphsTimes8Seeds) {
+// Recorded while fm_bipartition still ran next to the original
+// std::set<(-gain, vertex)> implementation and matched it side for side.
+constexpr std::uint64_t kFmRandomGraphsDigest = 0xd8bf411081969aadULL;
+constexpr std::uint64_t kFmDegenerateDigest = 0x2af8f7b7c06ef677ULL;
+
+// 200 random graphs x 8 seeds, with balance and min-side constraints on
+// a share of them, through a single scratch arena reused across all 1600
+// calls.
+TEST(FmBucketListTest, RandomGraphsMatchCommittedDigest) {
   partition::FmScratch scratch;
+  testing_digest::Fnv1a fnv;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     util::Rng rng(seed);
     for (int graph_index = 0; graph_index < 200; ++graph_index) {
@@ -93,21 +94,17 @@ TEST(FmBucketListTest, MatchesReferenceOn200RandomGraphsTimes8Seeds) {
       if (graph_index % 3 == 1) options.max_side_fraction = 0.75;
       if (graph_index % 5 == 2) options.min_side = 2;
 
-      const partition::FmResult bucket =
-          partition::fm_bipartition(graph, initial, options, &scratch);
-      const partition::FmResult reference =
-          partition::fm_bipartition_reference(graph, initial, options);
-      expect_same_result(bucket, reference,
-                         "seed " + std::to_string(seed) + " graph " +
-                             std::to_string(graph_index));
+      testing_digest::mix_fm_result(
+          fnv, partition::fm_bipartition(graph, initial, options, &scratch));
     }
   }
+  EXPECT_EQ(fnv.value(), kFmRandomGraphsDigest) << hex(fnv.value());
 }
 
 // Degenerate shapes: empty edge lists, two vertices, all-zero weights,
 // equal-gain ties everywhere (uniform weights on a complete graph), and a
 // single vertex per side under min_side.
-TEST(FmBucketListTest, MatchesReferenceOnDegenerateGraphs) {
+TEST(FmBucketListTest, DegenerateGraphsMatchCommittedDigest) {
   partition::FmScratch scratch;
 
   partition::FmGraph no_edges;
@@ -126,7 +123,7 @@ TEST(FmBucketListTest, MatchesReferenceOnDegenerateGraphs) {
     for (int j = i + 1; j < 8; ++j) uniform.edges.push_back({i, j, 1.0});
   }
 
-  int case_index = 0;
+  testing_digest::Fnv1a fnv;
   for (const partition::FmGraph* graph :
        {&no_edges, &pair, &zero_weights, &uniform}) {
     std::vector<int> initial(static_cast<size_t>(graph->vertex_count));
@@ -135,47 +132,58 @@ TEST(FmBucketListTest, MatchesReferenceOnDegenerateGraphs) {
     }
     for (const partition::FmOptions& options :
          {partition::FmOptions{}, partition::FmOptions{8, 1, 0.5}}) {
-      expect_same_result(
-          partition::fm_bipartition(*graph, initial, options, &scratch),
-          partition::fm_bipartition_reference(*graph, initial, options),
-          "degenerate case " + std::to_string(case_index));
+      testing_digest::mix_fm_result(
+          fnv, partition::fm_bipartition(*graph, initial, options, &scratch));
     }
-    ++case_index;
   }
+  EXPECT_EQ(fnv.value(), kFmDegenerateDigest) << hex(fnv.value());
 }
 
 // The race surface TSan watches (CI bench-smoke job): concurrent FM calls
 // must be independent, both with explicit per-thread scratch arenas and
-// with the nullptr thread-local fallback.
+// with the nullptr thread-local fallback. Each thread's inputs and
+// results are computed single-threaded up front.
 TEST(FmBucketListTest, ConcurrentScratchReuseIsRaceFree) {
   constexpr int kThreads = 4;
   constexpr int kGraphsPerThread = 40;
+  struct Case {
+    partition::FmGraph graph;
+    std::vector<int> initial;
+    partition::FmResult expected;
+  };
+  std::vector<std::vector<Case>> cases(kThreads);
+  for (int thread_index = 0; thread_index < kThreads; ++thread_index) {
+    util::Rng rng(1000 + static_cast<std::uint64_t>(thread_index));
+    for (int i = 0; i < kGraphsPerThread; ++i) {
+      Case item;
+      const int vertices = 2 + static_cast<int>(rng.uniform_int(24));
+      item.graph = random_fm_graph(vertices, 0.5, rng);
+      item.initial = random_initial(vertices, rng);
+      item.expected = partition::fm_bipartition(item.graph, item.initial);
+      cases[static_cast<size_t>(thread_index)].push_back(std::move(item));
+    }
+  }
+
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int thread_index = 0; thread_index < kThreads; ++thread_index) {
-    workers.emplace_back([thread_index] {
+    workers.emplace_back([&mine = cases[static_cast<size_t>(thread_index)]] {
       partition::FmScratch scratch;
-      util::Rng rng(1000 + static_cast<std::uint64_t>(thread_index));
-      for (int i = 0; i < kGraphsPerThread; ++i) {
-        const int vertices = 2 + static_cast<int>(rng.uniform_int(24));
-        const partition::FmGraph graph =
-            random_fm_graph(vertices, 0.5, rng);
-        const std::vector<int> initial = random_initial(vertices, rng);
+      for (size_t i = 0; i < mine.size(); ++i) {
         // Alternate explicit arena reuse and the thread-local fallback.
         partition::FmScratch* arena = i % 2 == 0 ? &scratch : nullptr;
-        const partition::FmResult bucket =
-            partition::fm_bipartition(graph, initial, {}, arena);
-        const partition::FmResult reference =
-            partition::fm_bipartition_reference(graph, initial, {});
-        ASSERT_EQ(bucket.side, reference.side);
-        ASSERT_DOUBLE_EQ(bucket.cut_weight, reference.cut_weight);
+        const partition::FmResult result = partition::fm_bipartition(
+            mine[i].graph, mine[i].initial, {}, arena);
+        ASSERT_EQ(result.side, mine[i].expected.side);
+        ASSERT_EQ(result.cut_weight, mine[i].expected.cut_weight);
+        ASSERT_EQ(result.passes, mine[i].expected.passes);
       }
     });
   }
   for (std::thread& worker : workers) worker.join();
 }
 
-// --- incremental TaskUtility aggregates vs. recompute-from-scratch ---------
+// --- TaskUtility side aggregates vs. the recompute fallback --------------
 
 /// A cluster with enough running jobs that interference and fragmentation
 /// terms are non-trivial for later candidates.
@@ -240,12 +248,11 @@ TEST(TaskUtilityIncrementalTest, MatchesScratchRecomputeOnRandomBipartitions) {
     }
     const partition::BipartitionView view{gpus0, gpus1, tasks0, tasks1};
 
-    const sched::TaskUtility incremental(request, cluster.state, model,
-                                         /*incremental=*/true);
-    const sched::TaskUtility scratch(request, cluster.state, model,
-                                     /*incremental=*/false);
+    // `scratch` never sees begin_bipartition, so every call takes the
+    // recompute-from-scratch fallback for unmarked GPU vectors.
+    const sched::TaskUtility incremental(request, cluster.state, model);
+    const sched::TaskUtility scratch(request, cluster.state, model);
     incremental.begin_bipartition(gpus0, gpus1);
-    scratch.begin_bipartition(gpus0, gpus1);
 
     for (int task = routed; task < task_count; ++task) {
       for (const int side : {0, 1}) {
@@ -278,13 +285,12 @@ TEST(TaskUtilityIncrementalTest, CacheInvalidatesAcrossBipartitions) {
   const partition::BipartitionView ba{b, a, no_tasks, no_tasks};
   const partition::BipartitionView ac{a, c, no_tasks, no_tasks};
 
-  const sched::TaskUtility incremental(request, cluster.state, model, true);
-  const sched::TaskUtility scratch(request, cluster.state, model, false);
+  const sched::TaskUtility incremental(request, cluster.state, model);
+  const sched::TaskUtility scratch(request, cluster.state, model);  // unmarked
 
   for (const auto* step :
        {&ab, &ba, &ac, &ab, &ab, &ac, &ba}) {
     incremental.begin_bipartition(step->gpus0, step->gpus1);
-    scratch.begin_bipartition(step->gpus0, step->gpus1);
     for (int task = 0; task < task_count; ++task) {
       for (const int side : {0, 1}) {
         EXPECT_NEAR(incremental.task_utility(task, side, *step),
@@ -294,7 +300,7 @@ TEST(TaskUtilityIncrementalTest, CacheInvalidatesAcrossBipartitions) {
   }
 }
 
-// --- hashed cache key vs. the legacy byte-string key -----------------------
+// --- hashed cache key ----------------------------------------------------
 
 std::vector<jobgraph::JobRequest> seeded_trace(
     const perf::DlWorkloadModel& model, const topo::TopologyGraph& topology,
@@ -315,58 +321,41 @@ sched::DriverReport run_trace(const topo::TopologyGraph& topology,
   return driver.run(jobs);
 }
 
-void expect_identical_records(const cluster::Recorder& hashed,
-                              const cluster::Recorder& string_keyed) {
-  ASSERT_EQ(hashed.records().size(), string_keyed.records().size());
-  for (size_t i = 0; i < hashed.records().size(); ++i) {
-    const cluster::JobRecord& a = hashed.records()[i];
-    const cluster::JobRecord& b = string_keyed.records()[i];
-    EXPECT_EQ(a.id, b.id) << "record " << i;
-    EXPECT_EQ(a.gpus, b.gpus) << "record " << i;
-    EXPECT_DOUBLE_EQ(a.start, b.start) << "record " << i;
-    EXPECT_DOUBLE_EQ(a.end, b.end) << "record " << i;
-    EXPECT_DOUBLE_EQ(a.placement_utility, b.placement_utility)
-        << "record " << i;
-    EXPECT_EQ(a.p2p, b.p2p) << "record " << i;
-  }
-}
+struct PinnedCacheRun {
+  bool postpone;
+  std::uint64_t digest;
+  long long lookups;
+  long long hits;
+};
 
-// The 128-bit FNV-1a key plus equality payload must reproduce the string
-// key's decisions exactly on the seeded 500-job regression trace — same
-// GPUs, times and utilities job by job, same hit statistics, for both
-// postponement modes.
-TEST(HashedCacheKeyTest, MatchesStringKeyDecisionsOn500JobTrace) {
+// The 128-bit FNV-1a key plus equality payload on the seeded 500-job
+// regression trace, for both postponement modes. Recorded while the
+// byte-string key it replaced ran the same trace to identical decisions
+// and identical lookup/hit counts (a diverging hit count would mean a
+// collision or a dropped field).
+TEST(HashedCacheKeyTest, DecisionsAndCacheTrafficMatchCommittedDigests) {
   const topo::TopologyGraph topology =
       topo::builders::cluster(5, MachineShape::kPower8Minsky);
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
   const auto jobs = seeded_trace(model, topology, 500, /*seed=*/20260806);
 
-  for (const bool postpone : {false, true}) {
-    sched::TopoAwareScheduler hashed({}, postpone);
-    const sched::DriverReport hashed_report =
-        run_trace(topology, model, hashed, jobs);
-
-    sched::TopoAwareScheduler string_keyed({}, postpone);
-    string_keyed.set_string_cache_keys_for_test(true);
-    const sched::DriverReport string_report =
-        run_trace(topology, model, string_keyed, jobs);
-
-    ASSERT_EQ(hashed_report.recorder.records().size(), 500u);
-    expect_identical_records(hashed_report.recorder, string_report.recorder);
-    EXPECT_EQ(hashed_report.recorder.slo_violations(),
-              string_report.recorder.slo_violations());
-
-    // Both key schemes must see the same cache traffic: same lookups and
-    // the same hits (a diverging hit count would mean a collision or a
-    // dropped field in one of the keys).
-    EXPECT_EQ(hashed.cache_stats().lookups,
-              string_keyed.cache_stats().lookups)
-        << "postpone=" << postpone;
-    EXPECT_EQ(hashed.cache_stats().hits, string_keyed.cache_stats().hits)
-        << "postpone=" << postpone;
-    if (postpone) {
-      EXPECT_GT(hashed.cache_stats().hits, 0);
-    }
+  const PinnedCacheRun pinned[] = {
+      {false, 0x970e00271938deb6ULL, 518, 0},
+      {true, 0xa5767ea914ff0e6cULL, 567, 10},
+  };
+  for (const PinnedCacheRun& pin : pinned) {
+    sched::TopoAwareScheduler scheduler({}, pin.postpone);
+    const sched::DriverReport report =
+        run_trace(topology, model, scheduler, jobs);
+    ASSERT_EQ(report.recorder.records().size(), 500u);
+    const std::uint64_t digest =
+        testing_digest::decision_digest(report.recorder);
+    EXPECT_EQ(digest, pin.digest)
+        << "postpone=" << pin.postpone << " digest " << hex(digest);
+    EXPECT_EQ(scheduler.cache_stats().lookups, pin.lookups)
+        << "postpone=" << pin.postpone;
+    EXPECT_EQ(scheduler.cache_stats().hits, pin.hits)
+        << "postpone=" << pin.postpone;
   }
 }
 

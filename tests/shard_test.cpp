@@ -7,6 +7,7 @@
 //     Fig. 8 prototype workload and, under all four policies, on a 500-job
 //     generated trace at two arrival rates;
 //   * an N-shard run is byte-identical for --shard-threads {1, 2, 8};
+//   * advance_to(t) enacts an arrival at exactly t, as Driver does;
 //   * the router's Filter stage and the driver's capacity gate are sound:
 //     they never reject a shard any of the four policies would have
 //     placed the job into (checked over seeded random occupancy patterns);
@@ -205,6 +206,36 @@ TEST_F(ShardDifferentialTest, OneShardMatchesDriverOn500JobTrace) {
       EXPECT_EQ(got.rejected_jobs, want.rejected_jobs) << label;
       EXPECT_GT(want.recorder.total_postponements(), 0) << label;
     }
+  }
+}
+
+TEST_F(ShardDifferentialTest, AdvanceToEnactsArrivalsAtExactlyT) {
+  // An arrival at exactly t is due at advance_to(t): the plain Driver
+  // starts it, and so must the facade with one or two cells.
+  const topo::TopologyGraph topology =
+      topo::builders::cluster(2, MachineShape::kPower8Minsky);
+  const JobRequest job = perf::make_profiled_dl(
+      0, 0.0, NeuralNet::kAlexNet, 1, 2, 0.5, model_, topology, 100);
+
+  const auto scheduler = sched::make_scheduler(sched::Policy::kTopoAwareP);
+  sched::Driver driver(topology, model_, *scheduler);
+  ASSERT_EQ(driver.submit(job), sched::SubmitResult::kAccepted);
+  driver.advance_to(0.0);
+  ASSERT_EQ(driver.running_job_count(), 1);
+  ASSERT_EQ(driver.pending_count(), 0);
+
+  for (const int shards : {1, 2}) {
+    ShardedOptions options;
+    options.shards = shards;
+    ShardedDriver sharded(topology, model_, options);
+    ASSERT_EQ(sharded.submit(job), sched::SubmitResult::kAccepted);
+    sharded.advance_to(0.0);
+    EXPECT_EQ(sharded.running_job_count(), driver.running_job_count())
+        << "shards=" << shards;
+    EXPECT_EQ(sharded.pending_count(), driver.pending_count())
+        << "shards=" << shards;
+    EXPECT_EQ(sharded.queue_depth(), driver.queue_depth())
+        << "shards=" << shards;
   }
 }
 

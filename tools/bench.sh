@@ -183,7 +183,7 @@ run_scenario() {
       ;;
     advance_micro)
       # Event-path twin of decision_micro: ClusterState place/remove/query
-      # stage timers, scoped vs full-recompute oracle. Sequential replicas
+      # stage timers on the scoped event path. Sequential replicas
       # (--threads 1) for the same timer-hygiene reason.
       bin="$(bench_bin bench_advance_micro)" || return 1
       "$bin" --machines "$ADVANCE_MACHINES" --multi "$ADVANCE_MULTI" \

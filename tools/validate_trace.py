@@ -336,8 +336,8 @@ def _validate_scale_payload(path, where, payload):
 
 
 def _validate_advance_micro_payload(path, where, payload):
-    """BENCH_advance_micro replicas: event counts plus the scoped and
-    full-recompute stage histograms and the throughput scalars."""
+    """BENCH_advance_micro replicas: event counts plus the stage
+    histograms and the throughput scalar."""
     _require_number(path, f"{where}: machines", payload.get("machines"),
                     minimum=1)
     multi_pct = payload.get("multi_pct")
@@ -352,14 +352,12 @@ def _validate_advance_micro_payload(path, where, payload):
     timing = payload.get("timing")
     if not isinstance(timing, dict):
         fail(path, f"{where}: timing subtree missing")
-    for name in ("place_us", "remove_us", "query_us",
-                 "full_place_us", "full_remove_us", "full_query_us"):
+    for name in ("place_us", "remove_us", "query_us"):
         if name not in timing:
             fail(path, f"{where}: timing.{name} missing")
         validate_histogram(path, f"{where}: timing.{name}", timing[name])
-    for name in ("events_per_sec", "full_events_per_sec", "speedup"):
-        _require_number(path, f"{where}: timing.{name}", timing.get(name),
-                        minimum=0)
+    _require_number(path, f"{where}: timing.events_per_sec",
+                    timing.get("events_per_sec"), minimum=0)
 
 
 def validate_bench(path, doc):
