@@ -17,6 +17,7 @@
 // diffs are gated in CI by tools/bench_compare.py against the committed
 // baseline at 500 machines.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -215,8 +216,14 @@ int main(int argc, char** argv) {
       options, [=](const runner::ReplicaContext& context) {
         const auto [m, s] = grid_axis[static_cast<size_t>(
             context.scenario_index)];
+        using Clock = std::chrono::steady_clock;
+        const auto seconds_since = [](Clock::time_point start) {
+          return std::chrono::duration<double>(Clock::now() - start).count();
+        };
+        const Clock::time_point build_start = Clock::now();
         const topo::TopologyGraph topology = topo::builders::make_cluster(
             m, 4, topo::builders::MachineShape::kPower8Minsky);
+        const double make_cluster_s = seconds_since(build_start);
         const perf::DlWorkloadModel model(
             perf::CalibrationParams::paper_minsky());
         trace::GeneratorOptions generator;
@@ -227,12 +234,24 @@ int main(int argc, char** argv) {
         generator.arrival_rate_per_minute =
             10.0 * static_cast<double>(m) / 5.0;
         generator.seed = context.seed;
+        const Clock::time_point generate_start = Clock::now();
         const std::vector<jobgraph::JobRequest> jobs =
             trace::generate_workload(generator, model, topology);
+        const double generate_s = seconds_since(generate_start);
 
         json::Value payload;
         payload.set("machines", m);
         payload.set("shards", s);
+        // Set-up cost: topology construction (path tables included) and
+        // trace generation (every job profiled against the topology).
+        json::Value setup_timing;
+        setup_timing.set("make_cluster_s", make_cluster_s);
+        setup_timing.set("generate_workload_s", generate_s);
+        setup_timing.set("generate_us_per_job",
+                         jobs.empty() ? 0.0
+                                      : generate_s * 1e6 /
+                                            static_cast<double>(jobs.size()));
+        payload.set("timing", std::move(setup_timing));
 
         // Sharded run.
         shard::ShardedOptions sharded_options;

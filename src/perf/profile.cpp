@@ -26,26 +26,26 @@ std::vector<int> pack_placement(const topo::TopologyGraph& topology,
 
 std::vector<int> spread_placement(const topo::TopologyGraph& topology,
                                   int num_gpus) {
-  // Round-robin across the sockets of machine 0 (then machine 1, ...).
+  // Cursor-major across every socket of the cluster: the first GPU of each
+  // socket in (machine, socket) order, then the second GPU of each, and so
+  // on. A 4-GPU spread on Minsky machines is m0s0[0], m0s1[0], m1s0[0],
+  // m1s1[0], which spans two machines. The walk stops once `num_gpus` are
+  // taken, so it costs O(k) sockets, not O(cluster).
   std::vector<int> gpus;
-  std::vector<std::vector<int>> pools;
-  for (int machine = 0; machine < topology.machine_count(); ++machine) {
-    const int sockets = topology.sockets_of_machine(machine);
-    for (int socket = 0; socket < sockets; ++socket) {
-      pools.push_back(topology.gpus_of_socket(machine, socket));
-    }
-  }
-  size_t cursor = 0;
-  while (static_cast<int>(gpus.size()) < num_gpus) {
+  const auto full = [&] { return static_cast<int>(gpus.size()) >= num_gpus; };
+  for (size_t cursor = 0; !full(); ++cursor) {
     bool progressed = false;
-    for (std::vector<int>& pool : pools) {
-      if (static_cast<int>(gpus.size()) >= num_gpus) break;
-      if (cursor < pool.size()) {
-        gpus.push_back(pool[cursor]);
-        progressed = true;
+    for (int machine = 0; machine < topology.machine_count() && !full();
+         ++machine) {
+      const int sockets = topology.sockets_of_machine(machine);
+      for (int socket = 0; socket < sockets && !full(); ++socket) {
+        const std::vector<int>& pool = topology.gpus_of_socket(machine, socket);
+        if (cursor < pool.size()) {
+          gpus.push_back(pool[cursor]);
+          progressed = true;
+        }
       }
     }
-    ++cursor;
     if (!progressed) break;  // fewer GPUs than requested exist
   }
   return gpus;

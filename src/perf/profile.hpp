@@ -14,8 +14,12 @@
 
 namespace gts::perf {
 
-/// Reference placements on a machine of `topology` (machine 0):
-/// pack = fill sockets in order; spread = round-robin across sockets.
+/// Reference placements on `topology`, both O(k) in `num_gpus`:
+/// pack = fill sockets in (machine, socket) order, starting on machine 0;
+/// spread = round-robin over every socket of the cluster, one GPU per
+/// socket per round, so a spread wider than machine 0's sockets spans
+/// several machines. Both return fewer than `num_gpus` GPUs when the
+/// cluster has fewer.
 std::vector<int> pack_placement(const topo::TopologyGraph& topology,
                                 int num_gpus);
 std::vector<int> spread_placement(const topo::TopologyGraph& topology,

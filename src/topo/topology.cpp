@@ -1,9 +1,11 @@
 #include "topo/topology.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <sstream>
+#include <utility>
 
 #include "util/strings.hpp"
 
@@ -187,21 +189,66 @@ int TopologyGraph::sockets_of_machine(int machine) const {
   return machine_sockets_.at(static_cast<size_t>(machine));
 }
 
+namespace {
+
+/// Dijkstra state reused across searches on one thread. Entries a search
+/// writes are listed in `touched` and reset by the next search, so a search
+/// costs the nodes it reaches (its machine plus the root, for the routes
+/// ensure_paths asks for), not the node count of the graph. The arrays only
+/// grow: a larger graph extends them with fresh entries, and a smaller one
+/// uses a prefix whose touched entries were reset like any other. Only
+/// `dist` needs the reset: the via_* entries are read along the chain from
+/// the target, and every node on it had them written when its distance
+/// became finite.
+struct SearchScratch {
+  std::vector<double> dist;
+  std::vector<LinkId> via_link;
+  std::vector<NodeId> via_node;
+  std::vector<NodeId> touched;
+  std::vector<std::pair<double, NodeId>> heap;
+
+  void prepare(size_t node_count) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (const NodeId n : touched) dist[static_cast<size_t>(n)] = kInf;
+    touched.clear();
+    heap.clear();
+    if (dist.size() < node_count) {
+      dist.resize(node_count, kInf);
+      via_link.resize(node_count);
+      via_node.resize(node_count);
+    }
+  }
+};
+
+}  // namespace
+
 GpuPath TopologyGraph::shortest_path(NodeId from, NodeId to) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(nodes_.size(), kInf);
-  std::vector<LinkId> via_link(nodes_.size(), kInvalidLink);
-  std::vector<NodeId> via_node(nodes_.size(), kInvalidNode);
+  // One scratch per thread: concurrent searches on a shared graph never
+  // share state, and the public signature stays a plain const call.
+  thread_local SearchScratch scratch;
+  scratch.prepare(nodes_.size());
+  std::vector<double>& dist = scratch.dist;
+  std::vector<LinkId>& via_link = scratch.via_link;
+  std::vector<NodeId>& via_node = scratch.via_node;
 
-  // (distance, node); std::greater makes it a min-heap. Ties resolve to the
-  // smaller node id because the pair comparison is lexicographic.
+  // (distance, node) min-heap via std::greater, as std::priority_queue
+  // would keep it. Ties resolve to the smaller node id because the pair
+  // comparison is lexicographic.
   using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  dist[static_cast<size_t>(from)] = 0.0;
-  heap.push({0.0, from});
+  std::vector<Entry>& heap = scratch.heap;
+  const auto push = [&](NodeId node, double distance) {
+    double& slot = dist[static_cast<size_t>(node)];
+    if (slot == kInf) scratch.touched.push_back(node);
+    slot = distance;
+    heap.push_back({distance, node});
+    std::push_heap(heap.begin(), heap.end(), std::greater<Entry>{});
+  };
+  push(from, 0.0);
   while (!heap.empty()) {
-    const auto [d, current] = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), std::greater<Entry>{});
+    const auto [d, current] = heap.back();
+    heap.pop_back();
     if (d > dist[static_cast<size_t>(current)]) continue;
     if (current == to) break;
     // GPUs are endpoints, not routers: traffic cannot transit a GPU to
@@ -215,10 +262,9 @@ GpuPath TopologyGraph::shortest_path(NodeId from, NodeId to) const {
     for (const Neighbor& n : adjacency_[static_cast<size_t>(current)]) {
       const double candidate = d + links_[static_cast<size_t>(n.link)].weight;
       if (candidate < dist[static_cast<size_t>(n.node)]) {
-        dist[static_cast<size_t>(n.node)] = candidate;
         via_link[static_cast<size_t>(n.node)] = n.link;
         via_node[static_cast<size_t>(n.node)] = current;
-        heap.push({candidate, n.node});
+        push(n.node, candidate);
       }
     }
   }

@@ -145,7 +145,10 @@ class TopologyGraph {
 
   // --- shortest paths ------------------------------------------------------
   /// Min-weight path between two arbitrary nodes (Dijkstra). Ties are broken
-  /// deterministically by node id.
+  /// deterministically by node id. The search state is a per-thread scratch
+  /// that is reset only where the previous search wrote, so a call costs
+  /// the nodes it reaches, not node_count(); concurrent calls on one graph
+  /// are safe (it reads no lazily built cache).
   GpuPath shortest_path(NodeId from, NodeId to) const;
 
   /// Cached min-weight path between two GPUs by global index.

@@ -238,6 +238,52 @@ TEST_F(PerfModelTest, SpreadPlacementRoundRobinsSockets) {
   EXPECT_EQ(spread_placement(minsky_, 4), (std::vector<int>{0, 2, 1, 3}));
 }
 
+// Pinned placements on three Minsky machines (12 GPUs) for k = 1..13:
+// pack fills machine by machine; spread takes one GPU from every socket of
+// the cluster per round, so a 4-GPU spread spans two machines and rounds
+// past the first start at k = 7. k = 13 exceeds the cluster and comes
+// back one short.
+TEST(ProfilePlacementTest, PackAndSpreadArePinnedOnThreeMachines) {
+  const topo::TopologyGraph cluster =
+      topo::builders::cluster(3, topo::builders::MachineShape::kPower8Minsky);
+  const std::vector<std::vector<int>> pack = {
+      {0},
+      {0, 1},
+      {0, 1, 2},
+      {0, 1, 2, 3},
+      {0, 1, 2, 3, 4},
+      {0, 1, 2, 3, 4, 5},
+      {0, 1, 2, 3, 4, 5, 6},
+      {0, 1, 2, 3, 4, 5, 6, 7},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+  };
+  const std::vector<std::vector<int>> spread = {
+      {0},
+      {0, 2},
+      {0, 2, 4},
+      {0, 2, 4, 6},
+      {0, 2, 4, 6, 8},
+      {0, 2, 4, 6, 8, 10},
+      {0, 2, 4, 6, 8, 10, 1},
+      {0, 2, 4, 6, 8, 10, 1, 3},
+      {0, 2, 4, 6, 8, 10, 1, 3, 5},
+      {0, 2, 4, 6, 8, 10, 1, 3, 5, 7},
+      {0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9},
+      {0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11},
+      {0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11},
+  };
+  for (int k = 1; k <= 13; ++k) {
+    EXPECT_EQ(pack_placement(cluster, k), pack[static_cast<size_t>(k - 1)])
+        << "k=" << k;
+    EXPECT_EQ(spread_placement(cluster, k), spread[static_cast<size_t>(k - 1)])
+        << "k=" << k;
+  }
+}
+
 TEST_F(PerfModelTest, ProfileAnchorsConsistent) {
   const JobRequest job = make_profiled_dl(0, 0.0, NeuralNet::kAlexNet, 1, 2,
                                           0.5, model_, minsky_, 100);

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "decision_digest.hpp"
 #include "topo/builders.hpp"
 #include "topo/topology.hpp"
 
@@ -223,6 +230,162 @@ TEST(HierarchicalPathCacheTest, CrossMachinePathsTraverseTheRoot) {
   }
   EXPECT_TRUE(crosses_network);
   EXPECT_DOUBLE_EQ(path.bottleneck_gbps, 12.5);
+}
+
+// ------------------------------------------------------ pinned digests ---
+//
+// Committed FNV-1a digests (tests/decision_digest.hpp) of every distance
+// and path property the schedulers and the performance model read. They
+// pin the path tables bit for bit, so a change to how the tables or the
+// searches behind them are built must reproduce them exactly.
+
+using testing_digest::Fnv1a;
+using testing_digest::hex;
+
+void mix_path(Fnv1a& fnv, const GpuPath& path) {
+  fnv.mix_double(path.distance);
+  fnv.mix_double(path.bottleneck_gbps);
+  fnv.mix(path.peer_to_peer ? 1U : 0U);
+  fnv.mix(path.links.size());
+  for (const LinkId link : path.links) {
+    fnv.mix(static_cast<std::uint64_t>(link));
+  }
+}
+
+/// Every gpu_distance, the diameter, and gpu_path for every intra-machine
+/// pair plus a stride of cross-machine pairs.
+std::uint64_t path_table_digest(const TopologyGraph& g) {
+  Fnv1a fnv;
+  const int n = g.gpu_count();
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) fnv.mix_double(g.gpu_distance(a, b));
+  }
+  fnv.mix_double(g.max_gpu_distance());
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      if (a == b || !g.same_machine(a, b)) continue;
+      mix_path(fnv, g.gpu_path(a, b));
+    }
+  }
+  for (int a = 0; a < n; a += 7) {
+    for (int b = 3; b < n; b += 29) {
+      if (g.same_machine(a, b)) continue;
+      mix_path(fnv, g.gpu_path(a, b));
+    }
+  }
+  return fnv.value();
+}
+
+/// The node pairs the search digests route: every GPU to the network root
+/// (if any), every node of machine 0 to every GPU of machine 0, and a
+/// stride of GPU pairs across the whole graph.
+std::vector<std::pair<NodeId, NodeId>> search_pairs(const TopologyGraph& g) {
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  NodeId root = kInvalidNode;
+  for (NodeId id = 0; id < g.node_count(); ++id) {
+    if (g.node(id).kind == NodeKind::kNetwork) root = id;
+  }
+  for (int gpu = 0; root != kInvalidNode && gpu < g.gpu_count(); ++gpu) {
+    pairs.emplace_back(g.gpu_node(gpu), root);
+  }
+  for (NodeId id = 0; id < g.node_count(); ++id) {
+    if (g.node(id).machine != 0) continue;
+    for (int gpu = 0; gpu < g.gpu_count(); ++gpu) {
+      if (g.node(g.gpu_node(gpu)).machine == 0) {
+        pairs.emplace_back(id, g.gpu_node(gpu));
+      }
+    }
+  }
+  const int stride = std::max(1, g.gpu_count() / 16);
+  for (int a = 0; a < g.gpu_count(); a += stride) {
+    for (int b = stride / 2; b < g.gpu_count(); b += stride) {
+      pairs.emplace_back(g.gpu_node(a), g.gpu_node(b));
+    }
+  }
+  return pairs;
+}
+
+std::uint64_t search_digest(const TopologyGraph& g) {
+  Fnv1a fnv;
+  for (const auto& [from, to] : search_pairs(g)) {
+    mix_path(fnv, g.shortest_path(from, to));
+  }
+  return fnv.value();
+}
+
+// 200 Minsky machines, 800 GPUs: hierarchical path tables.
+constexpr std::uint64_t kHierarchicalTableDigest = 0xe790f3365507f9e2ULL;
+constexpr std::uint64_t kHierarchicalSearchDigest = 0x42baa06a84b7e2efULL;
+// One Minsky, one DGX-1 and one PCI-e machine, 16 GPUs: dense tables.
+constexpr std::uint64_t kDenseTableDigest = 0xc7e6a2bb96b29af6ULL;
+constexpr std::uint64_t kDenseSearchDigest = 0xb9b51f2f93dc45f7ULL;
+
+TopologyGraph hierarchical_graph() {
+  return builders::cluster(200, MachineShape::kPower8Minsky);
+}
+
+TopologyGraph dense_graph() {
+  return builders::mixed_cluster({MachineShape::kPower8Minsky,
+                                  MachineShape::kDgx1,
+                                  MachineShape::kPower8Pcie});
+}
+
+TEST(PathDigestTest, HierarchicalTablesArePinned) {
+  const TopologyGraph g = hierarchical_graph();
+  ASSERT_EQ(g.gpu_count(), 800);
+  EXPECT_EQ(hex(path_table_digest(g)), hex(kHierarchicalTableDigest));
+  EXPECT_EQ(hex(search_digest(g)), hex(kHierarchicalSearchDigest));
+}
+
+TEST(PathDigestTest, DenseTablesArePinned) {
+  const TopologyGraph g = dense_graph();
+  ASSERT_EQ(g.gpu_count(), 16);
+  EXPECT_EQ(hex(path_table_digest(g)), hex(kDenseTableDigest));
+  EXPECT_EQ(hex(search_digest(g)), hex(kDenseSearchDigest));
+}
+
+TEST(PathDigestTest, ConcurrentAndInterleavedSearchesMatchThePins) {
+  const TopologyGraph big = hierarchical_graph();
+  const TopologyGraph small = dense_graph();
+  ASSERT_NE(big.node_count(), small.node_count());
+  const auto big_pairs = search_pairs(big);
+  const auto small_pairs = search_pairs(small);
+
+  // Four threads search one shared graph. Each thread alternates between
+  // the two graphs, starting from the smaller one so a search meets a
+  // larger graph than the one before it, and then a smaller one again.
+  constexpr int kThreads = 4;
+  std::vector<std::uint64_t> big_digests(kThreads);
+  std::vector<std::uint64_t> small_digests(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      Fnv1a big_fnv;
+      Fnv1a small_fnv;
+      const size_t rounds = std::max(big_pairs.size(), small_pairs.size());
+      for (size_t i = 0; i < rounds; ++i) {
+        if (i < small_pairs.size()) {
+          mix_path(small_fnv, small.shortest_path(small_pairs[i].first,
+                                                  small_pairs[i].second));
+        }
+        if (i < big_pairs.size()) {
+          mix_path(big_fnv,
+                   big.shortest_path(big_pairs[i].first, big_pairs[i].second));
+        }
+      }
+      big_digests[static_cast<size_t>(t)] = big_fnv.value();
+      small_digests[static_cast<size_t>(t)] = small_fnv.value();
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(hex(big_digests[static_cast<size_t>(t)]),
+              hex(kHierarchicalSearchDigest))
+        << "thread " << t;
+    EXPECT_EQ(hex(small_digests[static_cast<size_t>(t)]),
+              hex(kDenseSearchDigest))
+        << "thread " << t;
+  }
 }
 
 TEST(DescribeTest, MentionsKeyFacts) {
