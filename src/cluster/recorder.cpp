@@ -21,9 +21,10 @@ void Recorder::on_submit(const jobgraph::JobRequest& request) {
   records_.push_back(std::move(record));
 }
 
-void Recorder::import_record(JobRecord record) {
-  index_.emplace(record.id, records_.size());
+bool Recorder::import_record(JobRecord record) {
+  if (!index_.emplace(record.id, records_.size()).second) return false;
   records_.push_back(std::move(record));
+  return true;
 }
 
 JobRecord* Recorder::find(int job_id) {
@@ -62,6 +63,10 @@ void Recorder::on_cancel(int job_id, double t) {
     record->end = t;
     record->cancelled = true;
   }
+}
+
+void Recorder::on_reject(int job_id) {
+  if (JobRecord* record = find(job_id)) record->rejected = true;
 }
 
 void Recorder::sample(const ClusterState& state, double t) {

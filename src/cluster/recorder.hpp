@@ -28,6 +28,9 @@ struct JobRecord {
   /// withdrawn while queued or running. Cancelled jobs carry no QoS
   /// slowdown and are excluded from makespan and the Fig. 10/11 curves.
   bool cancelled = false;
+  /// Refused at submit: the job can never fit the cluster (a sharded
+  /// driver: any cell). Never placed, and terminal from submission on.
+  bool rejected = false;
   std::vector<int> gpus;
   double placement_utility = 0.0;
   bool p2p = false;
@@ -42,6 +45,14 @@ struct JobRecord {
 
   bool placed() const noexcept { return start >= 0.0; }
   bool finished() const noexcept { return end >= 0.0 && !cancelled; }
+  /// "finished", "cancelled" or "rejected"; nullptr while the job is live.
+  const char* terminal_state() const noexcept {
+    if (rejected) return "rejected";
+    if (end < 0.0) return nullptr;
+    return cancelled ? "cancelled" : "finished";
+  }
+  /// Finished, cancelled or rejected: nothing further happens to the job.
+  bool terminal() const noexcept { return terminal_state() != nullptr; }
   double waiting_time() const { return placed() ? start - arrival : -1.0; }
   double execution_time() const { return finished() ? end - start : -1.0; }
 
@@ -85,14 +96,18 @@ class Recorder {
   void on_finish(int job_id, double t);
   /// Marks a queued or running job withdrawn at `t`.
   void on_cancel(int job_id, double t);
+  /// Marks a just-submitted job as refused (it can never fit).
+  void on_reject(int job_id);
 
   /// Appends one sample of the aggregate bandwidth (P2P and host-routed,
   /// GB/s) and mean running-job utility series. Call at every state change.
   void sample(const ClusterState& state, double t);
 
   /// Appends one fully formed record (the sharded driver merges per-cell
-  /// recorders into a facade report this way). The id must be unused.
-  void import_record(JobRecord record);
+  /// recorders into a facade report this way; a restore imports the
+  /// snapshot's terminal records). False, and nothing appended, when the
+  /// id is already recorded.
+  bool import_record(JobRecord record);
 
   const std::vector<JobRecord>& records() const noexcept { return records_; }
   JobRecord* find(int job_id);

@@ -1,6 +1,7 @@
 #include "sched/driver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 
@@ -111,6 +112,7 @@ SubmitResult Driver::submit(const jobgraph::JobRequest& request) {
   if (job.arrival_time < engine_.now()) job.arrival_time = engine_.now();
   report_.recorder.on_submit(job);
   if (!job_can_ever_fit(job, topology_, model_)) {
+    report_.recorder.on_reject(job.id);
     ++report_.rejected_jobs;
     GTS_LOG_WARN("driver", "job ", job.id, " can never fit; rejected");
     return SubmitResult::kNeverFits;
@@ -181,11 +183,44 @@ DriverCounters Driver::counters() const {
           report_.rejected_jobs};
 }
 
+LifecycleSummary summarize_lifecycle(
+    std::vector<const cluster::JobRecord*> records) {
+  std::sort(records.begin(), records.end(),
+            [](const cluster::JobRecord* a, const cluster::JobRecord* b) {
+              return a->id < b->id;
+            });
+  LifecycleSummary summary;
+  double jct_total = 0.0;
+  int jct_count = 0;
+  double wait_total = 0.0;
+  int wait_count = 0;
+  for (const cluster::JobRecord* record : records) {
+    if (record->terminal()) ++summary.terminal;
+    summary.postponements += record->postponements;
+    summary.degradations += record->degradation_events;
+    if (record->slo_violated()) ++summary.slo_violations;
+    const double slowdown = record->jct_slowdown();
+    if (slowdown >= 0.0) {
+      jct_total += slowdown;
+      ++jct_count;
+    }
+    if (record->placed()) {
+      wait_total += record->waiting_time();
+      ++wait_count;
+    }
+  }
+  if (jct_count > 0) summary.mean_jct_slowdown = jct_total / jct_count;
+  if (wait_count > 0) summary.mean_waiting_time = wait_total / wait_count;
+  return summary;
+}
+
 LifecycleSummary Driver::lifecycle() const {
-  const cluster::Recorder& recorder = report_.recorder;
-  return {recorder.total_postponements(), recorder.total_degradations(),
-          recorder.slo_violations(), recorder.mean_jct_slowdown(),
-          recorder.mean_waiting_time()};
+  std::vector<const cluster::JobRecord*> records;
+  records.reserve(report_.recorder.records().size());
+  for (const cluster::JobRecord& record : report_.recorder.records()) {
+    records.push_back(&record);
+  }
+  return summarize_lifecycle(std::move(records));
 }
 
 std::vector<ShardInfo> Driver::shard_infos() const {
@@ -307,6 +342,55 @@ void Driver::restore_waiting(const jobgraph::JobRequest& request,
     record->postponements = postponements;
   }
   queue_.push_back({request, attempted_version});
+}
+
+util::Status check_terminal_record(const cluster::JobRecord& record,
+                                   int gpu_count) {
+  const auto fail = [&](const char* what) {
+    return util::Error{util::fmt("restore job {}: {}", record.id, what)};
+  };
+  for (const double value :
+       {record.arrival, record.start, record.end, record.min_utility,
+        record.placement_utility, record.best_solo_time}) {
+    if (!std::isfinite(value)) return fail("non-finite time or utility");
+  }
+  // -1 is the "never placed" / "never ended" sentinel.
+  const auto time_or_unset = [](double t) { return t >= 0.0 || t == -1.0; };
+  if (record.arrival < 0.0 || record.best_solo_time < 0.0 ||
+      !time_or_unset(record.start) || !time_or_unset(record.end) ||
+      record.num_gpus < 1 || record.postponements < 0 ||
+      record.degradation_events < 0) {
+    return fail("negative time, GPU count or counter");
+  }
+  // A rejected job never runs or ends; a finished one ran; a cancelled
+  // one may have run.
+  const bool consistent =
+      record.rejected
+          ? !record.cancelled && !record.placed() && record.end < 0.0
+          : record.end >= 0.0 && record.end >= record.start &&
+                (record.cancelled || record.placed());
+  if (!consistent) return fail("times do not match the terminal state");
+  if (record.gpus.size() !=
+      (record.placed() ? static_cast<size_t>(record.num_gpus) : 0)) {
+    return fail("GPU list does not match the placement");
+  }
+  for (const int gpu : record.gpus) {
+    if (gpu < 0 || gpu >= gpu_count) return fail("GPU id out of range");
+  }
+  return util::Status::ok();
+}
+
+util::Status Driver::restore_record(const cluster::JobRecord& record) {
+  if (auto status = check_terminal_record(record, topology_.gpu_count());
+      !status) {
+    return status;
+  }
+  if (!report_.recorder.import_record(record)) {
+    return util::Error{
+        util::fmt("restore job {}: id already known", record.id)};
+  }
+  if (record.rejected) ++report_.rejected_jobs;
+  return util::Status::ok();
 }
 
 util::Status Driver::finish_restore() {

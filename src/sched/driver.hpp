@@ -16,7 +16,7 @@
 //     how far simulated time advances — the scheduler service
 //     (src/svc/) drives this API, including its snapshot/restore seams
 //     (`begin_restore` / `restore_running` / `restore_waiting` /
-//     `finish_restore`).
+//     `restore_record` / `finish_restore`).
 #pragma once
 
 #include <map>
@@ -211,6 +211,7 @@ class Driver : public DriverApi {
   ///   restore_running(...) per running job   (audited, placement replay)
   ///   restore_waiting(...)  per queued job   (queue order preserved)
   ///   submit(...)           per pending future arrival
+  ///   restore_record(...)   per terminal job (finished/cancelled/rejected)
   ///   finish_restore()                       (validate + arm completions)
   util::Status begin_restore(double now,
                              std::uint64_t capacity_version) override;
@@ -222,6 +223,7 @@ class Driver : public DriverApi {
   void restore_waiting(const jobgraph::JobRequest& request,
                        std::uint64_t attempted_version,
                        int postponements = 0, int shard_hint = -1) override;
+  util::Status restore_record(const cluster::JobRecord& record) override;
   util::Status finish_restore() override;
 
  private:

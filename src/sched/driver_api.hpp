@@ -88,12 +88,26 @@ struct DriverCounters {
 
 /// Lifecycle / SLO aggregates over every job the implementation has seen.
 struct LifecycleSummary {
+  /// Finished, cancelled and rejected jobs.
+  int terminal = 0;
   long long postponements = 0;
   int degradations = 0;
   int slo_violations = 0;
   double mean_jct_slowdown = 0.0;
   double mean_waiting_time = 0.0;
 };
+
+/// Folds records into a LifecycleSummary in job-id order, so the means
+/// depend on the set of records and not on the order a driver holds them
+/// in (a restored driver holds the same records in another order).
+LifecycleSummary summarize_lifecycle(
+    std::vector<const cluster::JobRecord*> records);
+
+/// Checks a terminal record a snapshot carries before a driver imports
+/// it: terminal state, finite times, GPU ids in [0, gpu_count) exactly
+/// when the job was placed, non-negative counters.
+util::Status check_terminal_record(const cluster::JobRecord& record,
+                                   int gpu_count);
 
 /// Per-cell occupancy row (the `shards` verb and the per-shard Prometheus
 /// gauges). An unsharded Driver reports itself as one cell, shard 0.
@@ -180,7 +194,8 @@ class DriverApi {
   // --- snapshot restore ----------------------------------------------------
   /// Same protocol as Driver: on a fresh instance, begin_restore, then
   /// restore_running per running job, restore_waiting per queued job (in
-  /// visit_waiting order), submit per pending arrival, finish_restore.
+  /// visit_waiting order), submit per pending arrival, restore_record per
+  /// terminal job, finish_restore.
   virtual util::Status begin_restore(double now,
                                      std::uint64_t capacity_version) = 0;
   virtual util::Status restore_running(const jobgraph::JobRequest& request,
@@ -197,6 +212,12 @@ class DriverApi {
                                std::uint64_t attempted_version,
                                int postponements = 0,
                                int shard_hint = -1) = 0;
+  /// Imports one terminal record (GPU ids global) after check_terminal_
+  /// record; refuses an id the driver already knows. Job history has one
+  /// owner — the driver's records — so a restored driver keeps the
+  /// lifecycle metrics and the duplicate-id refusal of jobs that ended
+  /// before the snapshot.
+  virtual util::Status restore_record(const cluster::JobRecord& record) = 0;
   virtual util::Status finish_restore() = 0;
 
   /// check::validate over the cluster state (every cell when sharded).

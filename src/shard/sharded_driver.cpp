@@ -84,6 +84,7 @@ sched::SubmitResult ShardedDriver::submit(const jobgraph::JobRequest& request) {
   // (documented in DESIGN.md section 19).
   if (!any_cell_fits(pending.request)) {
     local_recorder_.on_submit(pending.request);
+    local_recorder_.on_reject(request.id);
     ++rejected_jobs_;
     GTS_LOG_WARN("shard", "job ", request.id,
                  " can never fit any cell; rejected");
@@ -315,32 +316,15 @@ sched::DriverCounters ShardedDriver::counters() const {
 }
 
 sched::LifecycleSummary ShardedDriver::lifecycle() const {
-  sched::LifecycleSummary summary;
-  double jct_total = 0.0;
-  int jct_count = 0;
-  double wait_total = 0.0;
-  int wait_count = 0;
-  const auto fold = [&](const cluster::Recorder& recorder) {
+  std::vector<const cluster::JobRecord*> records;
+  const auto add = [&records](const cluster::Recorder& recorder) {
     for (const cluster::JobRecord& record : recorder.records()) {
-      summary.postponements += record.postponements;
-      summary.degradations += record.degradation_events;
-      if (record.slo_violated()) ++summary.slo_violations;
-      const double slowdown = record.jct_slowdown();
-      if (slowdown >= 0.0) {
-        jct_total += slowdown;
-        ++jct_count;
-      }
-      if (record.placed()) {
-        wait_total += record.waiting_time();
-        ++wait_count;
-      }
+      records.push_back(&record);
     }
   };
-  fold(local_recorder_);
-  for (const Cell& cell : cells_) fold(cell.driver->recorder());
-  if (jct_count > 0) summary.mean_jct_slowdown = jct_total / jct_count;
-  if (wait_count > 0) summary.mean_waiting_time = wait_total / wait_count;
-  return summary;
+  add(local_recorder_);
+  for (const Cell& cell : cells_) add(cell.driver->recorder());
+  return sched::summarize_lifecycle(std::move(records));
 }
 
 std::vector<sched::ShardInfo> ShardedDriver::shard_infos() const {
@@ -603,6 +587,21 @@ void ShardedDriver::restore_waiting(const jobgraph::JobRequest& request,
   cell.driver->restore_waiting(request, local_version, postponements);
   routed_shard_.emplace(request.id, shard);
   ++cell.routed;
+}
+
+util::Status ShardedDriver::restore_record(const cluster::JobRecord& record) {
+  if (auto status = sched::check_terminal_record(
+          record, static_cast<int>(gpu_shard_.size()));
+      !status) {
+    return status;
+  }
+  if (known_id(record.id)) {
+    return util::Error{
+        util::fmt("restore job {}: id already known", record.id)};
+  }
+  local_recorder_.import_record(record);
+  if (record.rejected) ++rejected_jobs_;
+  return util::Status::ok();
 }
 
 util::Status ShardedDriver::finish_restore() {

@@ -113,6 +113,7 @@ class ShardedDriver : public sched::DriverApi {
   void restore_waiting(const jobgraph::JobRequest& request,
                        std::uint64_t attempted_version,
                        int postponements = 0, int shard_hint = -1) override;
+  util::Status restore_record(const cluster::JobRecord& record) override;
   util::Status finish_restore() override;
   util::Status validate() const override;
 
@@ -167,8 +168,9 @@ class ShardedDriver : public sched::DriverApi {
   std::map<int, PendingJob> pending_;
   /// Every id ever handed to a cell -> its shard.
   std::map<int, int> routed_shard_;
-  /// Records the facade owns: never-fit rejects and cancels of not-yet
-  /// routed jobs (cells never saw those ids).
+  /// Records the facade owns: never-fit rejects, cancels of not-yet
+  /// routed jobs (cells never saw those ids), and the terminal records a
+  /// restore imports (GPU ids already global).
   cluster::Recorder local_recorder_;
   int rejected_jobs_ = 0;
   int duplicate_jobs_ = 0;

@@ -58,6 +58,27 @@ json::Value int_array(std::span<const int> values) {
   return json::Value{std::move(array)};
 }
 
+/// The `status` reply (and `list --detail` row) of a terminal job.
+json::Value terminal_record(const cluster::JobRecord& record) {
+  json::Value value;
+  value.set("id", record.id);
+  value.set("state", record.terminal_state());
+  value.set("arrival", record.arrival);
+  value.set("num_gpus", record.num_gpus);
+  if (record.rejected) return value;
+  value.set("start", record.start);
+  value.set("end", record.end);
+  value.set("gpus", int_array(record.gpus));
+  value.set("placement_utility", record.placement_utility);
+  value.set("postponements", record.postponements);
+  value.set("degradation_events", record.degradation_events);
+  value.set("queue_time", record.waiting_time());
+  value.set("execution_time", record.execution_time());
+  value.set("jct_slowdown", record.jct_slowdown());
+  value.set("slo_violated", record.slo_violated());
+  return value;
+}
+
 }  // namespace
 
 ServiceCore::ServiceCore(const topo::TopologyGraph& topology,
@@ -185,9 +206,10 @@ Response ServiceCore::submit_one(long long request_id,
                   options_.config.max_queue),
         options_.config.retry_after_ms);
   }
-  // A restored driver only knows the snapshot's live jobs; ids that went
-  // terminal before it are remembered in history_ alone.
-  if (history_.count(job.id) > 0) {
+  // A terminal id is a conflict even while draining (the driver answers
+  // draining before it checks duplicates).
+  if (const auto record = driver_->job_record(job.id);
+      record && record->terminal()) {
     return Response::failure(
         request_id, ErrorCode::kConflict,
         util::fmt("job id {} already submitted", job.id));
@@ -214,17 +236,10 @@ Response ServiceCore::submit_one(long long request_id,
       return Response::failure(
           request_id, ErrorCode::kConflict,
           util::fmt("job id {} already submitted", job.id));
-    case sched::SubmitResult::kNeverFits: {
-      json::Value record;
-      record.set("id", job.id);
-      record.set("state", "rejected");
-      record.set("arrival", job.arrival_time);
-      record.set("num_gpus", job.num_gpus);
-      history_[job.id] = std::move(record);
+    case sched::SubmitResult::kNeverFits:
       return Response::failure(
           request_id, ErrorCode::kBadRequest,
           util::fmt("job {} can never fit this cluster", job.id));
-    }
     case sched::SubmitResult::kDraining:
       return Response::failure(request_id, ErrorCode::kDraining,
                                "daemon is draining; submit refused");
@@ -298,7 +313,10 @@ Response ServiceCore::verb_status(const Request& request) {
                              "status requires numeric params.id");
   }
   const int job_id = static_cast<int>(request.params.at("id").as_int());
-  reconcile_history();
+  const std::optional<cluster::JobRecord> record = driver_->job_record(job_id);
+  if (record && record->terminal()) {
+    return Response::success(request.id, terminal_record(*record));
+  }
   json::Value result;
   result.set("id", job_id);
   bool found = false;
@@ -318,7 +336,7 @@ Response ServiceCore::verb_status(const Request& request) {
                         static_cast<double>(view.request->iterations)));
     result.set("iterations", view.request->iterations);
     result.set("placement_utility", view.placement_utility);
-    if (const auto record = driver_->job_record(job_id)) {
+    if (record) {
       result.set("postponements", record->postponements);
       result.set("degradation_events", record->degradation_events);
       result.set("queue_time", record->waiting_time());
@@ -334,9 +352,7 @@ Response ServiceCore::verb_status(const Request& request) {
     result.set("arrival", view.request->arrival_time);
     result.set("num_gpus", view.request->num_gpus);
     result.set("waited", driver_->now() - view.request->arrival_time);
-    if (const auto record = driver_->job_record(job_id)) {
-      result.set("postponements", record->postponements);
-    }
+    if (record) result.set("postponements", record->postponements);
     return false;
   });
   if (found) return Response::success(request.id, std::move(result));
@@ -346,15 +362,12 @@ Response ServiceCore::verb_status(const Request& request) {
     result.set("arrival", pending.arrival_time);
     return Response::success(request.id, std::move(result));
   }
-  if (const auto it = history_.find(job_id); it != history_.end()) {
-    return Response::success(request.id, it->second);
-  }
   return Response::failure(request.id, ErrorCode::kNotFound,
                            util::fmt("unknown job id {}", job_id));
 }
 
 Response ServiceCore::verb_list(const Request& request) {
-  reconcile_history();
+  const bool detail = request.params.at("detail").as_bool(false);
   json::Array running;
   driver_->visit_running([&](const sched::RunningJobView& view) {
     running.push_back(view.request->id);
@@ -369,19 +382,24 @@ Response ServiceCore::verb_list(const Request& request) {
   for (const jobgraph::JobRequest& job : driver_->pending_arrivals()) {
     pending.push_back(job.id);
   }
+  // Terminal jobs, from the one pass over every record the verb makes;
+  // each id array is in id order.
   json::Array finished;
   json::Array cancelled;
   json::Array rejected;
-  for (const auto& [id, record] : history_) {
-    const std::string& state = record.at("state").as_string();
-    if (state == "finished") {
-      finished.push_back(id);
-    } else if (state == "cancelled") {
-      cancelled.push_back(id);
-    } else {
-      rejected.push_back(id);
-    }
-  }
+  std::vector<std::pair<int, json::Array*>> ended;
+  json::Array jobs;
+  driver_->visit_records([&](const cluster::JobRecord& record) {
+    if (!record.terminal()) return true;
+    ended.emplace_back(record.id, record.rejected    ? &rejected
+                                  : record.cancelled ? &cancelled
+                                                     : &finished);
+    if (detail) jobs.push_back(terminal_record(record));
+    return true;
+  });
+  std::sort(ended.begin(), ended.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [id, bucket] : ended) bucket->push_back(id);
   json::Value result;
   result.set("now", driver_->now());
   result.set("draining", driver_->draining());
@@ -393,10 +411,10 @@ Response ServiceCore::verb_list(const Request& request) {
   result.set("finished", std::move(finished));
   result.set("cancelled", std::move(cancelled));
   result.set("rejected", std::move(rejected));
-  if (request.params.at("detail").as_bool(false)) {
+  if (detail) {
     // Per-job lifecycle table (gts_top's job pane): one row per known
-    // job with state, timing, and SLO accounting.
-    json::Array jobs;
+    // job with state, timing, and SLO accounting; the terminal rows are
+    // already in `jobs`.
     driver_->visit_running([&](const sched::RunningJobView& view) {
       json::Value row;
       row.set("id", view.request->id);
@@ -443,7 +461,6 @@ Response ServiceCore::verb_list(const Request& request) {
       row.set("num_gpus", job.num_gpus);
       jobs.push_back(std::move(row));
     }
-    for (const auto& [id, record] : history_) jobs.push_back(record);
     // Numeric id order across all states: with datacenter-scale clusters
     // the table mixes 1-digit and 5-digit ids, and the per-state section
     // order (running, queued, pending, terminal) read as unsorted.
@@ -462,20 +479,18 @@ Response ServiceCore::verb_cancel(const Request& request) {
                              "cancel requires numeric params.id");
   }
   const int job_id = static_cast<int>(request.params.at("id").as_int());
-  reconcile_history();
   if (driver_->cancel(job_id)) {
-    reconcile_history();
     json::Value result;
     result.set("id", job_id);
     result.set("cancelled", true);
     result.set("now", driver_->now());
     return Response::success(request.id, std::move(result));
   }
-  if (history_.count(job_id) > 0) {
-    return Response::failure(
-        request.id, ErrorCode::kConflict,
-        util::fmt("job {} already {}", job_id,
-                  history_.at(job_id).at("state").as_string()));
+  if (const auto record = driver_->job_record(job_id);
+      record && record->terminal()) {
+    return Response::failure(request.id, ErrorCode::kConflict,
+                             util::fmt("job {} already {}", job_id,
+                                       record->terminal_state()));
   }
   return Response::failure(request.id, ErrorCode::kNotFound,
                            util::fmt("unknown job id {}", job_id));
@@ -493,22 +508,21 @@ Response ServiceCore::verb_topology(const Request& request) {
 }
 
 Response ServiceCore::verb_metrics(const Request& request) {
-  reconcile_history();
   const sched::DriverCounters counters = driver_->counters();
+  // Lifecycle / SLO summary over every job the recorder has seen
+  // (DESIGN.md section 18.4).
+  const sched::LifecycleSummary lifecycle = driver_->lifecycle();
   json::Value result;
   result.set("now", driver_->now());
   result.set("queue_depth", admission_depth());
   result.set("running", driver_->running_job_count());
-  result.set("terminal", history_.size());
+  result.set("terminal", lifecycle.terminal);
   result.set("decisions", counters.decision_count);
   result.set("decision_seconds", counters.decision_seconds);
   result.set("events", counters.events);
   result.set("rejected_jobs", counters.rejected_jobs);
   result.set("capacity_version", driver_->capacity_version());
   result.set("draining", driver_->draining());
-  // Lifecycle / SLO summary over every job the recorder has seen
-  // (DESIGN.md section 18.4).
-  const sched::LifecycleSummary lifecycle = driver_->lifecycle();
   result.set("postponements", lifecycle.postponements);
   result.set("degradations", lifecycle.degradations);
   result.set("slo_violations", lifecycle.slo_violations);
@@ -534,7 +548,6 @@ Response ServiceCore::verb_metrics(const Request& request) {
 }
 
 Response ServiceCore::verb_metrics_prom(const Request& request) {
-  reconcile_history();
   json::Value result;
   result.set("content_type", "text/plain; version=0.0.4");
   result.set("text", prometheus_text_locked());
@@ -688,7 +701,6 @@ Response ServiceCore::verb_advance(const Request& request) {
   } else {
     driver_->advance_all();
   }
-  reconcile_history();
   json::Value result;
   result.set("now", driver_->now());
   result.set("idle", driver_->idle());
@@ -696,7 +708,6 @@ Response ServiceCore::verb_advance(const Request& request) {
 }
 
 Response ServiceCore::verb_snapshot(const Request& request) {
-  reconcile_history();
   // Bank running-job progress and re-arm the completion event before
   // serializing: the origin process and one restored from this snapshot
   // then continue with bitwise-identical arithmetic (a snapshot request
@@ -728,7 +739,6 @@ Response ServiceCore::verb_drain(const Request& request) {
   driver_->drain();
   const bool wait = request.params.at("wait").as_bool(true);
   if (wait) driver_->advance_all();
-  reconcile_history();
   json::Value result;
   result.set("draining", true);
   result.set("now", driver_->now());
@@ -743,38 +753,6 @@ Response ServiceCore::verb_shutdown(const Request& request) {
   result.set("shutdown", true);
   result.set("now", driver_->now());
   return Response::success(request.id, std::move(result));
-}
-
-json::Value ServiceCore::terminal_record(const cluster::JobRecord& record,
-                                         std::string state) const {
-  json::Value value;
-  value.set("id", record.id);
-  value.set("state", std::move(state));
-  value.set("arrival", record.arrival);
-  value.set("start", record.start);
-  value.set("end", record.end);
-  value.set("num_gpus", record.num_gpus);
-  value.set("gpus", int_array(record.gpus));
-  value.set("placement_utility", record.placement_utility);
-  value.set("postponements", record.postponements);
-  value.set("degradation_events", record.degradation_events);
-  value.set("queue_time", record.waiting_time());
-  value.set("execution_time", record.execution_time());
-  value.set("jct_slowdown", record.jct_slowdown());
-  value.set("slo_violated", record.slo_violated());
-  return value;
-}
-
-void ServiceCore::reconcile_history() {
-  driver_->visit_records([&](const cluster::JobRecord& record) {
-    if (history_.count(record.id) > 0) return true;
-    if (record.cancelled) {
-      history_[record.id] = terminal_record(record, "cancelled");
-    } else if (record.end >= 0.0) {
-      history_[record.id] = terminal_record(record, "finished");
-    }
-    return true;
-  });
 }
 
 }  // namespace gts::svc

@@ -23,7 +23,6 @@
 // retry_after_ms hint.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -91,10 +90,10 @@ class ServiceCore {
   std::string prometheus_text() const;
 
   // --- snapshot/restore (svc/snapshot.cpp) ---------------------------------
-  /// The versioned crash-recovery document (schema_version 1, kind
+  /// The versioned crash-recovery document (schema_version 2, kind
   /// "svc_snapshot"): simulated clock, capacity version, every running /
   /// waiting / pending-arrival job as its manifest plus execution state,
-  /// terminal-job history, and the draining flag.
+  /// the driver's terminal job records, and the draining flag.
   json::Value snapshot_json() const;
   /// Rebuilds the core from a snapshot document. Requires a freshly
   /// constructed core (no traffic yet); every running placement is
@@ -127,11 +126,6 @@ class ServiceCore {
   /// Admits one parsed job; shared by inline and manifest-file submit.
   Response submit_one(long long request_id, jobgraph::JobRequest job)
       GTS_REQUIRES(serial_);
-  /// Folds newly terminal recorder records (finished/cancelled) into
-  /// history_, so status/list survive snapshot/restore.
-  void reconcile_history() GTS_REQUIRES(serial_);
-  json::Value terminal_record(const cluster::JobRecord& record,
-                              std::string state) const;
 
   std::string prometheus_text_locked() const GTS_REQUIRES(serial_);
 
@@ -157,9 +151,6 @@ class ServiceCore {
   /// section 16.2). The core stays single-threaded by design; this makes
   /// the contract compile-checked instead of comment-enforced.
   mutable util::SerialCapability serial_;
-  /// Terminal jobs (finished/cancelled/rejected) as status-shaped JSON,
-  /// keyed by job id; carried across snapshot/restore.
-  std::map<int, json::Value> history_ GTS_GUARDED_BY(serial_);
   int next_auto_id_ GTS_GUARDED_BY(serial_) = 1;
   bool shutdown_requested_ GTS_GUARDED_BY(serial_) = false;
 };

@@ -1,6 +1,8 @@
 #include "svc/snapshot.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,9 +36,96 @@ util::Status require_array(const json::Value& document, const char* key) {
   return util::Status::ok();
 }
 
-}  // namespace
+/// A JSON number holding an integer in int range.
+bool is_int(const json::Value& value) {
+  if (!value.is_number()) return false;
+  const double n = value.as_number();
+  return n == std::floor(n) && n >= std::numeric_limits<int>::min() &&
+         n <= std::numeric_limits<int>::max();
+}
 
-util::Status validate_snapshot_json(const json::Value& document) {
+/// One history entry: the terminal state plus every JobRecord field, so a
+/// restore rebuilds the record exactly.
+json::Value history_entry(const cluster::JobRecord& record) {
+  json::Value entry;
+  entry.set("id", record.id);
+  entry.set("state", record.terminal_state());
+  entry.set("nn", std::string(jobgraph::to_string(record.nn)));
+  entry.set("batch", std::string(jobgraph::to_string(record.batch)));
+  entry.set("num_gpus", record.num_gpus);
+  entry.set("min_utility", record.min_utility);
+  entry.set("arrival", record.arrival);
+  entry.set("start", record.start);
+  entry.set("end", record.end);
+  json::Array gpus;
+  for (const int gpu : record.gpus) gpus.push_back(gpu);
+  entry.set("gpus", std::move(gpus));
+  entry.set("placement_utility", record.placement_utility);
+  entry.set("p2p", record.p2p);
+  entry.set("best_solo_time", record.best_solo_time);
+  entry.set("postponements", record.postponements);
+  entry.set("degradation_events", record.degradation_events);
+  return entry;
+}
+
+/// The inverse of history_entry, checking every field's type. Value
+/// checks (finite times, GPU range, a known id) are the driver's
+/// restore_record seam.
+util::Expected<cluster::JobRecord> parse_history_entry(
+    const json::Value& entry) {
+  const auto fail = [](const std::string& what) {
+    return util::Error{"snapshot: history entry " + what};
+  };
+  for (const char* key :
+       {"id", "num_gpus", "postponements", "degradation_events"}) {
+    if (!is_int(entry.at(key))) {
+      return fail(util::fmt("without integer '{}'", key));
+    }
+  }
+  for (const char* key : {"min_utility", "arrival", "start", "end",
+                          "placement_utility", "best_solo_time"}) {
+    if (!entry.at(key).is_number()) {
+      return fail(util::fmt("without numeric '{}'", key));
+    }
+  }
+  if (!entry.at("p2p").is_bool()) return fail("without boolean 'p2p'");
+  const std::string& state = entry.at("state").as_string();
+  if (state != "finished" && state != "cancelled" && state != "rejected") {
+    return fail(util::fmt("with unknown state '{}'", state));
+  }
+  const auto nn = jobgraph::neural_net_from_string(entry.at("nn").as_string());
+  const auto batch =
+      jobgraph::batch_class_from_string(entry.at("batch").as_string());
+  if (!nn || !batch) return fail("with unknown nn or batch");
+  if (!entry.at("gpus").is_array()) return fail("without gpus array");
+  cluster::JobRecord record;
+  for (const json::Value& gpu : entry.at("gpus").as_array()) {
+    if (!is_int(gpu)) return fail("with a non-integer GPU id");
+    record.gpus.push_back(static_cast<int>(gpu.as_int()));
+  }
+  record.id = static_cast<int>(entry.at("id").as_int());
+  record.nn = *nn;
+  record.batch = *batch;
+  record.num_gpus = static_cast<int>(entry.at("num_gpus").as_int());
+  record.min_utility = entry.at("min_utility").as_number();
+  record.arrival = entry.at("arrival").as_number();
+  record.start = entry.at("start").as_number();
+  record.end = entry.at("end").as_number();
+  record.cancelled = state == "cancelled";
+  record.rejected = state == "rejected";
+  record.placement_utility = entry.at("placement_utility").as_number();
+  record.p2p = entry.at("p2p").as_bool();
+  record.best_solo_time = entry.at("best_solo_time").as_number();
+  record.postponements = static_cast<int>(entry.at("postponements").as_int());
+  record.degradation_events =
+      static_cast<int>(entry.at("degradation_events").as_int());
+  return record;
+}
+
+/// Structural validation of a snapshot document; on success, its history
+/// entries as records, so a restore parses them once.
+util::Expected<std::vector<cluster::JobRecord>> parse_snapshot(
+    const json::Value& document) {
   if (!document.is_object()) {
     return util::Error{"snapshot: document is not an object"};
   }
@@ -55,7 +144,9 @@ util::Status validate_snapshot_json(const json::Value& document) {
     return util::Error{"snapshot: missing numeric 'capacity_version'"};
   }
   for (const char* key : {"running", "waiting", "pending", "history"}) {
-    if (auto status = require_array(document, key); !status) return status;
+    if (auto status = require_array(document, key); !status) {
+      return status.error();
+    }
   }
   for (const json::Value& entry : document.at("running").as_array()) {
     if (!entry.at("manifest").is_object()) {
@@ -77,6 +168,21 @@ util::Status validate_snapshot_json(const json::Value& document) {
             util::fmt("snapshot: {} entry without manifest object", key)};
       }
     }
+  }
+  std::vector<cluster::JobRecord> history;
+  for (const json::Value& entry : document.at("history").as_array()) {
+    auto record = parse_history_entry(entry);
+    if (!record) return record.error();
+    history.push_back(std::move(*record));
+  }
+  return history;
+}
+
+}  // namespace
+
+util::Status validate_snapshot_json(const json::Value& document) {
+  if (auto history = parse_snapshot(document); !history) {
+    return history.error();
   }
   return util::Status::ok();
 }
@@ -148,8 +254,17 @@ json::Value ServiceCore::snapshot_json_locked() const {
   }
   document.set("pending", std::move(pending));
 
+  // Terminal jobs in id order: the driver's records are the only job
+  // history.
   json::Array history;
-  for (const auto& [id, record] : history_) history.push_back(record);
+  driver_->visit_records([&history](const cluster::JobRecord& record) {
+    if (record.terminal()) history.push_back(history_entry(record));
+    return true;
+  });
+  std::sort(history.begin(), history.end(),
+            [](const json::Value& a, const json::Value& b) {
+              return a.at("id").as_int() < b.at("id").as_int();
+            });
   document.set("history", std::move(history));
   return document;
 }
@@ -160,7 +275,8 @@ util::Status ServiceCore::restore_json(const json::Value& document) {
 }
 
 util::Status ServiceCore::restore_json_locked(const json::Value& document) {
-  if (auto status = validate_snapshot_json(document); !status) return status;
+  auto history = parse_snapshot(document);
+  if (!history) return history.error();
 
   const double now = document.at("now").as_number();
   const auto capacity_version =
@@ -205,12 +321,15 @@ util::Status ServiceCore::restore_json_locked(const json::Value& document) {
           job->id)};
     }
   }
+  // After the live sections, so the driver refuses a history id that is
+  // also running, waiting or pending.
+  for (const cluster::JobRecord& record : *history) {
+    if (auto status = driver_->restore_record(record); !status) {
+      return status;
+    }
+  }
   if (auto status = driver_->finish_restore(); !status) return status;
 
-  history_.clear();
-  for (const json::Value& record : document.at("history").as_array()) {
-    history_[static_cast<int>(record.at("id").as_int())] = record;
-  }
   next_auto_id_ = static_cast<int>(document.at("next_auto_id").as_int(1));
   if (document.at("draining").as_bool(false)) driver_->drain();
   return util::Status::ok();

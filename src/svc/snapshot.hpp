@@ -4,7 +4,7 @@
 // A snapshot is a versioned JSON document capturing everything the
 // daemon's decisions depend on:
 //
-//   {"schema_version": 1, "kind": "svc_snapshot",
+//   {"schema_version": 2, "kind": "svc_snapshot",
 //    "now": <simulated seconds>, "capacity_version": <n>,
 //    "draining": <bool>, "next_auto_id": <n>,
 //    "running":  [{"manifest": {...}, "gpus": [...], "start_time": t,
@@ -12,7 +12,16 @@
 //                  "noise_factor": f}, ...],
 //    "waiting":  [{"manifest": {...}, "attempted_version": v|-1}, ...],
 //    "pending":  [{"manifest": {...}}, ...],
-//    "history":  [<terminal status records>, ...]}
+//    "history":  [{"id": n, "state": "finished"|"cancelled"|"rejected",
+//                  "nn", "batch", "num_gpus", "min_utility", "arrival",
+//                  "start", "end", "gpus", "placement_utility", "p2p",
+//                  "best_solo_time", "postponements",
+//                  "degradation_events"}, ...]}
+//
+// History is the driver's terminal job records in id order (job history
+// has one owner: the driver's records); restore imports them through
+// DriverApi::restore_record. Schema 1 carried status-shaped history the
+// driver could not rebuild its records from and is refused.
 //
 // Jobs are stored as their Section 5.1 manifests; profiles are re-derived
 // from the workload model on restore (they are a pure function of the
@@ -27,7 +36,7 @@
 
 namespace gts::svc {
 
-inline constexpr int kSnapshotSchemaVersion = 1;
+inline constexpr int kSnapshotSchemaVersion = 2;
 inline constexpr std::string_view kSnapshotKind = "svc_snapshot";
 
 /// Structural validation of a snapshot document (schema version, kind,

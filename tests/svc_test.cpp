@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -249,6 +251,35 @@ TEST_F(ServiceCoreTest, DrainRefusesNewSubmits) {
   EXPECT_EQ(refused.code, ErrorCode::kDraining);
 }
 
+TEST_F(ServiceCoreTest, DrainingCoreRefusesTerminalIdsAsConflicts) {
+  // While draining, a resubmitted finished, cancelled or rejected id is a
+  // conflict, as without the drain; a new id is refused as draining.
+  for (const int shards : {1, 2}) {
+    ServiceCore core = make_core(/*max_queue=*/64, shards);
+    ASSERT_TRUE(submit(core, dl_job(1, 0.0, 2), 1).ok);
+    ASSERT_TRUE(advance_all(core).ok);
+    const double now = core.driver().now();
+    ASSERT_TRUE(submit(core, dl_job(2, now + 1000.0, 1), 2).ok);
+    json::Value cancel_params;
+    cancel_params.set("id", 2);
+    ASSERT_TRUE(core.handle(make_request(3, "cancel", cancel_params)).ok);
+    ASSERT_FALSE(submit(core, dl_job(3, now, 8), 4).ok);
+    ASSERT_TRUE(core.handle(make_request(5, "drain")).ok);
+
+    for (const int id : {1, 2, 3}) {
+      const Response refused = submit(core, dl_job(id, now, 1), 10 + id);
+      EXPECT_FALSE(refused.ok);
+      EXPECT_EQ(refused.code, ErrorCode::kConflict)
+          << "id=" << id << " shards=" << shards;
+      EXPECT_EQ(refused.message,
+                util::fmt("job id {} already submitted", id));
+    }
+    const Response fresh = submit(core, dl_job(4, now, 1), 20);
+    EXPECT_FALSE(fresh.ok);
+    EXPECT_EQ(fresh.code, ErrorCode::kDraining) << "shards=" << shards;
+  }
+}
+
 // --- snapshot / restore -----------------------------------------------------
 
 TEST_F(ServiceCoreTest, SnapshotRestoreStateIdentity) {
@@ -302,9 +333,9 @@ TEST_F(ServiceCoreTest, SnapshotRestoreStateIdentity) {
 }
 
 TEST_F(ServiceCoreTest, RestoredCoreRefusesIdsFinishedBeforeSnapshot) {
-  // The snapshot carries finished jobs only in the service history, not
-  // in the driver: the restored core must still refuse their ids exactly
-  // as the uninterrupted one does.
+  // Finished jobs reach the restored driver only as the snapshot's
+  // history records: the restored core must still refuse their ids
+  // exactly as the uninterrupted one does.
   for (const int shards : {1, 2}) {
     ServiceCore original = make_core(/*max_queue=*/64, shards);
     ASSERT_TRUE(submit(original, dl_job(1, 0.0, 2), 1).ok);
@@ -323,21 +354,155 @@ TEST_F(ServiceCoreTest, RestoredCoreRefusesIdsFinishedBeforeSnapshot) {
   }
 }
 
+TEST_F(ServiceCoreTest, RestoredCoreKeepsLifecycleMetrics) {
+  // The snapshot carries the driver's terminal records, so a restored
+  // core's lifecycle metrics cover the jobs that ended before it. The
+  // decisions, events and router `routed` counters count one process's
+  // work and are not compared.
+  for (const int shards : {1, 2}) {
+    ServiceCore original = make_core(/*max_queue=*/64, shards);
+    ASSERT_TRUE(submit(original, dl_job(1, 0.0, 2), 1).ok);
+    ASSERT_TRUE(submit(original, dl_job(2, 0.0, 2), 2).ok);
+    ASSERT_TRUE(advance_all(original).ok);
+
+    ServiceCore restored = make_core(/*max_queue=*/64, shards);
+    const auto status = restored.restore_json(original.snapshot_json());
+    ASSERT_TRUE(status) << status.error().message;
+
+    const Response want = original.handle(make_request(3, "metrics"));
+    const Response got = restored.handle(make_request(3, "metrics"));
+    ASSERT_TRUE(want.ok && got.ok);
+    EXPECT_EQ(want.result.at("terminal").as_int(), 2);
+    EXPECT_GT(want.result.at("mean_jct_slowdown").as_number(), 1.0);
+    for (const char* key :
+         {"terminal", "postponements", "degradations", "slo_violations",
+          "mean_jct_slowdown", "mean_waiting_time"}) {
+      EXPECT_EQ(got.result.at(key).as_number(),
+                want.result.at(key).as_number())
+          << key << " shards=" << shards;
+    }
+  }
+}
+
 TEST_F(ServiceCoreTest, SnapshotValidatorRejectsGarbage) {
-  EXPECT_FALSE(validate_snapshot_json(json::Value{}));
-  auto doc = json::parse(R"({"schema_version":1,"kind":"wrong"})");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_FALSE(validate_snapshot_json(*doc));
-  auto missing = json::parse(
-      R"({"schema_version":1,"kind":"svc_snapshot","now":1.0})");
-  ASSERT_TRUE(missing.has_value());
-  EXPECT_FALSE(validate_snapshot_json(*missing));
+  // Each document is refused for its own reason: the current version,
+  // so only the kind or a missing field is wrong.
+  const auto refusal = [](const json::Value& document) {
+    const util::Status status = validate_snapshot_json(document);
+    return status ? std::string("accepted") : status.error().message;
+  };
+  EXPECT_EQ(refusal(json::Value{}), "snapshot: document is not an object");
+  json::Value doc;
+  doc.set("schema_version", kSnapshotSchemaVersion);
+  doc.set("kind", "wrong");
+  EXPECT_EQ(refusal(doc), "snapshot: kind must be 'svc_snapshot'");
+  json::Value missing;
+  missing.set("schema_version", kSnapshotSchemaVersion);
+  missing.set("kind", std::string(kSnapshotKind));
+  missing.set("now", 1.0);
+  EXPECT_EQ(refusal(missing),
+            "snapshot: missing numeric 'capacity_version'");
+  missing.set("capacity_version", 0);
+  EXPECT_EQ(refusal(missing), "snapshot: missing array 'running'");
   auto bad_version = json::parse(
       R"({"schema_version":99,"kind":"svc_snapshot","now":0,
           "capacity_version":0,"draining":false,"next_auto_id":1,
           "running":[],"waiting":[],"pending":[],"history":[]})");
   ASSERT_TRUE(bad_version.has_value());
-  EXPECT_FALSE(validate_snapshot_json(*bad_version));
+  EXPECT_EQ(refusal(*bad_version), "snapshot: schema_version must be 2");
+
+  // Hostile history entries: restore_json refuses each one cleanly. The
+  // origin ends with job 1 finished, job 2 cancelled, job 5 rejected,
+  // jobs 3 and 6 filling both machines, job 7 waiting and job 4 pending.
+  ServiceCore origin = make_core();
+  ASSERT_TRUE(submit(origin, dl_job(1, 0.0, 2), 1).ok);
+  ASSERT_TRUE(advance_all(origin).ok);
+  const double now = origin.driver().now();
+  ASSERT_TRUE(submit(origin, dl_job(2, now + 1000.0, 1), 2).ok);
+  json::Value cancel_params;
+  cancel_params.set("id", 2);
+  ASSERT_TRUE(origin.handle(make_request(3, "cancel", cancel_params)).ok);
+  ASSERT_TRUE(submit(origin, dl_job(3, now, 4), 4).ok);
+  ASSERT_TRUE(submit(origin, dl_job(4, now + 5000.0, 1), 5).ok);
+  ASSERT_FALSE(submit(origin, dl_job(5, now, 8), 6).ok);
+  ASSERT_TRUE(submit(origin, dl_job(6, now, 4), 7).ok);
+  ASSERT_TRUE(submit(origin, dl_job(7, now, 1), 8).ok);
+  json::Value advance_params;
+  advance_params.set("to", now);
+  ASSERT_TRUE(origin.handle(make_request(9, "advance", advance_params)).ok);
+  const json::Value good = origin.snapshot_json();
+  ASSERT_EQ(good.at("history").as_array().size(), 3u);
+  ASSERT_EQ(good.at("running").as_array().size(), 2u);
+  ASSERT_EQ(good.at("waiting").as_array().size(), 1u);
+  ASSERT_EQ(good.at("pending").as_array().size(), 1u);
+  {
+    ServiceCore restored = make_core();
+    const auto status = restored.restore_json(good);
+    ASSERT_TRUE(status) << status.error().message;
+  }
+  const json::Value finished = good.at("history").as_array()[0];
+  ASSERT_EQ(finished.at("state").as_string(), "finished");
+  const auto with_history = [&good](json::Array history) {
+    json::Value document = good;
+    document.set("history", json::Value{std::move(history)});
+    return document;
+  };
+  const auto with_field = [&](const char* key, json::Value value) {
+    json::Value entry = finished;
+    entry.set(key, std::move(value));
+    return with_history({entry});
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  // Each case names the refusal it must get.
+  struct Hostile {
+    const char* name;
+    json::Value document;
+    const char* reason;
+  };
+  json::Value schema_one = good;
+  schema_one.set("schema_version", 1);
+  const json::Value& running_id =
+      good.at("running").as_array()[0].at("manifest").at("id");
+  const json::Value& waiting_id =
+      good.at("waiting").as_array()[0].at("manifest").at("id");
+  const json::Value& pending_id =
+      good.at("pending").as_array()[0].at("manifest").at("id");
+  const std::vector<Hostile> hostile = {
+      {"schema 1", schema_one, "schema_version must be 2"},
+      {"string id", with_field("id", "1"), "without integer 'id'"},
+      {"fractional id", with_field("id", 1.5), "without integer 'id'"},
+      {"unknown state", with_field("state", "exploded"),
+       "unknown state 'exploded'"},
+      {"missing state", with_field("state", json::Value{}),
+       "unknown state ''"},
+      {"repeated id", with_history({finished, finished}),
+       "id already known"},
+      {"running id", with_field("id", running_id), "id already known"},
+      {"waiting id", with_field("id", waiting_id), "id already known"},
+      {"pending id", with_field("id", pending_id), "id already known"},
+      {"infinite end", with_field("end", inf), "non-finite"},
+      {"NaN arrival", with_field("arrival", std::nan("")), "non-finite"},
+      {"negative arrival", with_field("arrival", -5.0), "negative time"},
+      {"negative start", with_field("start", -3.0), "negative time"},
+      {"start after end",
+       with_field("start", finished.at("end").as_number() + 1.0),
+       "times do not match the terminal state"},
+      {"gpus not an array", with_field("gpus", "0,1"), "without gpus array"},
+      {"fractional gpu", with_field("gpus", json::Value{json::Array{0.5, 1}}),
+       "non-integer GPU id"},
+      {"string gpu", with_field("gpus", json::Value{json::Array{"a", 1}}),
+       "non-integer GPU id"},
+      {"gpu out of range",
+       with_field("gpus", json::Value{json::Array{0, 99}}),
+       "GPU id out of range"},
+  };
+  for (const Hostile& item : hostile) {
+    ServiceCore restored = make_core();
+    const util::Status status = restored.restore_json(item.document);
+    ASSERT_FALSE(status) << item.name;
+    EXPECT_NE(status.error().message.find(item.reason), std::string::npos)
+        << item.name << ": " << status.error().message;
+  }
 }
 
 // --- prototype equivalence --------------------------------------------------

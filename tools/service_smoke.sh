@@ -7,8 +7,10 @@
 # the daemon killed with SIGKILL, a new daemon restored from the
 # snapshot, and the workload drained. The restored daemon's subsequent
 # responses must be BYTE-IDENTICAL to an uninterrupted reference run fed
-# the exact same request sequence, and the observability artifacts of
-# the graceful runs must pass tools/validate_trace.py.
+# the exact same request sequence — including the lifecycle fields of
+# `metrics`, which cover jobs that ended before the snapshot — and the
+# observability artifacts of the graceful runs must pass
+# tools/validate_trace.py.
 #
 #   tools/service_smoke.sh [--build-dir build] [--out-dir svc-smoke-out]
 set -uo pipefail
@@ -88,7 +90,8 @@ job_spec() {
     "$id" "$gpus" "$arrival"
 }
 
-# The shared session prefix: submit, cancel one, advance, snapshot.
+# The shared session prefix: submit, cancel one, advance, snapshot. Jobs
+# 2 and 4 finish by t=40, so the snapshot carries finished jobs too.
 session_prefix() {
   local snap="$1"
   local i
@@ -96,12 +99,25 @@ session_prefix() {
     ctl submit --job "$(job_spec "$i")" >/dev/null || die "submit $i"
   done
   ctl cancel "$CANCEL_ID" >/dev/null || die "cancel $CANCEL_ID"
-  ctl advance --to 30 >/dev/null || die "advance --to 30"
+  ctl advance --to 40 >/dev/null || die "advance --to 40"
   ctl snapshot --out "$snap" >/dev/null || die "snapshot"
 }
 
+# The lifecycle fields of `metrics`, one JSON line. Wall time
+# (decision_seconds) and the per-process counters (decisions, events,
+# router.routed) are left out: a restored daemon starts those from zero.
+lifecycle_metrics() {
+  ctl metrics | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)
+keys = ("terminal", "postponements", "degradations", "slo_violations",
+        "mean_jct_slowdown", "mean_waiting_time")
+print(json.dumps({key: metrics[key] for key in keys}, sort_keys=True))'
+}
+
 # The post-snapshot suffix whose responses must match byte-for-byte:
-# more virtual time, every job's status, a full drain, the final listing.
+# more virtual time, every job's status, a full drain, the final listing
+# and the lifecycle metrics.
 session_suffix() {
   local transcript="$1"
   local i
@@ -112,6 +128,7 @@ session_suffix() {
       ctl status "$i" || die "status $i"
     done
     ctl list || die "list"
+    lifecycle_metrics || die "metrics"
   } >"$transcript"
 }
 

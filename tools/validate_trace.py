@@ -14,8 +14,10 @@ Checks the document kinds src/obs/, src/svc/, and src/runner/ emit:
     the per-decision fields, candidate utility-term breakdowns, and
     strictly increasing sequence numbers;
   * scheduler-service snapshots (gts_schedd --snapshot / the `snapshot`
-    verb): schema_version 1, kind "svc_snapshot", running/waiting/pending
-    job sections carrying manifests, consistent GPU assignments;
+    verb): schema_version 2, kind "svc_snapshot", running/waiting/pending
+    job sections carrying manifests, consistent GPU assignments, and
+    history records with typed fields, a known state, and ids unique and
+    disjoint from the live sections;
   * BENCH sweep documents (bench/* --out): schema_version 1 with
     scenario x seed replicas and per-scenario aggregate stat blocks;
   * Prometheus text exposition (the `metrics_prom` verb / --prom-port
@@ -180,10 +182,56 @@ def validate_explain(path, lines):
     return f"explain ok: {records} records"
 
 
+HISTORY_INT_FIELDS = ("id", "num_gpus", "postponements", "degradation_events")
+HISTORY_NUMBER_FIELDS = ("min_utility", "arrival", "start", "end",
+                         "placement_utility", "best_solo_time")
+HISTORY_STATES = ("finished", "cancelled", "rejected")
+
+
+def is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def validate_history_entry(path, where, entry):
+    if not isinstance(entry, dict):
+        fail(path, f"{where}: history entry must be an object")
+    for key in HISTORY_INT_FIELDS:
+        if not is_int(entry.get(key)):
+            fail(path, f"{where}: {key} {entry.get(key)!r} is not an int")
+    for key in HISTORY_NUMBER_FIELDS:
+        if not is_number(entry.get(key)):
+            fail(path, f"{where}: {key} {entry.get(key)!r} is not a finite "
+                       "number")
+    if not isinstance(entry.get("p2p"), bool):
+        fail(path, f"{where}: p2p {entry.get('p2p')!r} is not a bool")
+    for key in ("nn", "batch"):
+        if not isinstance(entry.get(key), str):
+            fail(path, f"{where}: {key} {entry.get(key)!r} is not a string")
+    state = entry.get("state")
+    if state not in HISTORY_STATES:
+        fail(path, f"{where}: bad state {state!r}")
+    gpus = entry.get("gpus")
+    if not isinstance(gpus, list) or not all(is_int(g) and g >= 0
+                                             for g in gpus):
+        fail(path, f"{where}: bad gpus {gpus!r}")
+    if entry["arrival"] < 0:
+        fail(path, f"{where}: negative arrival {entry['arrival']!r}")
+    for key in ("start", "end"):
+        if entry[key] < 0 and entry[key] != -1:
+            fail(path, f"{where}: negative {key} {entry[key]!r}")
+    if (state == "rejected") != (entry["end"] == -1):
+        fail(path, f"{where}: {state} job with end {entry['end']!r}")
+
+
 def validate_snapshot(path, doc):
     if not isinstance(doc, dict):
         fail(path, "snapshot document must be an object")
-    if doc.get("schema_version") != 1:
+    if doc.get("schema_version") != 2:
         fail(path, f"bad schema_version {doc.get('schema_version')!r}")
     if doc.get("kind") != "svc_snapshot":
         fail(path, f"bad kind {doc.get('kind')!r}")
@@ -222,12 +270,18 @@ def validate_snapshot(path, doc):
         for index, entry in enumerate(doc[section]):
             if not isinstance(entry.get("manifest"), dict):
                 fail(path, f"{section}[{index}]: missing manifest object")
+    live = set()
+    for section in ("running", "waiting", "pending"):
+        live.update(entry["manifest"].get("id") for entry in doc[section])
+    seen = set()
     for index, entry in enumerate(doc["history"]):
         where = f"history[{index}]"
-        if not isinstance(entry.get("id"), (int, float)):
-            fail(path, f"{where}: missing numeric id")
-        if entry.get("state") not in ("finished", "cancelled", "rejected"):
-            fail(path, f"{where}: bad state {entry.get('state')!r}")
+        validate_history_entry(path, where, entry)
+        if entry["id"] in seen:
+            fail(path, f"{where}: id {entry['id']} repeated in history")
+        if entry["id"] in live:
+            fail(path, f"{where}: id {entry['id']} is also a live job")
+        seen.add(entry["id"])
     return (f"snapshot ok: now={now} running={len(doc['running'])} "
             f"waiting={len(doc['waiting'])} pending={len(doc['pending'])} "
             f"history={len(doc['history'])}")
