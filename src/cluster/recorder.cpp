@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "check/check.hpp"
 #include "util/strings.hpp"
 
 namespace gts::cluster {
@@ -23,6 +24,7 @@ void Recorder::on_submit(const jobgraph::JobRequest& request) {
 
 bool Recorder::import_record(JobRecord record) {
   if (!index_.emplace(record.id, records_.size()).second) return false;
+  if (record.finished()) makespan_ = std::max(makespan_, record.end);
   records_.push_back(std::move(record));
   return true;
 }
@@ -55,11 +57,14 @@ void Recorder::on_postpone(int job_id) {
 void Recorder::on_finish(int job_id, double t) {
   if (JobRecord* record = find(job_id)) {
     record->end = t;
+    if (record->finished()) makespan_ = std::max(makespan_, t);
   }
 }
 
 void Recorder::on_cancel(int job_id, double t) {
   if (JobRecord* record = find(job_id)) {
+    // A finished record may count in makespan_, which never shrinks.
+    GTS_DCHECK(!record->finished(), "cancel of finished job ", job_id);
     record->end = t;
     record->cancelled = true;
   }
@@ -84,14 +89,6 @@ void Recorder::sample(const ClusterState& state, double t) {
   p2p_bw_.push_back({t, p2p_gbps});
   host_bw_.push_back({t, host_gbps});
   mean_utility_.push_back({t, running > 0 ? utility_sum / running : 0.0});
-}
-
-double Recorder::makespan() const {
-  double makespan = 0.0;
-  for (const JobRecord& record : records_) {
-    if (record.finished()) makespan = std::max(makespan, record.end);
-  }
-  return makespan;
 }
 
 int Recorder::slo_violations() const {

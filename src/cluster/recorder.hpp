@@ -125,7 +125,8 @@ class Recorder {
 
   // --- summary -------------------------------------------------------------
   /// Time the last job finished ("cumulative execution time", Section 5.2.2).
-  double makespan() const;
+  /// A running max kept by on_finish and import_record: O(1).
+  double makespan() const noexcept { return makespan_; }
   int slo_violations() const;
   /// Declined offers summed over all jobs (live-telemetry SLO summary).
   long long total_postponements() const;
@@ -146,6 +147,7 @@ class Recorder {
  private:
   std::vector<JobRecord> records_;
   std::unordered_map<int, size_t> index_;  // job id -> records_ position
+  double makespan_ = 0.0;  // max end over finished records
   std::vector<SeriesPoint> p2p_bw_;
   std::vector<SeriesPoint> host_bw_;
   std::vector<SeriesPoint> mean_utility_;

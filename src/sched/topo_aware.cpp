@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "check/check.hpp"
 #include "obs/explain.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -119,6 +121,16 @@ TopoAwareScheduler::CacheEntry TopoAwareScheduler::CacheEntry::of(
   return entry;
 }
 
+std::optional<Placement> TopoAwareScheduler::CacheEntry::placement(
+    const jobgraph::JobRequest& request) const {
+  if (!mapped) return std::nullopt;
+  Placement placement;
+  placement.gpus = gpus;
+  placement.utility = utility;
+  placement.satisfied = placement.utility + 1e-9 >= request.min_utility;
+  return placement;
+}
+
 void TopoAwareScheduler::set_parallel_scoring(int threads) {
   const util::SerialGuard guard(cache_serial_);
   if (threads == 0) {
@@ -152,6 +164,7 @@ std::optional<Placement> TopoAwareScheduler::map_onto(
     const jobgraph::JobRequest& request, const std::vector<int>& available,
     const cluster::ClusterState& state) {
   if (!cache_enabled_) {
+    ++scoring_.scored;
     return drb_place(request, available, state, utility_, &stats_);
   }
 
@@ -163,6 +176,7 @@ std::optional<Placement> TopoAwareScheduler::map_onto(
   if (const auto it = cache_.find(key); it != cache_.end()) {
     return replay_cache_entry(it->second, request);
   }
+  ++scoring_.scored;
   std::optional<Placement> placement =
       drb_place(request, available, state, utility_, &stats_);
   cache_.emplace(key, CacheEntry::of(placement));
@@ -174,12 +188,8 @@ std::optional<Placement> TopoAwareScheduler::replay_cache_entry(
   ++cache_stats_.hits;
   GTS_METRIC_COUNT("cache.hits", 1);
   GTS_TRACE_INSTANT(obs::kCache, "cache.hit", "job", request.id);
-  if (!entry.mapped) return std::nullopt;
-  Placement placement;
-  placement.gpus = entry.gpus;
-  placement.utility = entry.utility;
-  placement.satisfied = placement.utility + 1e-9 >= request.min_utility;
-  explain_candidate(placement, "cache");
+  std::optional<Placement> placement = entry.placement(request);
+  if (placement) explain_candidate(*placement, "cache");
   return placement;
 }
 
@@ -237,17 +247,27 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
   // scoring pool:
   //
   //   1. probe  (decision thread): cache lookups in candidate order —
-  //      hits are resolved from the cache, misses collected;
-  //   2. score: drb_evaluate over each miss, writing only that miss's
-  //      slot (placement + DrbStats). Without a pool, or with fewer than
-  //      2 misses, the misses are scored inline; otherwise they are
-  //      chunked deterministically over the pool, where FmScratch comes
-  //      from each worker's thread-local arena;
-  //   3. reduce (decision thread): cache inserts, stats folds, explain
-  //      entries and the first-maximum reduction, all in candidate order.
+  //      hits are resolved from the cache, misses collected. A miss on an
+  //      empty machine whose class an earlier empty candidate already
+  //      holds is a twin: it will take that candidate's result;
+  //   2. score: drb_evaluate over each miss that is not a twin, writing
+  //      only that miss's slot (placement + DrbStats). Without a pool, or
+  //      with fewer than 2 such misses, they are scored inline; otherwise
+  //      they are chunked deterministically over the pool, where FmScratch
+  //      comes from each worker's thread-local arena;
+  //   3. reduce (decision thread): twin translations, cache inserts, stats
+  //      folds, explain entries and the first-maximum reduction, all in
+  //      candidate order.
+  //
+  // A twin's result is exact: on a single machine, DRB and the utility
+  // read only that machine's GPUs, distances, socket lists, co-runners
+  // and link flows. Machines of one class agree on the structure up to
+  // the order-keeping local translation, and an empty machine has no
+  // co-runners or flows.
   struct Slot {
     const Candidate* candidate = nullptr;
     bool hit = false;
+    int twin_of = -1;                 // slot whose result a twin reuses
     CacheEntry entry;                 // valid when hit
     PlacementCacheKey key;            // misses, with the cache on
     std::optional<Placement> result;  // scored placement (miss)
@@ -256,6 +276,8 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
   std::vector<Slot> slots(candidates.size());
   std::vector<int> misses;
   misses.reserve(candidates.size());
+  // (machine class, slot) of the first empty candidate of each class.
+  std::vector<std::pair<int, int>> representatives;
   if (cache_enabled_) refresh_cache_epoch(state);
   for (size_t i = 0; i < candidates.size(); ++i) {
     Slot& slot = slots[i];
@@ -269,7 +291,20 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
         slot.entry = it->second;
       }
     }
-    if (!slot.hit) misses.push_back(static_cast<int>(i));
+    const int machine = slot.candidate->machine;
+    if (state.jobs_of_machine(machine).empty()) {
+      GTS_DCHECK(slot.candidate->free == topology.gpus_of_machine(machine));
+      const int shape = topology.machine_class(machine);
+      const auto representative = std::find_if(
+          representatives.begin(), representatives.end(),
+          [shape](const std::pair<int, int>& r) { return r.first == shape; });
+      if (representative == representatives.end()) {
+        representatives.emplace_back(shape, static_cast<int>(i));
+      } else if (!slot.hit) {
+        slot.twin_of = representative->second;
+      }
+    }
+    if (!slot.hit && slot.twin_of < 0) misses.push_back(static_cast<int>(i));
   }
 
   const int miss_count = static_cast<int>(misses.size());
@@ -302,12 +337,34 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
         });
   }
 
+  // Each twin takes its representative's placement (scored above or a
+  // cache hit), moved to the twin's machine by local GPU index.
+  for (Slot& slot : slots) {
+    if (slot.twin_of < 0) continue;
+    const Slot& representative = slots[static_cast<size_t>(slot.twin_of)];
+    slot.result = representative.hit ? representative.entry.placement(request)
+                                     : representative.result;
+    if (slot.result) {
+      const std::vector<int>& target =
+          topology.gpus_of_machine(slot.candidate->machine);
+      for (int& gpu : slot.result->gpus) {
+        gpu = target[static_cast<size_t>(topology.local_gpu_of(gpu))];
+      }
+    }
+  }
+
   std::optional<Placement> best;
   for (Slot& slot : slots) {
     std::optional<Placement> placement;
     if (slot.hit) {
       placement = replay_cache_entry(slot.entry, request);
     } else {
+      if (slot.twin_of >= 0) {
+        ++scoring_.twin_reuses;
+        GTS_METRIC_COUNT("sched.twin_reuses", 1);
+      } else {
+        ++scoring_.scored;
+      }
       if (cache_enabled_) {
         cache_.emplace(slot.key, CacheEntry::of(slot.result));
       }

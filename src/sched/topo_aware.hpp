@@ -37,6 +37,13 @@ struct PlacementCacheStats {
   }
 };
 
+/// How the scheduler obtained the placements it weighed (deterministic
+/// counts of DRB work, next to DrbStats). Cache hits count in neither.
+struct ScoringStats {
+  long long scored = 0;       // DRB + utility evaluations actually run
+  long long twin_reuses = 0;  // empty candidates given a twin's result
+};
+
 /// Maps `request` onto the `available` GPUs with the utility-driven DRB
 /// (Algorithms 2/3) and evaluates the resulting placement. Writes nothing
 /// of the caller's but `stats` (when given, it accumulates DRB counters)
@@ -79,8 +86,12 @@ class TopoAwareScheduler final : public Scheduler {
   const UtilityModel& utility_model() const noexcept { return utility_; }
 
   /// Cumulative DRB statistics (for the Section 5.5.3 overhead analysis).
-  /// Cache hits skip the DRB entirely and do not accumulate here.
+  /// Cache hits and twin reuses skip the DRB entirely and do not
+  /// accumulate here.
   const partition::DrbStats& drb_stats() const noexcept { return stats_; }
+  /// Candidates scored by DRB and candidates that reused an identical
+  /// empty machine's result within one decision (DESIGN.md §17.1).
+  const ScoringStats& scoring_stats() const noexcept { return scoring_; }
 
   /// Memoized placement evaluation. Within one allocation epoch of the
   /// cluster (no place/remove since), the DRB + utility evaluation of a
@@ -135,6 +146,7 @@ class TopoAwareScheduler final : public Scheduler {
   UtilityModel utility_;
   bool postpone_;
   partition::DrbStats stats_;
+  ScoringStats scoring_;
 
   /// A mapped placement (or a proven failure) for one cache key; the SLO
   /// `satisfied` bit is recomputed per request from its min_utility.
@@ -144,6 +156,9 @@ class TopoAwareScheduler final : public Scheduler {
     double utility = 0.0;
 
     static CacheEntry of(const std::optional<Placement>& placement);
+    /// The entry as a placement for `request` (nullopt when unmapped).
+    std::optional<Placement> placement(
+        const jobgraph::JobRequest& request) const;
   };
 
   /// Replays a cache entry as a fresh placement decision, updating hit

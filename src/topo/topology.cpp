@@ -1,8 +1,11 @@
 #include "topo/topology.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
+#include <initializer_list>
 #include <limits>
+#include <map>
 #include <queue>
 #include <sstream>
 #include <utility>
@@ -63,6 +66,7 @@ LinkId TopologyGraph::add_link(Link link) {
   adjacency_.at(static_cast<size_t>(link.b)).push_back({link.a, id});
   links_.push_back(link);
   paths_valid_ = false;
+  structure_valid_ = false;  // machine classes describe links
   return id;
 }
 
@@ -155,7 +159,126 @@ void TopologyGraph::ensure_structure() const {
       sockets[static_cast<size_t>(node.socket)].push_back(g);
     }
   }
+  build_machine_classes();
   structure_valid_ = true;
+}
+
+void TopologyGraph::build_machine_classes() const {
+  const size_t machines = machine_gpus_.size();
+  const auto machine_of_node = [&](NodeId id) {
+    return nodes_[static_cast<size_t>(id)].machine;
+  };
+  // Each machine's nodes and incident links in id order, as offsets into
+  // two shared lists, plus each node's position within its machine.
+  std::vector<int> position(nodes_.size(), -1);
+  std::vector<size_t> node_begin(machines + 1, 0);
+  std::vector<size_t> link_begin(machines + 1, 0);
+  for (NodeId id = 0; id < node_count(); ++id) {
+    if (const int machine = machine_of_node(id); machine >= 0) {
+      position[static_cast<size_t>(id)] = static_cast<int>(
+          node_begin[static_cast<size_t>(machine) + 1]++);
+    }
+  }
+  for (const Link& link : links_) {
+    const int ma = machine_of_node(link.a);
+    const int mb = machine_of_node(link.b);
+    if (ma >= 0) ++link_begin[static_cast<size_t>(ma) + 1];
+    if (mb >= 0 && mb != ma) ++link_begin[static_cast<size_t>(mb) + 1];
+  }
+  for (size_t m = 0; m < machines; ++m) {
+    node_begin[m + 1] += node_begin[m];
+    link_begin[m + 1] += link_begin[m];
+  }
+  std::vector<NodeId> machine_nodes(node_begin[machines]);
+  std::vector<LinkId> machine_links(link_begin[machines]);
+  {
+    std::vector<size_t> node_at(node_begin.begin(), node_begin.end() - 1);
+    std::vector<size_t> link_at(link_begin.begin(), link_begin.end() - 1);
+    for (NodeId id = 0; id < node_count(); ++id) {
+      if (const int machine = machine_of_node(id); machine >= 0) {
+        machine_nodes[node_at[static_cast<size_t>(machine)]++] = id;
+      }
+    }
+    for (LinkId id = 0; id < link_count(); ++id) {
+      const Link& link = links_[static_cast<size_t>(id)];
+      const int ma = machine_of_node(link.a);
+      const int mb = machine_of_node(link.b);
+      if (ma >= 0) machine_links[link_at[static_cast<size_t>(ma)]++] = id;
+      if (mb >= 0 && mb != ma) {
+        machine_links[link_at[static_cast<size_t>(mb)]++] = id;
+      }
+    }
+  }
+
+  // A machine's shape is a run of words in a fixed layout, so that equal
+  // runs mean equal subtrees: the node count, three words per node, then
+  // seven words per link. Nodes are named by their position within the
+  // machine, so the run is the same for every machine that is another's
+  // shifted copy.
+  const auto word = [](auto value) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(value));
+  };
+  enum : std::uint64_t { kInternal, kUplink };
+  std::map<std::vector<std::uint64_t>, int> classes;
+  std::vector<std::uint64_t> run;
+  std::vector<std::uint64_t> previous;  // run of machine m - 1, if shared
+  int previous_class = -1;
+  int class_count = 0;
+  machine_class_.assign(machines, -1);
+  for (size_t m = 0; m < machines; ++m) {
+    const size_t nodes = node_begin[m + 1] - node_begin[m];
+    run.resize(1 + 3 * nodes + 7 * (link_begin[m + 1] - link_begin[m]));
+    std::uint64_t* out = run.data();
+    *out++ = word(nodes);
+    for (size_t i = node_begin[m]; i < node_begin[m + 1]; ++i) {
+      const Node& node = nodes_[static_cast<size_t>(machine_nodes[i])];
+      *out++ = word(node.kind);
+      *out++ = word(node.socket);
+      *out++ = word(node.local_gpu);
+    }
+    bool uplinked = false;
+    bool singleton = false;
+    for (size_t i = link_begin[m]; i < link_begin[m + 1]; ++i) {
+      const Link& link = links_[static_cast<size_t>(machine_links[i])];
+      const bool a_inside = machine_of_node(link.a) == static_cast<int>(m);
+      const bool b_inside = machine_of_node(link.b) == static_cast<int>(m);
+      if (a_inside && b_inside) {
+        *out++ = kInternal;
+        *out++ = word(position[static_cast<size_t>(link.a)]);
+        *out++ = word(position[static_cast<size_t>(link.b)]);
+      } else {
+        // A link leaving the subtree: the one uplink to a network node is
+        // part of the shape; any other makes the machine a class of its
+        // own.
+        const NodeId outside = a_inside ? link.b : link.a;
+        singleton = singleton || uplinked || machine_of_node(outside) >= 0 ||
+                    nodes_[static_cast<size_t>(outside)].kind !=
+                        NodeKind::kNetwork;
+        uplinked = true;
+        *out++ = kUplink;
+        *out++ = word(position[static_cast<size_t>(a_inside ? link.a
+                                                            : link.b)]);
+        *out++ = word(a_inside);
+      }
+      *out++ = word(link.kind);
+      *out++ = std::bit_cast<std::uint64_t>(link.weight);
+      *out++ = std::bit_cast<std::uint64_t>(link.bandwidth_gbps);
+      *out++ = word(link.lanes);
+    }
+    if (singleton) {
+      machine_class_[m] = class_count++;
+      continue;
+    }
+    // Machines of one shape usually come in a row: compare with the
+    // previous run before searching every class.
+    if (run != previous) {
+      auto it = classes.find(run);
+      if (it == classes.end()) it = classes.emplace(run, class_count++).first;
+      previous_class = it->second;
+      previous.swap(run);
+    }
+    machine_class_[m] = previous_class;
+  }
 }
 
 const std::vector<int>& TopologyGraph::gpus_of_machine(int machine) const {

@@ -142,6 +142,24 @@ class TopologyGraph {
   const std::vector<std::vector<int>>& socket_gpu_lists(int machine) const;
   /// Number of sockets on `machine` (cached).
   int sockets_of_machine(int machine) const;
+  /// Position of `gpu` in gpus_of_machine(machine_of_gpu(gpu)).
+  int local_gpu_of(int gpu) const {
+    ensure_structure();
+    return gpu_local_index_[static_cast<size_t>(gpu)];
+  }
+  /// Shape class of `machine` (dense ids in order of first appearance).
+  /// Two machines share a class iff their subtrees are identical up to a
+  /// shift of node, GPU and link ids that keeps their order: node kinds,
+  /// sockets and local GPU indices in node-id order, every internal link
+  /// (endpoints, kind, weight, bandwidth, lanes) in link-id order, and
+  /// the single uplink to a network node. A machine linked to anything
+  /// else outside its subtree is a class of its own. Every intra-machine
+  /// path, distance and socket list of one class member is then another
+  /// member's translated by local GPU index.
+  int machine_class(int machine) const {
+    ensure_structure();
+    return machine_class_.at(static_cast<size_t>(machine));
+  }
 
   // --- shortest paths ------------------------------------------------------
   /// Min-weight path between two arbitrary nodes (Dijkstra). Ties are broken
@@ -191,6 +209,7 @@ class TopologyGraph {
  private:
   void ensure_paths() const;
   void ensure_structure() const;
+  void build_machine_classes() const;
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
@@ -219,8 +238,8 @@ class TopologyGraph {
   mutable std::vector<int> machine_dist_offset_;
 
   // Machine/socket structure caches (derived from nodes, invalidated by
-  // mutation): per-GPU flat machine/socket/local-index arrays and
-  // per-machine GPU and socket lists.
+  // mutation): per-GPU flat machine/socket/local-index arrays,
+  // per-machine GPU and socket lists, and per-machine shape classes.
   mutable bool structure_valid_ = false;
   mutable std::vector<std::vector<int>> machine_gpus_;
   mutable std::vector<int> machine_sockets_;
@@ -228,6 +247,7 @@ class TopologyGraph {
   mutable std::vector<int> gpu_machine_;
   mutable std::vector<int> gpu_socket_;
   mutable std::vector<int> gpu_local_index_;
+  mutable std::vector<int> machine_class_;
 };
 
 }  // namespace gts::topo

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "cluster/recorder.hpp"
 #include "cluster/state.hpp"
 #include "perf/profile.hpp"
@@ -175,6 +180,56 @@ TEST(RecorderTest, LifecycleAndDerivedMetrics) {
   EXPECT_NEAR(done.qos_slowdown(), 0.2, 1e-9);
   EXPECT_NEAR(done.qos_wait_slowdown(), 0.25, 1e-9);
   EXPECT_DOUBLE_EQ(recorder.makespan(), 130.0);
+}
+
+// makespan() is a running max. A seeded mix of submits, finishes, cancels
+// and imports (finished, cancelled, rejected and live records) must keep
+// it equal to the max end over finished records after every call.
+TEST(RecorderTest, MakespanTracksTheLatestFinishedRecord) {
+  std::mt19937_64 rng(20261018);
+  const auto uniform = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  Recorder recorder;
+  std::vector<int> live;
+  int next_id = 0;
+  for (int step = 0; step < 2000; ++step) {
+    const double t = 0.5 * uniform(4000);
+    switch (live.empty() ? 0 : uniform(4)) {
+      case 0:
+        recorder.on_submit(
+            JobRequest::make_dl(next_id, t, NeuralNet::kAlexNet, 1, 1, 0.0));
+        live.push_back(next_id++);
+        break;
+      case 1:
+      case 2: {
+        const size_t pick =
+            static_cast<size_t>(uniform(static_cast<int>(live.size())));
+        if (uniform(3) == 0) {
+          recorder.on_cancel(live[pick], t);
+        } else {
+          recorder.on_finish(live[pick], t);
+        }
+        live.erase(live.begin() + static_cast<long>(pick));
+        break;
+      }
+      default: {
+        JobRecord record;
+        record.id = next_id++;
+        const int state = uniform(4);  // live, finished, cancelled, rejected
+        if (state == 1 || state == 2) record.end = t;
+        record.cancelled = state == 2;
+        record.rejected = state == 3;
+        ASSERT_TRUE(recorder.import_record(record));
+        break;
+      }
+    }
+    double expected = 0.0;
+    for (const JobRecord& record : recorder.records()) {
+      if (record.finished()) expected = std::max(expected, record.end);
+    }
+    ASSERT_EQ(recorder.makespan(), expected) << "step " << step;
+  }
 }
 
 TEST(RecorderTest, SloViolationWhenPlacedBelowThreshold) {

@@ -9,6 +9,7 @@
 // ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "cluster/recorder.hpp"
+#include "decision_digest.hpp"
 #include "obs/obs.hpp"
 #include "perf/model.hpp"
 #include "sched/driver.hpp"
@@ -141,6 +143,12 @@ TEST(ParallelScoringTest, MatchesNoPoolRunOn500JobTrace) {
       EXPECT_EQ(parallel.drb_stats().max_depth,
                 no_pool.drb_stats().max_depth)
           << label;
+      EXPECT_EQ(parallel.scoring_stats().scored,
+                no_pool.scoring_stats().scored)
+          << label;
+      EXPECT_EQ(parallel.scoring_stats().twin_reuses,
+                no_pool.scoring_stats().twin_reuses)
+          << label;
     }
   }
 }
@@ -231,6 +239,48 @@ TEST(ParallelScoringTest, UtilityTiesBreakTowardTheFirstMachine) {
       EXPECT_EQ(topology.machine_of_gpu(gpu), 0)
           << "threads=" << threads << " gpu " << gpu;
     }
+  }
+}
+
+// Twin reuse (DESIGN.md §17.1) fires most on a large, lightly loaded
+// cluster of one machine shape, where nearly every candidate is an empty
+// machine. Decisions and cache traffic of a seeded 300-job TOPO-AWARE-P
+// trace of short jobs on 40 Minsky machines (16 candidates per decision)
+// are pinned by values recorded before twin reuse existed
+// (tests/decision_digest.hpp), with and without a pool.
+constexpr std::uint64_t kTwinTraceDigest = 0x0d2ad6b703386cbaULL;
+constexpr long long kTwinTraceLookups = 4800;
+constexpr long long kTwinTraceHits = 0;
+constexpr long long kTwinTraceInvalidations = 299;
+
+TEST(ParallelScoringTest, TwinReuseKeepsCommittedDecisionsAndCacheTraffic) {
+  const topo::TopologyGraph topology =
+      topo::builders::cluster(40, MachineShape::kPower8Minsky);
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  trace::GeneratorOptions options;
+  options.job_count = 300;
+  options.seed = 20261018;
+  options.iterations = 250;
+  const auto jobs = trace::generate_workload(options, model, topology);
+
+  for (const int threads : {0, 4}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    TopoAwareScheduler scheduler({}, /*postpone=*/true);
+    scheduler.set_parallel_scoring(threads);
+    const DriverReport report = run_trace(topology, model, scheduler, jobs);
+    const std::uint64_t digest =
+        testing_digest::decision_digest(report.recorder);
+    EXPECT_EQ(digest, kTwinTraceDigest)
+        << label << " digest " << testing_digest::hex(digest);
+    const PlacementCacheStats cache = scheduler.cache_stats();
+    EXPECT_EQ(cache.lookups, kTwinTraceLookups) << label;
+    EXPECT_EQ(cache.hits, kTwinTraceHits) << label;
+    EXPECT_EQ(cache.invalidations, kTwinTraceInvalidations) << label;
+    // Every cache miss is either scored or a twin, and twins did fire.
+    const ScoringStats& scoring = scheduler.scoring_stats();
+    EXPECT_EQ(scoring.scored + scoring.twin_reuses, cache.lookups - cache.hits)
+        << label;
+    EXPECT_GT(scoring.twin_reuses, scoring.scored) << label;
   }
 }
 

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "check/audit.hpp"
 #include "cluster/state.hpp"
+#include "obs/explain.hpp"
+#include "obs/obs.hpp"
 #include "perf/profile.hpp"
 #include "sched/greedy.hpp"
 #include "sched/scheduler.hpp"
@@ -269,6 +277,173 @@ TEST_F(SchedTest, TopoAwareFastPathHonorsBandwidth) {
   for (const int gpu : placement->gpus) {
     EXPECT_EQ(cluster.machine_of_gpu(gpu), 5);
   }
+}
+
+// ------------------------------------------------------- twin reuse ----
+//
+// Within one decision, place_on_best_machine scores one empty machine per
+// machine class and hands its result to the later empty candidates of the
+// class (DESIGN.md §17.1). The proof that this is exact: on every empty
+// machine, drb_evaluate returns the representative's placement translated
+// by local GPU index, with bit-equal utility, for every network, batch
+// class and job size, next to occupied machines whose jobs load the
+// cluster's shared state.
+
+struct TwinCase {
+  const char* name;
+  topo::TopologyGraph topology;
+  std::vector<int> occupied;  // machines given a running job
+};
+
+std::vector<TwinCase> twin_cases() {
+  using topo::builders::cluster;
+  std::vector<TwinCase> cases;
+  cases.push_back({"minsky", cluster(6, MachineShape::kPower8Minsky), {1, 4}});
+  cases.push_back({"pcie", cluster(6, MachineShape::kPower8Pcie), {1, 4}});
+  cases.push_back({"dgx1", cluster(6, MachineShape::kDgx1), {1, 4}});
+  cases.push_back(
+      {"mixed",
+       topo::builders::mixed_cluster(
+           {MachineShape::kPower8Minsky, MachineShape::kDgx1,
+            MachineShape::kPower8Pcie, MachineShape::kPower8Minsky,
+            MachineShape::kDgx1, MachineShape::kPower8Pcie,
+            MachineShape::kPower8Minsky, MachineShape::kDgx1}),
+       {3, 4}});
+  return cases;
+}
+
+TEST(TwinReuseTest, EmptyMachinesOfOneClassScoreAsTranslatedTwins) {
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  for (const TwinCase& c : twin_cases()) {
+    const topo::TopologyGraph& topology = c.topology;
+    // One job inside the first occupied machine and one spanning both, so
+    // co-runners and link flows (uplinks and root included) are loaded.
+    cluster::ClusterState state(topology, model);
+    const std::vector<int>& a = topology.gpus_of_machine(c.occupied[0]);
+    const std::vector<int>& b = topology.gpus_of_machine(c.occupied[1]);
+    state.place(perf::make_profiled_dl(1000, 0.0, NeuralNet::kGoogLeNet, 4, 2,
+                                       0.0, model, topology, 700),
+                {a.front(), a.back()}, 0.0);
+    state.place(perf::make_profiled_dl(1001, 0.0, NeuralNet::kCaffeRef, 1, 2,
+                                       0.0, model, topology, 700),
+                {a[1], b[0]}, 0.0);
+    const UtilityModel utility{UtilityWeights{}};
+    for (int nn = 0; nn < jobgraph::kNeuralNetCount; ++nn) {
+      for (int batch = 0; batch < jobgraph::kBatchClassCount; ++batch) {
+        for (int k = 1; k <= 8; ++k) {
+          const JobRequest request = perf::make_profiled_dl(
+              1, 0.0, static_cast<NeuralNet>(nn),
+              jobgraph::representative_batch_size(
+                  static_cast<jobgraph::BatchClass>(batch)),
+              k, 0.5, model, topology, 700);
+          // The first empty machine of each class, and its placement.
+          std::vector<bool> seen(static_cast<size_t>(topology.machine_count()));
+          std::vector<std::optional<Placement>> expected(seen.size());
+          for (int m = 0; m < topology.machine_count(); ++m) {
+            if (!state.jobs_of_machine(m).empty() ||
+                state.machine_free_count(m) < k) {
+              continue;
+            }
+            const std::string label = std::string(c.name) + " nn " +
+                                      std::to_string(nn) + " batch " +
+                                      std::to_string(batch) + " k " +
+                                      std::to_string(k) + " machine " +
+                                      std::to_string(m);
+            const size_t shape =
+                static_cast<size_t>(topology.machine_class(m));
+            const std::optional<Placement> placement = drb_evaluate(
+                request, state.free_gpus_of_machine(m), state, utility);
+            if (!seen[shape]) {
+              seen[shape] = true;
+              expected[shape] = placement;
+              continue;
+            }
+            const std::optional<Placement>& twin = expected[shape];
+            ASSERT_EQ(placement.has_value(), twin.has_value()) << label;
+            if (!placement) continue;
+            std::vector<int> translated;
+            for (const int gpu : twin->gpus) {
+              translated.push_back(
+                  topology.gpus_of_machine(m)[static_cast<size_t>(
+                      topology.local_gpu_of(gpu))]);
+            }
+            EXPECT_EQ(placement->gpus, translated) << label;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(placement->utility),
+                      std::bit_cast<std::uint64_t>(twin->utility))
+                << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The scheduler scores every occupied candidate and one empty candidate
+// per class; every other empty candidate is a twin. With the cache off
+// each candidate is either scored or twinned, so the counts show that
+// occupied machines never twin. The explain entries show each twin's
+// placement moved onto its own machine.
+TEST(TwinReuseTest, OnlyEmptyMachinesTwin) {
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  const std::string explain_path = ::testing::TempDir() + "twin_reuse.jsonl";
+  obs::ObsConfig config;
+  config.explain_out = explain_path;
+  ASSERT_TRUE(obs::configure(config));
+  for (const TwinCase& c : twin_cases()) {
+    const topo::TopologyGraph& topology = c.topology;
+    cluster::ClusterState state(topology, model);
+    int id = 1000;
+    for (const int machine : c.occupied) {
+      const std::vector<int>& gpus = topology.gpus_of_machine(machine);
+      state.place(perf::make_profiled_dl(id++, 0.0, NeuralNet::kGoogLeNet, 4,
+                                         1, 0.0, model, topology, 700),
+                  {gpus[0]}, 0.0);
+    }
+    for (int k = 1; k <= 8; ++k) {
+      const JobRequest request = perf::make_profiled_dl(
+          1, 0.0, NeuralNet::kAlexNet, 4, k, 0.0, model, topology, 700);
+      long long occupied = 0;
+      long long empty = 0;
+      std::vector<int> shapes;
+      for (int m = 0; m < topology.machine_count(); ++m) {
+        if (state.machine_free_count(m) < k ||
+            !state.host_bw_available(m, request.profile.host_bw_demand_gbps)) {
+          continue;
+        }
+        if (!state.jobs_of_machine(m).empty()) {
+          ++occupied;
+          continue;
+        }
+        ++empty;
+        const int shape = topology.machine_class(m);
+        if (std::find(shapes.begin(), shapes.end(), shape) == shapes.end()) {
+          shapes.push_back(shape);
+        }
+      }
+      TopoAwareScheduler scheduler({}, /*postpone=*/false);
+      scheduler.set_placement_cache_enabled(false);
+      obs::DecisionScope scope(scheduler.name(), request.id, k, 0.0, 0.0);
+      scheduler.place(request, state);
+      const std::string label = std::string(c.name) + " k " + std::to_string(k);
+      const std::string prefix = "best-machine:";
+      for (const obs::ExplainCandidate& candidate :
+           scope.record().candidates) {
+        if (candidate.source.rfind(prefix, 0) != 0) continue;
+        const int machine = std::stoi(candidate.source.substr(prefix.size()));
+        for (const int gpu : candidate.gpus) {
+          EXPECT_EQ(topology.machine_of_gpu(gpu), machine)
+              << label << " " << candidate.source;
+        }
+      }
+      const long long classes = static_cast<long long>(shapes.size());
+      EXPECT_EQ(scheduler.scoring_stats().scored, occupied + classes) << label;
+      EXPECT_EQ(scheduler.scoring_stats().twin_reuses, empty - classes)
+          << label;
+    }
+  }
+  ASSERT_TRUE(obs::finalize());
+  obs::reset();
+  std::remove(explain_path.c_str());
 }
 
 // ------------------------------------------------------------- factory ----

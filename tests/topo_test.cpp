@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "decision_digest.hpp"
+#include "shard/cells.hpp"
 #include "topo/builders.hpp"
 #include "topo/topology.hpp"
 
@@ -403,6 +404,110 @@ TEST(CustomWeightsTest, Propagate) {
   const TopologyGraph g = builders::power8_minsky(options);
   EXPECT_DOUBLE_EQ(g.gpu_distance(0, 1), 2.0);
   EXPECT_DOUBLE_EQ(g.gpu_path(0, 1).bottleneck_gbps, 50.0);
+}
+
+// --- machine classes ---------------------------------------------------------
+
+/// `base` with the machines of `extra` appended under `base`'s network
+/// root, in `extra`'s node and link order.
+TopologyGraph join(const TopologyGraph& base, const TopologyGraph& extra) {
+  TopologyGraph joined = base;
+  NodeId root = kInvalidNode;
+  for (NodeId id = 0; id < base.node_count(); ++id) {
+    if (base.node(id).kind == NodeKind::kNetwork) root = id;
+  }
+  std::vector<NodeId> map(static_cast<size_t>(extra.node_count()), root);
+  for (NodeId id = 0; id < extra.node_count(); ++id) {
+    Node node = extra.node(id);
+    if (node.kind == NodeKind::kNetwork) continue;
+    node.machine += base.machine_count();
+    map[static_cast<size_t>(id)] = joined.add_node(node);
+  }
+  for (Link link : extra.links()) {
+    link.a = map[static_cast<size_t>(link.a)];
+    link.b = map[static_cast<size_t>(link.b)];
+    joined.add_link(link);
+  }
+  return joined;
+}
+
+std::vector<int> classes_of(const TopologyGraph& g) {
+  std::vector<int> classes;
+  for (int m = 0; m < g.machine_count(); ++m) {
+    classes.push_back(g.machine_class(m));
+  }
+  return classes;
+}
+
+TEST(MachineClassTest, HomogeneousClusterIsOneClass) {
+  for (const MachineShape shape :
+       {MachineShape::kPower8Minsky, MachineShape::kPower8Pcie,
+        MachineShape::kDgx1}) {
+    const TopologyGraph g = builders::cluster(6, shape);
+    EXPECT_EQ(classes_of(g), std::vector<int>(6, 0));
+  }
+}
+
+TEST(MachineClassTest, MixedClusterHasOneClassPerShape) {
+  const TopologyGraph g = builders::mixed_cluster(
+      {MachineShape::kPower8Minsky, MachineShape::kDgx1,
+       MachineShape::kPower8Pcie, MachineShape::kPower8Minsky,
+       MachineShape::kDgx1, MachineShape::kPower8Pcie});
+  EXPECT_EQ(classes_of(g), (std::vector<int>{0, 1, 2, 0, 1, 2}));
+}
+
+TEST(MachineClassTest, LinkParametersSeparateClasses) {
+  const TopologyGraph base = builders::cluster(2, MachineShape::kPower8Minsky);
+  builders::MachineShapeOptions lanes;
+  lanes.bandwidth.nvlink_lane_gbps = 25.0;
+  builders::MachineShapeOptions uplink;
+  uplink.bandwidth.network_gbps = 25.0;
+  builders::MachineShapeOptions socket_weight;
+  socket_weight.weights.socket_uplink = 30.0;
+  builders::MachineShapeOptions gpu_weight;
+  gpu_weight.weights.gpu_adjacent = 2.0;
+  for (const builders::MachineShapeOptions& options :
+       {lanes, uplink, socket_weight, gpu_weight}) {
+    const TopologyGraph g = join(
+        base, builders::cluster(2, MachineShape::kPower8Minsky, options));
+    ASSERT_TRUE(g.validate().is_ok());
+    EXPECT_EQ(classes_of(g), (std::vector<int>{0, 0, 1, 1}));
+  }
+  // The same parameters through the same join stay one class.
+  EXPECT_EQ(classes_of(join(base, base)), std::vector<int>(4, 0));
+}
+
+// A link leaving a machine other than its one uplink lets paths depend on
+// the rest of the cluster, so such a machine shares a class with nobody.
+TEST(MachineClassTest, ExtraOutsideLinksMakeSingletons) {
+  TopologyGraph g = builders::cluster(4, MachineShape::kPower8Minsky);
+  g.add_link({g.gpu_node(0), g.gpu_node(4), LinkKind::kNvlink, 1.0, 20.0, 1});
+  const std::vector<int> classes = classes_of(g);
+  EXPECT_EQ(classes[2], classes[3]);
+  EXPECT_NE(classes[0], classes[1]);
+  EXPECT_NE(classes[0], classes[2]);
+  EXPECT_NE(classes[1], classes[2]);
+}
+
+TEST(MachineClassTest, CellsClassifyLikeTheirSourceMachines) {
+  const TopologyGraph cluster = builders::mixed_cluster(
+      {MachineShape::kDgx1, MachineShape::kPower8Minsky,
+       MachineShape::kPower8Pcie, MachineShape::kPower8Minsky,
+       MachineShape::kDgx1, MachineShape::kPower8Minsky,
+       MachineShape::kPower8Pcie, MachineShape::kDgx1});
+  for (const auto& [begin, end] : {std::pair{0, 8}, std::pair{1, 6},
+                                   std::pair{3, 8}}) {
+    const shard::CellTopology cell = shard::extract_cell(cluster, begin, end);
+    for (int a = 0; a < end - begin; ++a) {
+      for (int b = 0; b < end - begin; ++b) {
+        EXPECT_EQ(cell.graph.machine_class(a) == cell.graph.machine_class(b),
+                  cluster.machine_class(begin + a) ==
+                      cluster.machine_class(begin + b))
+            << "cell [" << begin << ", " << end << ") machines " << a
+            << ", " << b;
+      }
+    }
+  }
 }
 
 }  // namespace
