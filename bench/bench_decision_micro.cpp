@@ -3,7 +3,6 @@
 // perf-regression gate watches:
 //
 //   filter   — Algorithm 1's filterHostsByConstraints over the cluster
-//   cache    — hashed placement-cache key construction + probe
 //   fm       — one top-level FM job bipartition (Algorithm 3) in isolation
 //   drb      — the full DRB mapping (Algorithm 2, FM + utility inside)
 //   utility  — final placement_utility evaluation of the chosen mapping
@@ -29,7 +28,6 @@
 #include <cstdio>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/state.hpp"
@@ -39,7 +37,6 @@
 #include "perf/profile.hpp"
 #include "runner/experiments.hpp"
 #include "runner/sweep.hpp"
-#include "sched/placement_cache_key.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/topo_aware.hpp"
 #include "sched/utility.hpp"
@@ -110,7 +107,6 @@ std::vector<jobgraph::JobRequest> micro_jobs(
 /// Per-decision stage latencies of one pass, microseconds.
 struct StageSample {
   double filter_us = 0.0;
-  double cache_us = 0.0;
   double fm_us = 0.0;
   double drb_us = 0.0;
   double utility_us = 0.0;
@@ -119,7 +115,6 @@ struct StageSample {
 
   void min_with(const StageSample& other) {
     filter_us = std::min(filter_us, other.filter_us);
-    cache_us = std::min(cache_us, other.cache_us);
     fm_us = std::min(fm_us, other.fm_us);
     drb_us = std::min(drb_us, other.drb_us);
     utility_us = std::min(utility_us, other.utility_us);
@@ -132,7 +127,6 @@ struct StageSample {
 struct PassCounters {
   long long decisions = 0;
   long long mapped = 0;
-  long long cache_hits = 0;
 };
 
 }  // namespace
@@ -208,8 +202,8 @@ int main(int argc, char** argv) {
   options.metadata["repeats"] = repeats;
   options.metadata["scoring_threads"] = scoring_threads;
   options.metadata["stages"] = json::Array{
-      json::Value("filter"), json::Value("cache"),   json::Value("fm"),
-      json::Value("drb"),    json::Value("utility"), json::Value("place")};
+      json::Value("filter"), json::Value("fm"), json::Value("drb"),
+      json::Value("utility"), json::Value("place")};
 
   const int tasks_axis = static_cast<int>(tasks->size());
   const std::vector<int> machine_axis = *machines;
@@ -244,10 +238,6 @@ int main(int argc, char** argv) {
         const auto run_pass = [&](int repeat) {
           cluster::ClusterState state(topology, model);
           partition::FmScratch fm_scratch;
-          std::unordered_map<sched::PlacementCacheKey, bool,
-                             sched::PlacementCacheKeyHash>
-              cache;
-          std::uint64_t cache_version = state.allocation_version();
 
           PassCounters pass;
           std::deque<int> resident;  // placed job ids, oldest first
@@ -271,18 +261,6 @@ int main(int argc, char** argv) {
             const std::vector<int> available =
                 sched::filter_hosts(request, state);
             sample.filter_us = elapsed_us(begin, Clock::now());
-
-            // Cache stage: key construction + probe, with the same
-            // allocation-epoch flush rule as TopoAwareScheduler.
-            begin = Clock::now();
-            if (cache_version != state.allocation_version()) {
-              cache.clear();
-              cache_version = state.allocation_version();
-            }
-            const sched::PlacementCacheKey key =
-                sched::hashed_placement_cache_key(request, available);
-            if (cache.find(key) != cache.end()) ++pass.cache_hits;
-            sample.cache_us = elapsed_us(begin, Clock::now());
 
             // FM stage: the top-level job bipartition of Algorithm 3 in
             // isolation, with scratch reuse (the scheduler's hot call
@@ -324,12 +302,11 @@ int main(int argc, char** argv) {
             sample.utility_us = elapsed_us(begin, Clock::now());
 
             // Place stage: the whole decision through the scheduler
-            // (filter + cache + candidate scoring + reduction).
+            // (filter + candidate scoring + reduction).
             begin = Clock::now();
             (void)scheduler.place(request, state);
             sample.place_us = elapsed_us(begin, Clock::now());
 
-            cache.emplace(key, placement.has_value());
             sample.total_us = elapsed_us(decision_begin, Clock::now());
             ++pass.decisions;
             if (placement) {
@@ -355,12 +332,10 @@ int main(int argc, char** argv) {
         payload["tasks_per_job"] = t;
         payload["decisions"] = counters.decisions;
         payload["mapped"] = counters.mapped;
-        payload["cache_hits"] = counters.cache_hits;
-        obs::HistogramData filter_us, cache_us, fm_us, drb_us, utility_us,
-            place_us, total_us;
+        obs::HistogramData filter_us, fm_us, drb_us, utility_us, place_us,
+            total_us;
         for (const StageSample& sample : best) {
           filter_us.record(sample.filter_us);
-          cache_us.record(sample.cache_us);
           fm_us.record(sample.fm_us);
           drb_us.record(sample.drb_us);
           utility_us.record(sample.utility_us);
@@ -369,7 +344,6 @@ int main(int argc, char** argv) {
         }
         json::Object timing;
         timing["filter_us"] = filter_us.to_json();
-        timing["cache_us"] = cache_us.to_json();
         timing["fm_us"] = fm_us.to_json();
         timing["drb_us"] = drb_us.to_json();
         timing["utility_us"] = utility_us.to_json();
@@ -383,8 +357,8 @@ int main(int argc, char** argv) {
       "decision-path microbenchmark: %zu scenarios x %zu seed(s), %.2fs "
       "wall\n",
       options.scenarios.size(), seeds->size(), result.wall_seconds);
-  metrics::Table table({"scenario", "filter(us)", "cache(us)", "fm(us)",
-                        "drb(us)", "utility(us)", "place(us)", "total(us)"});
+  metrics::Table table({"scenario", "filter(us)", "fm(us)", "drb(us)",
+                        "utility(us)", "place(us)", "total(us)"});
   for (const std::string& scenario : options.scenarios) {
     const auto cell = [&](const char* stage) {
       return util::format_double(
@@ -393,9 +367,9 @@ int main(int argc, char** argv) {
               .mean,
           1);
     };
-    table.add_row({scenario, cell("filter_us"), cell("cache_us"),
-                   cell("fm_us"), cell("drb_us"), cell("utility_us"),
-                   cell("place_us"), cell("total_us")});
+    table.add_row({scenario, cell("filter_us"), cell("fm_us"),
+                   cell("drb_us"), cell("utility_us"), cell("place_us"),
+                   cell("total_us")});
   }
   std::fputs(table.render().c_str(), stdout);
 

@@ -1,7 +1,6 @@
 #include "cluster/state.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -13,11 +12,6 @@
 namespace gts::cluster {
 
 namespace {
-std::uint64_t next_instance_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ++counter;
-}
-
 /// Condenses a flattened link list (with multiplicity) into sorted unique
 /// (link, count) pairs — the perf::FlowDelta shape.
 std::vector<std::pair<topo::LinkId, int>> condense_links(
@@ -44,8 +38,7 @@ ClusterState::ClusterState(const topo::TopologyGraph& topology,
       jobs_by_link_(static_cast<size_t>(topology.link_count())),
       host_bw_used_(static_cast<size_t>(topology.machine_count()), 0.0),
       machine_free_(static_cast<size_t>(topology.machine_count()), 0),
-      free_gpu_count_(topology.gpu_count()),
-      instance_id_(next_instance_id()) {
+      free_gpu_count_(topology.gpu_count()) {
   for (int machine = 0; machine < topology.machine_count(); ++machine) {
     machine_free_[static_cast<size_t>(machine)] =
         static_cast<int>(topology.gpus_of_machine(machine).size());

@@ -150,15 +150,9 @@ class ClusterState {
   int running_job_count() const { return static_cast<int>(jobs_.size()); }
 
   /// Monotonic counter bumped by every allocation-relevant mutation
-  /// (place, remove, test-only corruption). Schedulers memoizing placement
-  /// evaluations key their cache validity on it: two calls observing the
-  /// same version see the same GPU ownership, co-runners and link flows.
+  /// (place, remove, test-only corruption): two calls observing the same
+  /// version see the same GPU ownership, co-runners and link flows.
   std::uint64_t allocation_version() const noexcept { return version_; }
-
-  /// Process-unique id of this state instance, so a cache keyed on
-  /// (instance, version) can never confuse two states that happen to share
-  /// an address (e.g. a scheduler reused across Driver runs).
-  std::uint64_t instance_id() const noexcept { return instance_id_; }
 
   /// Observer of allocation mutations. Fired synchronously after place()
   /// and restore_job() with allocated=true and after remove() with
@@ -379,7 +373,6 @@ class ClusterState {
   int free_gpu_count_ = 0;
   int fragmented_machines_ = 0;
   std::uint64_t version_ = 0;
-  std::uint64_t instance_id_ = 0;
   double noise_sigma_ = 0.0;
   util::Rng noise_rng_{1234};
   AllocationListener allocation_listener_;

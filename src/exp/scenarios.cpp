@@ -80,9 +80,9 @@ sched::DriverReport run_policy(sched::Policy policy,
     *stats = SchedulerStats{};
     if (const auto* topo_aware =
             dynamic_cast<const sched::TopoAwareScheduler*>(scheduler.get())) {
-      stats->has_cache = true;
-      stats->cache = topo_aware->cache_stats();
+      stats->topo_aware = true;
       stats->drb = topo_aware->drb_stats();
+      stats->scoring = topo_aware->scoring_stats();
     }
   }
   return report;

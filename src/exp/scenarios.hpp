@@ -29,14 +29,14 @@ std::vector<jobgraph::JobRequest> table1_jobs(
     const perf::DlWorkloadModel& model, const topo::TopologyGraph& topology,
     long long iterations = 700);
 
-/// Internal scheduler counters surfaced into BENCH documents: the
-/// placement-cache counters and DRB statistics of topology-aware runs.
-/// Both are deterministic (decision-sequence functions), so they live
-/// outside the "timing" subtree.
+/// Internal scheduler counters surfaced into BENCH documents: the DRB
+/// and candidate-scoring counts of topology-aware runs. Both are
+/// deterministic (decision-sequence functions), so they live outside the
+/// "timing" subtree.
 struct SchedulerStats {
-  bool has_cache = false;  // true for TOPO-AWARE / TOPO-AWARE-P runs
-  sched::PlacementCacheStats cache;
+  bool topo_aware = false;  // true for TOPO-AWARE / TOPO-AWARE-P runs
   partition::DrbStats drb;
+  sched::ScoringStats scoring;
 };
 
 /// Runs one policy over a workload and returns the full report. `stats`,

@@ -41,8 +41,8 @@ struct UtilityTerms {
 struct ExplainCandidate {
   std::vector<int> gpus;
   UtilityTerms terms;
-  /// Where the candidate came from: "drb", "cache", "best-machine:<m>",
-  /// "greedy", ...
+  /// Where the candidate came from: "drb", "best-machine:<m>" or
+  /// "greedy".
   std::string source;
 };
 

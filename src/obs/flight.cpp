@@ -150,10 +150,13 @@ void FlightRecorder::enable(std::size_t capacity) {
   capacity = std::max<std::size_t>(capacity, 16);
   if (ring_.load(std::memory_order_acquire) == nullptr ||
       capacity_.load(std::memory_order_relaxed) != capacity) {
-    // Rings are leaked on reallocation rather than freed: a concurrent
-    // late recorder (or the crash handler) may still hold the old
-    // pointer, and enable() is a rare configuration-time call.
-    ring_.store(new Slot[capacity], std::memory_order_release);
+    // A replaced ring is retired rather than freed: a concurrent late
+    // recorder (or the crash handler) may still hold the old pointer, and
+    // enable() is a rare configuration-time call. The retired list keeps
+    // it owned, so leak checkers do not report it.
+    Slot* const old = ring_.exchange(new Slot[capacity],
+                                     std::memory_order_acq_rel);
+    if (old != nullptr) retired_rings_.push_back(old);
     capacity_.store(capacity, std::memory_order_relaxed);
     next_.store(0, std::memory_order_relaxed);
   }

@@ -123,6 +123,9 @@ class FlightRecorder {
   std::atomic<Slot*> ring_{nullptr};
   std::atomic<std::size_t> capacity_{0};
   std::atomic<std::uint64_t> next_{0};
+  /// Rings replaced by enable(), never freed (see enable()). Touched only
+  /// by enable(), a configuration-time call.
+  std::vector<Slot*> retired_rings_;
 };
 
 }  // namespace gts::obs

@@ -1,6 +1,6 @@
 // Process-wide metrics registry: named counters, gauges, and fixed-bucket
 // histograms (metric naming convention: "<component>.<what>[_<unit>]",
-// e.g. "sched.decision_latency_us", "fm.passes", "cache.hits").
+// e.g. "sched.decision_latency_us", "fm.passes", "sched.twin_reuses").
 //
 // Registry instruments are thread-safe (atomics; histograms use atomic
 // bucket counters) and survive Registry::reset(), which zeroes values but

@@ -88,10 +88,9 @@ constexpr struct {
   Category category;
   std::string_view name;
 } kCategoryNames[] = {
-    {kSched, "sched"},     {kSim, "sim"},         {kDrb, "drb"},
-    {kFm, "fm"},           {kCache, "cache"},     {kRunner, "runner"},
-    {kCluster, "cluster"}, {kBench, "bench"},     {kLog, "log"},
-    {kSvc, "svc"},
+    {kSched, "sched"}, {kSim, "sim"},       {kDrb, "drb"},
+    {kFm, "fm"},       {kRunner, "runner"}, {kCluster, "cluster"},
+    {kBench, "bench"}, {kLog, "log"},       {kSvc, "svc"},
 };
 
 }  // namespace

@@ -31,7 +31,6 @@ enum Category : unsigned {
   kSim = 1u << 1,      // discrete-event engine dispatch
   kDrb = 1u << 2,      // DRB mapper recursion
   kFm = 1u << 3,       // Fiduccia-Mattheyses refinement
-  kCache = 1u << 4,    // placement-evaluation cache
   kRunner = 1u << 5,   // sweep replica lifecycle
   kCluster = 1u << 6,  // cluster state transitions
   kBench = 1u << 7,    // bench/example harness phases

@@ -15,19 +15,16 @@ namespace {
 /// the decision sequence.
 json::Value scheduler_stats_json(const exp::SchedulerStats& stats) {
   json::Object o;
-  o["has_cache"] = stats.has_cache;
-  if (stats.has_cache) {
-    json::Object cache;
-    cache["lookups"] = stats.cache.lookups;
-    cache["hits"] = stats.cache.hits;
-    cache["invalidations"] = stats.cache.invalidations;
-    cache["hit_rate"] = stats.cache.hit_rate();
-    o["cache"] = std::move(cache);
+  if (stats.topo_aware) {
     json::Object drb;
     drb["bipartitions"] = stats.drb.bipartitions;
     drb["fm_passes"] = stats.drb.fm_passes;
     drb["max_depth"] = stats.drb.max_depth;
     o["drb"] = std::move(drb);
+    json::Object scoring;
+    scoring["scored"] = stats.scoring.scored;
+    scoring["twin_reuses"] = stats.scoring.twin_reuses;
+    o["scoring"] = std::move(scoring);
   }
   return o;
 }

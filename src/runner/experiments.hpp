@@ -26,7 +26,7 @@ json::Value large_scale_payload(const exp::LargeScaleOptions& options,
 
 /// Flattens a finished four-policy comparison into the standard payload
 /// object described above: per-policy QoS metrics, deterministic
-/// "sched_stats" (cache + DRB counters) and "capacity_skips" (queue offers
+/// "sched_stats" (DRB + scoring counters) and "capacity_skips" (queue offers
 /// the driver's capacity gate declined), and a "timing" subtree carrying
 /// the mean decision latency plus the full per-decision histogram.
 json::Value policy_comparison_payload(const exp::PolicyComparison& comparison,

@@ -43,8 +43,8 @@ std::optional<Placement> TopoAwareScheduler::place(
   obs::SpanGuard span(obs::kSched, "topo.place");
   span.arg("job", request.id).arg("gpus", request.num_gpus);
   // Zero-cost role acquisition (DESIGN.md §16.2): asserts single-threaded
-  // ownership of the placement cache for the whole decision.
-  const util::SerialGuard guard(cache_serial_);
+  // ownership of the replica's counters and pool for the whole decision.
+  const util::SerialGuard guard(replica_serial_);
   std::optional<Placement> placement;
   if (request.profile.single_node && !request.profile.anti_collocate &&
       state.topology().machine_count() > direct_drb_machine_limit) {
@@ -54,7 +54,8 @@ std::optional<Placement> TopoAwareScheduler::place(
     if (static_cast<int>(available.size()) < request.num_gpus) {
       return std::nullopt;
     }
-    placement = map_onto(request, available, state);
+    ++scoring_.scored;
+    placement = drb_place(request, available, state, utility_, &stats_);
   }
   if (!placement) return std::nullopt;
 
@@ -110,29 +111,8 @@ std::optional<Placement> drb_place(const jobgraph::JobRequest& request,
   return placement;
 }
 
-TopoAwareScheduler::CacheEntry TopoAwareScheduler::CacheEntry::of(
-    const std::optional<Placement>& placement) {
-  CacheEntry entry;
-  entry.mapped = placement.has_value();
-  if (placement) {
-    entry.gpus = placement->gpus;
-    entry.utility = placement->utility;
-  }
-  return entry;
-}
-
-std::optional<Placement> TopoAwareScheduler::CacheEntry::placement(
-    const jobgraph::JobRequest& request) const {
-  if (!mapped) return std::nullopt;
-  Placement placement;
-  placement.gpus = gpus;
-  placement.utility = utility;
-  placement.satisfied = placement.utility + 1e-9 >= request.min_utility;
-  return placement;
-}
-
 void TopoAwareScheduler::set_parallel_scoring(int threads) {
-  const util::SerialGuard guard(cache_serial_);
+  const util::SerialGuard guard(replica_serial_);
   if (threads == 0) {
     scoring_pool_.reset();
     return;
@@ -140,57 +120,6 @@ void TopoAwareScheduler::set_parallel_scoring(int threads) {
   // ThreadPool treats <= 0 as "all cores"; normalize our contract's -1.
   scoring_pool_ =
       std::make_unique<util::ThreadPool>(threads < 0 ? 0 : threads);
-}
-
-void TopoAwareScheduler::refresh_cache_epoch(
-    const cluster::ClusterState& state) {
-  // One cache generation per (state object, allocation epoch): any
-  // place/remove changes co-runners, link flows and free sets, all of
-  // which feed the utility, so the whole cache is flushed.
-  if (cache_state_id_ != state.instance_id() ||
-      cache_version_ != state.allocation_version()) {
-    if (!cache_.empty()) {
-      ++cache_stats_.invalidations;
-      GTS_METRIC_COUNT("cache.invalidations", 1);
-      GTS_TRACE_INSTANT(obs::kCache, "cache.flush");
-      cache_.clear();
-    }
-    cache_state_id_ = state.instance_id();
-    cache_version_ = state.allocation_version();
-  }
-}
-
-std::optional<Placement> TopoAwareScheduler::map_onto(
-    const jobgraph::JobRequest& request, const std::vector<int>& available,
-    const cluster::ClusterState& state) {
-  if (!cache_enabled_) {
-    ++scoring_.scored;
-    return drb_place(request, available, state, utility_, &stats_);
-  }
-
-  refresh_cache_epoch(state);
-
-  ++cache_stats_.lookups;
-  GTS_METRIC_COUNT("cache.lookups", 1);
-  const PlacementCacheKey key = hashed_placement_cache_key(request, available);
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    return replay_cache_entry(it->second, request);
-  }
-  ++scoring_.scored;
-  std::optional<Placement> placement =
-      drb_place(request, available, state, utility_, &stats_);
-  cache_.emplace(key, CacheEntry::of(placement));
-  return placement;
-}
-
-std::optional<Placement> TopoAwareScheduler::replay_cache_entry(
-    const CacheEntry& entry, const jobgraph::JobRequest& request) {
-  ++cache_stats_.hits;
-  GTS_METRIC_COUNT("cache.hits", 1);
-  GTS_TRACE_INSTANT(obs::kCache, "cache.hit", "job", request.id);
-  std::optional<Placement> placement = entry.placement(request);
-  if (placement) explain_candidate(*placement, "cache");
-  return placement;
 }
 
 std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
@@ -246,18 +175,17 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
   // Three phases (DESIGN.md §17.1) make the decision independent of the
   // scoring pool:
   //
-  //   1. probe  (decision thread): cache lookups in candidate order —
-  //      hits are resolved from the cache, misses collected. A miss on an
-  //      empty machine whose class an earlier empty candidate already
-  //      holds is a twin: it will take that candidate's result;
-  //   2. score: drb_evaluate over each miss that is not a twin, writing
-  //      only that miss's slot (placement + DrbStats). Without a pool, or
-  //      with fewer than 2 such misses, they are scored inline; otherwise
-  //      they are chunked deterministically over the pool, where FmScratch
-  //      comes from each worker's thread-local arena;
-  //   3. reduce (decision thread): twin translations, cache inserts, stats
-  //      folds, explain entries and the first-maximum reduction, all in
-  //      candidate order.
+  //   1. probe  (decision thread): in candidate order, an empty machine
+  //      whose class an earlier empty candidate already holds is a twin:
+  //      it will take that candidate's result. Every other candidate is
+  //      to be scored;
+  //   2. score: drb_evaluate over each candidate that is not a twin,
+  //      writing only that candidate's slot (placement + DrbStats).
+  //      Without a pool, or with fewer than 2 of them, they are scored
+  //      inline; otherwise they are chunked deterministically over the
+  //      pool, where FmScratch comes from each worker's thread-local arena;
+  //   3. reduce (decision thread): twin translations, stats folds, explain
+  //      entries and the first-maximum reduction, all in candidate order.
   //
   // A twin's result is exact: on a single machine, DRB and the utility
   // read only that machine's GPUs, distances, socket lists, co-runners
@@ -266,31 +194,18 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
   // co-runners or flows.
   struct Slot {
     const Candidate* candidate = nullptr;
-    bool hit = false;
     int twin_of = -1;                 // slot whose result a twin reuses
-    CacheEntry entry;                 // valid when hit
-    PlacementCacheKey key;            // misses, with the cache on
-    std::optional<Placement> result;  // scored placement (miss)
-    partition::DrbStats stats;        // slot-local DRB counters (miss)
+    std::optional<Placement> result;  // scored or translated placement
+    partition::DrbStats stats;        // slot-local DRB counters (scored)
   };
   std::vector<Slot> slots(candidates.size());
-  std::vector<int> misses;
-  misses.reserve(candidates.size());
+  std::vector<int> to_score;
+  to_score.reserve(candidates.size());
   // (machine class, slot) of the first empty candidate of each class.
   std::vector<std::pair<int, int>> representatives;
-  if (cache_enabled_) refresh_cache_epoch(state);
   for (size_t i = 0; i < candidates.size(); ++i) {
     Slot& slot = slots[i];
     slot.candidate = &candidates[i];
-    if (cache_enabled_) {
-      ++cache_stats_.lookups;
-      GTS_METRIC_COUNT("cache.lookups", 1);
-      slot.key = hashed_placement_cache_key(request, slot.candidate->free);
-      if (const auto it = cache_.find(slot.key); it != cache_.end()) {
-        slot.hit = true;
-        slot.entry = it->second;
-      }
-    }
     const int machine = slot.candidate->machine;
     if (state.jobs_of_machine(machine).empty()) {
       GTS_DCHECK(slot.candidate->free == topology.gpus_of_machine(machine));
@@ -300,36 +215,36 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
           [shape](const std::pair<int, int>& r) { return r.first == shape; });
       if (representative == representatives.end()) {
         representatives.emplace_back(shape, static_cast<int>(i));
-      } else if (!slot.hit) {
+      } else {
         slot.twin_of = representative->second;
       }
     }
-    if (!slot.hit && slot.twin_of < 0) misses.push_back(static_cast<int>(i));
+    if (slot.twin_of < 0) to_score.push_back(static_cast<int>(i));
   }
 
-  const int miss_count = static_cast<int>(misses.size());
-  const auto score = [&slots, &misses, &request, &state, this](int i) {
-    Slot& slot = slots[static_cast<size_t>(misses[static_cast<size_t>(i)])];
+  const int score_count = static_cast<int>(to_score.size());
+  const auto score = [&slots, &to_score, &request, &state, this](int i) {
+    Slot& slot = slots[static_cast<size_t>(to_score[static_cast<size_t>(i)])];
     slot.result = drb_evaluate(request, slot.candidate->free, state,
                                utility_, &slot.stats);
   };
-  if (scoring_pool_ == nullptr || miss_count < 2) {
-    for (int i = 0; i < miss_count; ++i) score(i);
+  if (scoring_pool_ == nullptr || score_count < 2) {
+    for (int i = 0; i < score_count; ++i) score(i);
   } else {
     // The topology's distance tables are lazily built mutable caches;
     // materialize them on this thread before concurrent readers arrive.
     topology.warm_caches();
     const int chunk_count = std::min(
-        miss_count, std::max(1, 2 * scoring_pool_->thread_count()));
+        score_count, std::max(1, 2 * scoring_pool_->thread_count()));
     obs::SpanGuard fan_span(obs::kSched, "sched.parallel_score");
-    fan_span.arg("candidates", static_cast<double>(miss_count))
+    fan_span.arg("candidates", static_cast<double>(score_count))
         .arg("chunks", static_cast<double>(chunk_count));
     GTS_METRIC_COUNT("sched.parallel_chunks", chunk_count);
     util::parallel_for(
         *scoring_pool_, chunk_count,
-        [&score, miss_count, chunk_count](int chunk) {
-          const int begin = chunk * miss_count / chunk_count;
-          const int end = (chunk + 1) * miss_count / chunk_count;
+        [&score, score_count, chunk_count](int chunk) {
+          const int begin = chunk * score_count / chunk_count;
+          const int end = (chunk + 1) * score_count / chunk_count;
           obs::SpanGuard span(obs::kSched, "sched.score_chunk");
           span.arg("chunk", static_cast<double>(chunk))
               .arg("candidates", static_cast<double>(end - begin));
@@ -337,13 +252,11 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
         });
   }
 
-  // Each twin takes its representative's placement (scored above or a
-  // cache hit), moved to the twin's machine by local GPU index.
+  // Each twin takes its representative's placement, moved to the twin's
+  // machine by local GPU index.
   for (Slot& slot : slots) {
     if (slot.twin_of < 0) continue;
-    const Slot& representative = slots[static_cast<size_t>(slot.twin_of)];
-    slot.result = representative.hit ? representative.entry.placement(request)
-                                     : representative.result;
+    slot.result = slots[static_cast<size_t>(slot.twin_of)].result;
     if (slot.result) {
       const std::vector<int>& target =
           topology.gpus_of_machine(slot.candidate->machine);
@@ -355,27 +268,19 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
 
   std::optional<Placement> best;
   for (Slot& slot : slots) {
-    std::optional<Placement> placement;
-    if (slot.hit) {
-      placement = replay_cache_entry(slot.entry, request);
+    if (slot.twin_of >= 0) {
+      ++scoring_.twin_reuses;
+      GTS_METRIC_COUNT("sched.twin_reuses", 1);
     } else {
-      if (slot.twin_of >= 0) {
-        ++scoring_.twin_reuses;
-        GTS_METRIC_COUNT("sched.twin_reuses", 1);
-      } else {
-        ++scoring_.scored;
-      }
-      if (cache_enabled_) {
-        cache_.emplace(slot.key, CacheEntry::of(slot.result));
-      }
-      stats_.bipartitions += slot.stats.bipartitions;
-      stats_.fm_passes += slot.stats.fm_passes;
-      stats_.max_depth = std::max(stats_.max_depth, slot.stats.max_depth);
-      placement = std::move(slot.result);
-      // The entry drb_place() writes for a mapped placement.
-      if (placement) explain_candidate(*placement, "drb");
+      ++scoring_.scored;
     }
+    stats_.bipartitions += slot.stats.bipartitions;
+    stats_.fm_passes += slot.stats.fm_passes;
+    stats_.max_depth = std::max(stats_.max_depth, slot.stats.max_depth);
+    std::optional<Placement> placement = std::move(slot.result);
     if (!placement) continue;
+    // The entry drb_place() writes for a mapped placement.
+    explain_candidate(*placement, "drb");
     explain_candidate(*placement, "best-machine:", slot.candidate->machine);
     // Strict `>` keeps the FIRST maximum in candidate order.
     if (!best || placement->utility > best->utility) {

@@ -4,8 +4,7 @@
 // weights, DRB tie-breaking or driver event ordering shows up here as a
 // precise diff instead of a silent drift of the headline numbers.
 //
-// The schedule is also pinned bit-exactly by per-policy digests, with
-// the placement cache on and off.
+// The schedule is also pinned bit-exactly by per-policy digests.
 //
 // When a change is intentional, regenerate the golden file and commit it:
 //   build-release/bench/bench_fig8_prototype --golden-out tests/golden/fig8.json
@@ -105,11 +104,10 @@ struct PinnedFig8 {
   std::uint64_t digest;
 };
 
-// Exact per-policy digests of the fig8 schedule (tests/decision_digest.hpp)
-// under the hashed placement cache and with the cache off: the cache must
-// be a pure memoization. Recorded while the legacy byte-string cache key
-// still produced the same schedule, so the digests also carry that proof.
-TEST(GoldenTest, Fig8ScheduleMatchesCommittedDigestsWithAndWithoutCache) {
+// Exact per-policy digests of the fig8 schedule (tests/decision_digest.hpp),
+// recorded while the placement cache (since deleted, DESIGN.md §12) gave
+// the same schedule on and off.
+TEST(GoldenTest, Fig8ScheduleMatchesCommittedDigests) {
   const topo::TopologyGraph minsky = topo::builders::power8_minsky();
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
   const std::vector<jobgraph::JobRequest> jobs =
@@ -122,19 +120,15 @@ TEST(GoldenTest, Fig8ScheduleMatchesCommittedDigestsWithAndWithoutCache) {
       {true, 0xf749e034c812276eULL},   // TOPO-AWARE-P
   };
   for (const PinnedFig8& pin : pinned) {
-    for (const bool cache : {true, false}) {
-      sched::TopoAwareScheduler scheduler({}, pin.postpone);
-      scheduler.set_placement_cache_enabled(cache);
-      sched::DriverOptions options;
-      options.record_series = false;
-      sched::Driver driver(minsky, model, scheduler, options);
-      const sched::DriverReport report = driver.run(jobs);
-      const std::uint64_t digest =
-          testing_digest::decision_digest(report.recorder);
-      EXPECT_EQ(digest, pin.digest)
-          << scheduler.name() << " cache=" << cache << " digest "
-          << testing_digest::hex(digest);
-    }
+    sched::TopoAwareScheduler scheduler({}, pin.postpone);
+    sched::DriverOptions options;
+    options.record_series = false;
+    sched::Driver driver(minsky, model, scheduler, options);
+    const sched::DriverReport report = driver.run(jobs);
+    const std::uint64_t digest =
+        testing_digest::decision_digest(report.recorder);
+    EXPECT_EQ(digest, pin.digest)
+        << scheduler.name() << " digest " << testing_digest::hex(digest);
   }
 }
 

@@ -10,8 +10,8 @@
 //   * TaskUtility's per-side aggregates == the recompute fallback used
 //     for GPU vectors begin_bipartition did not mark, to 1e-9, across
 //     random bipartitions of a live cluster;
-//   * the hashed placement-cache key's decisions and cache traffic on the
-//     seeded 500-job regression trace, for both postponement modes.
+//   * decisions and scoring counts on the seeded 500-job regression
+//     trace, for both postponement modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -300,7 +300,7 @@ TEST(TaskUtilityIncrementalTest, CacheInvalidatesAcrossBipartitions) {
   }
 }
 
-// --- hashed cache key ----------------------------------------------------
+// --- seeded trace -------------------------------------------------------
 
 std::vector<jobgraph::JobRequest> seeded_trace(
     const perf::DlWorkloadModel& model, const topo::TopologyGraph& topology,
@@ -321,29 +321,28 @@ sched::DriverReport run_trace(const topo::TopologyGraph& topology,
   return driver.run(jobs);
 }
 
-struct PinnedCacheRun {
+struct PinnedTraceRun {
   bool postpone;
   std::uint64_t digest;
-  long long lookups;
-  long long hits;
+  long long scored;
+  long long twin_reuses;
 };
 
-// The 128-bit FNV-1a key plus equality payload on the seeded 500-job
-// regression trace, for both postponement modes. Recorded while the
-// byte-string key it replaced ran the same trace to identical decisions
-// and identical lookup/hit counts (a diverging hit count would mean a
-// collision or a dropped field).
-TEST(HashedCacheKeyTest, DecisionsAndCacheTrafficMatchCommittedDigests) {
+// Decisions and DRB work on the seeded 500-job regression trace, for both
+// postponement modes. The digests date from the byte-string placement-cache
+// key; the scoring counts were recorded with the placement cache off, the
+// only path left since the cache was deleted (DESIGN.md §12).
+TEST(SeededTraceTest, DecisionsAndScoringMatchCommittedPins) {
   const topo::TopologyGraph topology =
       topo::builders::cluster(5, MachineShape::kPower8Minsky);
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
   const auto jobs = seeded_trace(model, topology, 500, /*seed=*/20260806);
 
-  const PinnedCacheRun pinned[] = {
-      {false, 0x970e00271938deb6ULL, 518, 0},
-      {true, 0xa5767ea914ff0e6cULL, 567, 10},
+  const PinnedTraceRun pinned[] = {
+      {false, 0x970e00271938deb6ULL, 503, 15},
+      {true, 0xa5767ea914ff0e6cULL, 552, 15},
   };
-  for (const PinnedCacheRun& pin : pinned) {
+  for (const PinnedTraceRun& pin : pinned) {
     sched::TopoAwareScheduler scheduler({}, pin.postpone);
     const sched::DriverReport report =
         run_trace(topology, model, scheduler, jobs);
@@ -352,9 +351,9 @@ TEST(HashedCacheKeyTest, DecisionsAndCacheTrafficMatchCommittedDigests) {
         testing_digest::decision_digest(report.recorder);
     EXPECT_EQ(digest, pin.digest)
         << "postpone=" << pin.postpone << " digest " << hex(digest);
-    EXPECT_EQ(scheduler.cache_stats().lookups, pin.lookups)
+    EXPECT_EQ(scheduler.scoring_stats().scored, pin.scored)
         << "postpone=" << pin.postpone;
-    EXPECT_EQ(scheduler.cache_stats().hits, pin.hits)
+    EXPECT_EQ(scheduler.scoring_stats().twin_reuses, pin.twin_reuses)
         << "postpone=" << pin.postpone;
   }
 }

@@ -379,9 +379,9 @@ TEST(TwinReuseTest, EmptyMachinesOfOneClassScoreAsTranslatedTwins) {
 }
 
 // The scheduler scores every occupied candidate and one empty candidate
-// per class; every other empty candidate is a twin. With the cache off
-// each candidate is either scored or twinned, so the counts show that
-// occupied machines never twin. The explain entries show each twin's
+// per class; every other empty candidate is a twin. Each candidate is
+// either scored or twinned, so the counts show that occupied machines
+// never twin. The explain entries show each twin's
 // placement moved onto its own machine.
 TEST(TwinReuseTest, OnlyEmptyMachinesTwin) {
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
@@ -421,7 +421,6 @@ TEST(TwinReuseTest, OnlyEmptyMachinesTwin) {
         }
       }
       TopoAwareScheduler scheduler({}, /*postpone=*/false);
-      scheduler.set_placement_cache_enabled(false);
       obs::DecisionScope scope(scheduler.name(), request.id, k, 0.0, 0.0);
       scheduler.place(request, state);
       const std::string label = std::string(c.name) + " k " + std::to_string(k);
