@@ -6,9 +6,8 @@
 //   fm       — one top-level FM job bipartition (Algorithm 3) in isolation
 //   drb      — the full DRB mapping (Algorithm 2, FM + utility inside)
 //   utility  — final placement_utility evaluation of the chosen mapping
-//   place    — a full TopoAwareScheduler::place() decision (candidate
-//              scoring serial by default; --scoring-threads N fans it out
-//              across a pool, decisions byte-identical either way)
+//   place    — a full TopoAwareScheduler::place() decision (host filter,
+//              candidate pre-score and scoring, first-maximum reduction)
 //   total    — the whole decision (sum of the stages as actually run)
 //
 // Each replica streams a controlled workload through a live ClusterState
@@ -140,9 +139,6 @@ int main(int argc, char** argv) {
                  "42,");
   cli.add_option("threads", "worker threads (0 = all cores)", "0");
   cli.add_option("repeats", "timed passes per replica (min taken)", "5");
-  cli.add_option("scoring-threads",
-                 "parallel candidate scoring in the place stage (0 = serial)",
-                 "0");
   cli.add_option("out", "write BENCH JSON here ('' = no file)", "");
   obs::add_cli_flags(cli);
   if (auto status = cli.parse(argc, argv); !status) {
@@ -171,12 +167,6 @@ int main(int argc, char** argv) {
   }
   const int job_count = static_cast<int>(cli.get_int("jobs"));
   const int repeats = std::max(1, static_cast<int>(cli.get_int("repeats")));
-  const int scoring_threads =
-      static_cast<int>(cli.get_int("scoring-threads"));
-  if (scoring_threads < 0) {
-    std::fprintf(stderr, "--scoring-threads must be >= 0\n");
-    return 1;
-  }
 
   runner::SweepOptions options;
   options.name = "decision_micro";
@@ -200,7 +190,6 @@ int main(int argc, char** argv) {
   }
   options.metadata["jobs"] = job_count;
   options.metadata["repeats"] = repeats;
-  options.metadata["scoring_threads"] = scoring_threads;
   options.metadata["stages"] = json::Array{
       json::Value("filter"), json::Value("fm"), json::Value("drb"),
       json::Value("utility"), json::Value("place")};
@@ -224,14 +213,10 @@ int main(int argc, char** argv) {
 
         const sched::UtilityModel utility{sched::UtilityWeights{}};
         // Full-decision stage: a real scheduler instance, so the place
-        // stage exercises the pre-score/candidate path (and, with
-        // --scoring-threads, the parallel scorer) rather than one bare
-        // drb_place call.
+        // stage exercises the pre-score/candidate path rather than one
+        // bare drb_place call.
         sched::TopoAwareScheduler scheduler(sched::UtilityWeights{},
                                             /*postpone=*/false);
-        if (scoring_threads > 0) {
-          scheduler.set_parallel_scoring(scoring_threads);
-        }
         std::vector<StageSample> best;  // per decision, min across repeats
         PassCounters counters;
 

@@ -165,16 +165,8 @@ int main(int argc, char** argv) {
   cli.add_option("max-queue", "daemon admission bound", "16");
   cli.add_option("batch-max",
                  "requests dispatched per reactor round (1 = unbatched)", "1");
-  cli.add_option("parse-threads",
-                 "protocol-parse workers for batched rounds (0 = inline)",
-                 "0");
   cli.add_flag("pipeline",
                "clients flush submit waves instead of strict request/response");
-  cli.add_flag("parallel-scoring",
-               "parallel candidate scoring inside the placement policy");
-  cli.add_option("scoring-threads",
-                 "scoring workers with --parallel-scoring (0 = all cores)",
-                 "0");
   cli.add_option("seeds", "replica count N (seeds 1..N) or list 'a,b,c'",
                  "42,");
   cli.add_option("threads", "sweep worker threads", "1");
@@ -201,29 +193,15 @@ int main(int argc, char** argv) {
   const long long iterations = cli.get_int("iterations");
   const int max_queue = static_cast<int>(cli.get_int("max-queue"));
   const int batch_max = static_cast<int>(cli.get_int("batch-max"));
-  const int parse_threads = static_cast<int>(cli.get_int("parse-threads"));
   const bool pipeline = cli.has("pipeline");
-  const bool parallel_scoring = cli.has("parallel-scoring");
-  const int scoring_threads = static_cast<int>(cli.get_int("scoring-threads"));
   if (connections < 1 || job_count < 1 || machines < 1 || max_queue < 1) {
     std::fprintf(stderr, "connections/jobs/machines/max-queue must be >= 1\n");
     return 1;
   }
-  if (batch_max < 1 || parse_threads < 0 || scoring_threads < 0) {
-    std::fprintf(stderr,
-                 "batch-max must be >= 1; parse-threads/scoring-threads"
-                 " must be >= 0\n");
+  if (batch_max < 1) {
+    std::fprintf(stderr, "batch-max must be >= 1\n");
     return 1;
   }
-  // Resolved scoring-worker count: what the scheduler will actually spin
-  // up. Recorded in metadata AND the payload so tools/bench_compare.py
-  // refuses to gate a batched/parallel run against an unbatched baseline.
-  const int worker_threads =
-      !parallel_scoring ? 0
-      : scoring_threads > 0
-          ? scoring_threads
-          : static_cast<int>(
-                std::max(1u, std::thread::hardware_concurrency()));
 
   runner::SweepOptions options;
   options.name = "service_load";
@@ -238,9 +216,6 @@ int main(int argc, char** argv) {
   options.metadata["rate_per_minute"] = rate;
   options.metadata["batch_max"] = batch_max;
   options.metadata["pipeline"] = pipeline;
-  options.metadata["parse_threads"] = parse_threads;
-  options.metadata["parallel_scoring"] = parallel_scoring;
-  options.metadata["worker_threads"] = worker_threads;
 
   const runner::SweepResult result = runner::run_sweep(
       options, [=](const runner::ReplicaContext& context) {
@@ -252,9 +227,6 @@ int main(int argc, char** argv) {
         service_options.config.max_queue = max_queue;
         service_options.config.retry_after_ms = 1.0;
         service_options.config.batch_max = batch_max;
-        service_options.config.parse_threads = parse_threads;
-        service_options.config.parallel_scoring = parallel_scoring;
-        service_options.config.scoring_threads = scoring_threads;
         svc::ServiceCore core(topology, model, service_options);
 
         const std::string socket_path =
@@ -263,7 +235,6 @@ int main(int argc, char** argv) {
         svc::ServerOptions server_options;
         server_options.unix_socket = socket_path;
         server_options.batch_max = batch_max;
-        server_options.parse_threads = parse_threads;
         svc::Server server(core, server_options);
         if (auto status = server.start(); !status) {
           throw std::runtime_error(status.error().message);
@@ -472,7 +443,6 @@ int main(int argc, char** argv) {
         payload.set("jobs", job_count);
         payload.set("batch_max", batch_max);
         payload.set("pipeline", pipeline);
-        payload.set("worker_threads", worker_threads);
         payload.set("finished",
                     listing->result.at("finished").as_array().size());
         payload.set("rejected",

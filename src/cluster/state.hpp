@@ -382,8 +382,8 @@ class ClusterState {
   std::vector<int> touched_ids_;
   /// solo_iteration_time's pack-placement fallback, keyed by num_gpus (the
   /// topology is fixed for the state's lifetime, so no epoch in the key).
-  /// Mutex-guarded because const prediction paths run under the
-  /// schedulers' parallel candidate scoring.
+  /// Mutex-guarded so the const prediction paths stay safe to call from
+  /// any thread.
   mutable util::Mutex pack_cache_mutex_;
   mutable std::map<int, std::vector<int>> pack_cache_
       GTS_GUARDED_BY(pack_cache_mutex_);

@@ -94,18 +94,6 @@ util::Expected<SystemConfig> SystemConfig::from_ini(const Ini& ini) {
   if (svc.batch_max < 1) {
     return util::Error{"sys-config [service]: batch_max must be >= 1"};
   }
-  svc.parse_threads = static_cast<int>(
-      ini.get_int("service", "parse_threads", svc.parse_threads));
-  if (svc.parse_threads < 0) {
-    return util::Error{"sys-config [service]: parse_threads must be >= 0"};
-  }
-  svc.parallel_scoring =
-      ini.get_bool("service", "parallel_scoring", svc.parallel_scoring);
-  svc.scoring_threads = static_cast<int>(
-      ini.get_int("service", "scoring_threads", svc.scoring_threads));
-  if (svc.scoring_threads < 0) {
-    return util::Error{"sys-config [service]: scoring_threads must be >= 0"};
-  }
   svc.prom_port =
       static_cast<int>(ini.get_int("service", "prom_port", svc.prom_port));
   if (svc.prom_port < -1 || svc.prom_port > 65535) {
@@ -171,15 +159,6 @@ Ini SystemConfig::to_ini() const {
   }
   if (service.batch_max != 1) {
     ini.set("service", "batch_max", std::to_string(service.batch_max));
-  }
-  if (service.parse_threads != 0) {
-    ini.set("service", "parse_threads",
-            std::to_string(service.parse_threads));
-  }
-  if (service.parallel_scoring) {
-    ini.set("service", "parallel_scoring", "true");
-    ini.set("service", "scoring_threads",
-            std::to_string(service.scoring_threads));
   }
   if (service.prom_port >= 0) {
     ini.set("service", "prom_port", std::to_string(service.prom_port));

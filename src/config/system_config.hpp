@@ -42,19 +42,9 @@ struct ServiceConfig {
   std::string snapshot_path;
   double snapshot_every_s = 0.0;
   /// Requests dispatched per reactor round (Server batching): complete
-  /// lines are framed first, parsed off the decision thread, then
-  /// dispatched in arrival order as one batch. 1 = the legacy
-  /// one-request-at-a-time path (the oracle).
+  /// lines are framed first, then parsed and dispatched in arrival order
+  /// as one batch. 1 = the legacy one-request-at-a-time path (the oracle).
   int batch_max = 1;
-  /// Protocol-parse workers for batches (0 = parse inline on the reactor
-  /// thread; only meaningful with batch_max > 1).
-  int parse_threads = 0;
-  /// Parallel candidate scoring inside the placement policy
-  /// (sched::DriverOptions::parallel_scoring); decisions stay
-  /// byte-identical to the serial path.
-  bool parallel_scoring = false;
-  /// Scoring workers when parallel_scoring is on; 0 = all cores.
-  int scoring_threads = 0;
   /// Prometheus scrape listener port (HTTP GET /metrics, DESIGN.md
   /// section 18.2); 0 = ephemeral, -1 = disabled.
   int prom_port = -1;

@@ -67,11 +67,10 @@ struct JobProfile {
   /// Job-graph edge weight (4=tiny .. 1=big per Section 5.1).
   double comm_weight = 4.0;
 
-  /// Solo completion-time anchors from profiling (95th percentile in the
-  /// prototype); filled by perf::build_profile(). Seconds for the job's
-  /// full iteration count on its best (pack) and worst (spread) placement.
+  /// Solo completion-time anchor from profiling (95th percentile in the
+  /// prototype); filled by perf::fill_profile(). Seconds for the job's
+  /// full iteration count on its best (pack) placement.
   double solo_time_pack = 0.0;
-  double solo_time_spread = 0.0;
 
   /// Expected fractional slowdown (0 = none) when collocated with a job of
   /// each batch class on the same machine — the Fig. 6 matrix row.

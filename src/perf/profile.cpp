@@ -54,14 +54,9 @@ std::vector<int> spread_placement(const topo::TopologyGraph& topology,
 void fill_profile(jobgraph::JobRequest& request, const DlWorkloadModel& model,
                   const topo::TopologyGraph& topology) {
   const std::vector<int> pack = pack_placement(topology, request.num_gpus);
-  const std::vector<int> spread = spread_placement(topology, request.num_gpus);
   if (static_cast<int>(pack.size()) == request.num_gpus) {
     request.profile.solo_time_pack =
         model.completion_time(request, pack, topology);
-  }
-  if (static_cast<int>(spread.size()) == request.num_gpus) {
-    request.profile.solo_time_spread =
-        model.completion_time(request, spread, topology);
   }
   for (int other = 0; other < jobgraph::kBatchClassCount; ++other) {
     request.profile.collocation_slowdown[static_cast<size_t>(other)] =

@@ -25,7 +25,7 @@ std::vector<int> pack_placement(const topo::TopologyGraph& topology,
 std::vector<int> spread_placement(const topo::TopologyGraph& topology,
                                   int num_gpus);
 
-/// Fills the profile's solo-time anchors and collocation-slowdown row for
+/// Fills the profile's solo-time anchor and collocation-slowdown row for
 /// `request` (in place) using `model` on the reference `topology`.
 void fill_profile(jobgraph::JobRequest& request,
                   const DlWorkloadModel& model,

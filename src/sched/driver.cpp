@@ -31,10 +31,6 @@ Driver::Driver(const topo::TopologyGraph& topology,
   if (options_.noise_sigma > 0.0) {
     state_.set_execution_noise(options_.noise_sigma, options_.noise_seed);
   }
-  if (options_.parallel_scoring) {
-    scheduler_.set_parallel_scoring(
-        options_.scoring_threads > 0 ? options_.scoring_threads : -1);
-  }
   if (options_.self_audit) {
     const util::Status status = check::validate(topology_);
     GTS_CHECK(status.is_ok(),

@@ -46,13 +46,6 @@ struct DriverOptions {
   /// simulation event. Any inconsistency fires GTS_CHECK. O(jobs) per
   /// event — meant for tests and debugging runs, off by default.
   bool self_audit = false;
-  /// Fan candidate evaluation out across a worker pool inside the
-  /// scheduler (Scheduler::set_parallel_scoring). Decisions are
-  /// byte-identical at every worker count, and without a pool
-  /// (tests/parallel_scoring_test.cpp); off by default.
-  bool parallel_scoring = false;
-  /// Scoring workers when parallel_scoring is on; 0 = all cores.
-  int scoring_threads = 0;
   /// Installed on the ClusterState before any traffic; the sharded
   /// scheduler's per-cell routing summaries subscribe here.
   cluster::ClusterState::AllocationListener allocation_listener;

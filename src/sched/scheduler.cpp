@@ -1,7 +1,6 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "sched/greedy.hpp"
 #include "sched/topo_aware.hpp"
@@ -43,56 +42,33 @@ std::vector<int> filter_hosts(const jobgraph::JobRequest& request,
                               const cluster::ClusterState& state) {
   const topo::TopologyGraph& topology = state.topology();
   // Section 4.3 capacity constraints: enough GPUs (t_gpu <= p_gpu) and
-  // enough host memory bandwidth (t_bw <= p_bw) on every candidate.
-  const double demand = request.profile.host_bw_demand_gbps;
-
-  if (request.profile.anti_collocate) {
-    // One GPU per machine: keep machines with at least one free GPU; the
-    // job needs num_gpus such machines. Each machine carries an even
-    // share of the job's bandwidth demand.
-    const double share = demand / std::max(1, request.num_gpus);
-    std::vector<int> gpus;
-    int machines_with_free = 0;
-    for (int machine = 0; machine < topology.machine_count(); ++machine) {
-      if (state.machine_free_count(machine) == 0 ||
-          !state.host_bw_available(machine, share)) {
-        continue;
-      }
-      const std::vector<int> free = state.free_gpus_of_machine(machine);
-      ++machines_with_free;
-      gpus.insert(gpus.end(), free.begin(), free.end());
-    }
-    if (machines_with_free < request.num_gpus) return {};
-    return gpus;
-  }
-
-  if (request.profile.single_node) {
-    // Only machines that can hold the whole job, GPUs and bandwidth.
-    std::vector<int> gpus;
-    for (int machine = 0; machine < topology.machine_count(); ++machine) {
-      if (state.machine_free_count(machine) < request.num_gpus ||
-          !state.host_bw_available(machine, demand)) {
-        continue;
-      }
-      const std::vector<int> free = state.free_gpus_of_machine(machine);
-      gpus.insert(gpus.end(), free.begin(), free.end());
-    }
-    return gpus;
-  }
-
-  // Multi-node-capable: any machine with both a free GPU and bandwidth
-  // headroom for a proportional share contributes.
-  const double share = demand / std::max(1, request.num_gpus);
+  // enough host memory bandwidth (t_bw <= p_bw) on every candidate. A
+  // single-node job needs one machine for all of it; any other job takes
+  // GPUs from several machines, each carrying an even share of the
+  // bandwidth demand.
+  const jobgraph::JobProfile& profile = request.profile;
+  const int k = request.num_gpus;
+  const bool whole_job = profile.single_node && !profile.anti_collocate;
+  const int min_free = whole_job ? k : 1;
+  const double demand = whole_job
+                            ? profile.host_bw_demand_gbps
+                            : profile.host_bw_demand_gbps / std::max(1, k);
   std::vector<int> gpus;
+  int machines = 0;
   for (int machine = 0; machine < topology.machine_count(); ++machine) {
-    if (state.machine_free_count(machine) == 0 ||
-        !state.host_bw_available(machine, share)) {
+    if (state.machine_free_count(machine) < min_free ||
+        !state.host_bw_available(machine, demand)) {
       continue;
     }
     const std::vector<int> free = state.free_gpus_of_machine(machine);
+    ++machines;
     gpus.insert(gpus.end(), free.begin(), free.end());
   }
-  if (static_cast<int>(gpus.size()) < request.num_gpus) return {};
+  // An anti-collocated job takes one GPU per machine, so it needs k
+  // machines; every other job needs k GPUs.
+  const int supply =
+      profile.anti_collocate ? machines : static_cast<int>(gpus.size());
+  if (supply < k) return {};
   return gpus;
 }
 

@@ -43,11 +43,9 @@ class Scheduler {
   /// scheduling pass at the first job that cannot be placed.
   virtual bool blocking_queue() const { return false; }
 
-  /// Opt into parallel candidate scoring with `threads` workers (< 0 = all
-  /// cores, 0 = no pool). Decisions must stay byte-identical at every
-  /// thread count — parallelism is an implementation detail of place(),
-  /// not a policy change. Default: no-op (the greedy policies score one
-  /// candidate at a time by construction).
+  /// A no-op: every policy scores its candidates on the decision thread.
+  /// It exists only because perfbench/cpp/fig11.cpp overrides it;
+  /// nothing in src/ calls it.
   virtual void set_parallel_scoring(int /*threads*/) {}
 };
 

@@ -111,17 +111,6 @@ std::optional<Placement> drb_place(const jobgraph::JobRequest& request,
   return placement;
 }
 
-void TopoAwareScheduler::set_parallel_scoring(int threads) {
-  const util::SerialGuard guard(replica_serial_);
-  if (threads == 0) {
-    scoring_pool_.reset();
-    return;
-  }
-  // ThreadPool treats <= 0 as "all cores"; normalize our contract's -1.
-  scoring_pool_ =
-      std::make_unique<util::ThreadPool>(threads < 0 ? 0 : threads);
-}
-
 std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
     const jobgraph::JobRequest& request, const cluster::ClusterState& state) {
   const topo::TopologyGraph& topology = state.topology();
@@ -172,116 +161,53 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
     candidates.resize(static_cast<size_t>(candidate_limit));
   }
 
-  // Three phases (DESIGN.md §17.1) make the decision independent of the
-  // scoring pool:
-  //
-  //   1. probe  (decision thread): in candidate order, an empty machine
-  //      whose class an earlier empty candidate already holds is a twin:
-  //      it will take that candidate's result. Every other candidate is
-  //      to be scored;
-  //   2. score: drb_evaluate over each candidate that is not a twin,
-  //      writing only that candidate's slot (placement + DrbStats).
-  //      Without a pool, or with fewer than 2 of them, they are scored
-  //      inline; otherwise they are chunked deterministically over the
-  //      pool, where FmScratch comes from each worker's thread-local arena;
-  //   3. reduce (decision thread): twin translations, stats folds, explain
-  //      entries and the first-maximum reduction, all in candidate order.
-  //
-  // A twin's result is exact: on a single machine, DRB and the utility
-  // read only that machine's GPUs, distances, socket lists, co-runners
-  // and link flows. Machines of one class agree on the structure up to
-  // the order-keeping local translation, and an empty machine has no
-  // co-runners or flows.
-  struct Slot {
-    const Candidate* candidate = nullptr;
-    int twin_of = -1;                 // slot whose result a twin reuses
-    std::optional<Placement> result;  // scored or translated placement
-    partition::DrbStats stats;        // slot-local DRB counters (scored)
+  // One pass in candidate order (DESIGN.md §17.1). An empty machine whose
+  // class an earlier empty candidate already holds is a twin: it takes
+  // that representative's result, moved to the twin's machine by local
+  // GPU index, instead of running DRB again. The result is exact: on a
+  // single machine, DRB and the utility read only that machine's GPUs,
+  // distances, socket lists, co-runners and link flows. Machines of one
+  // class agree on the structure up to the order-keeping local
+  // translation, and an empty machine has no co-runners or flows.
+  struct Representative {
+    int shape;
+    std::optional<Placement> result;  // kept: `best` may take the original
   };
-  std::vector<Slot> slots(candidates.size());
-  std::vector<int> to_score;
-  to_score.reserve(candidates.size());
-  // (machine class, slot) of the first empty candidate of each class.
-  std::vector<std::pair<int, int>> representatives;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    Slot& slot = slots[i];
-    slot.candidate = &candidates[i];
-    const int machine = slot.candidate->machine;
-    if (state.jobs_of_machine(machine).empty()) {
-      GTS_DCHECK(slot.candidate->free == topology.gpus_of_machine(machine));
-      const int shape = topology.machine_class(machine);
-      const auto representative = std::find_if(
-          representatives.begin(), representatives.end(),
-          [shape](const std::pair<int, int>& r) { return r.first == shape; });
-      if (representative == representatives.end()) {
-        representatives.emplace_back(shape, static_cast<int>(i));
-      } else {
-        slot.twin_of = representative->second;
-      }
-    }
-    if (slot.twin_of < 0) to_score.push_back(static_cast<int>(i));
-  }
-
-  const int score_count = static_cast<int>(to_score.size());
-  const auto score = [&slots, &to_score, &request, &state, this](int i) {
-    Slot& slot = slots[static_cast<size_t>(to_score[static_cast<size_t>(i)])];
-    slot.result = drb_evaluate(request, slot.candidate->free, state,
-                               utility_, &slot.stats);
-  };
-  if (scoring_pool_ == nullptr || score_count < 2) {
-    for (int i = 0; i < score_count; ++i) score(i);
-  } else {
-    // The topology's distance tables are lazily built mutable caches;
-    // materialize them on this thread before concurrent readers arrive.
-    topology.warm_caches();
-    const int chunk_count = std::min(
-        score_count, std::max(1, 2 * scoring_pool_->thread_count()));
-    obs::SpanGuard fan_span(obs::kSched, "sched.parallel_score");
-    fan_span.arg("candidates", static_cast<double>(score_count))
-        .arg("chunks", static_cast<double>(chunk_count));
-    GTS_METRIC_COUNT("sched.parallel_chunks", chunk_count);
-    util::parallel_for(
-        *scoring_pool_, chunk_count,
-        [&score, score_count, chunk_count](int chunk) {
-          const int begin = chunk * score_count / chunk_count;
-          const int end = (chunk + 1) * score_count / chunk_count;
-          obs::SpanGuard span(obs::kSched, "sched.score_chunk");
-          span.arg("chunk", static_cast<double>(chunk))
-              .arg("candidates", static_cast<double>(end - begin));
-          for (int i = begin; i < end; ++i) score(i);
-        });
-  }
-
-  // Each twin takes its representative's placement, moved to the twin's
-  // machine by local GPU index.
-  for (Slot& slot : slots) {
-    if (slot.twin_of < 0) continue;
-    slot.result = slots[static_cast<size_t>(slot.twin_of)].result;
-    if (slot.result) {
-      const std::vector<int>& target =
-          topology.gpus_of_machine(slot.candidate->machine);
-      for (int& gpu : slot.result->gpus) {
-        gpu = target[static_cast<size_t>(topology.local_gpu_of(gpu))];
-      }
-    }
-  }
-
+  std::vector<Representative> representatives;
   std::optional<Placement> best;
-  for (Slot& slot : slots) {
-    if (slot.twin_of >= 0) {
+  for (const Candidate& candidate : candidates) {
+    const int machine = candidate.machine;
+    const Representative* twin_of = nullptr;
+    int shape = -1;
+    if (state.jobs_of_machine(machine).empty()) {
+      GTS_DCHECK(candidate.free == topology.gpus_of_machine(machine));
+      shape = topology.machine_class(machine);
+      const auto found = std::find_if(
+          representatives.begin(), representatives.end(),
+          [shape](const Representative& r) { return r.shape == shape; });
+      if (found != representatives.end()) twin_of = &*found;
+    }
+    std::optional<Placement> placement;
+    if (twin_of != nullptr) {
       ++scoring_.twin_reuses;
       GTS_METRIC_COUNT("sched.twin_reuses", 1);
+      placement = twin_of->result;
+      if (placement) {
+        const std::vector<int>& target = topology.gpus_of_machine(machine);
+        for (int& gpu : placement->gpus) {
+          gpu = target[static_cast<size_t>(topology.local_gpu_of(gpu))];
+        }
+      }
     } else {
       ++scoring_.scored;
+      placement =
+          drb_evaluate(request, candidate.free, state, utility_, &stats_);
+      if (shape >= 0) representatives.push_back({shape, placement});
     }
-    stats_.bipartitions += slot.stats.bipartitions;
-    stats_.fm_passes += slot.stats.fm_passes;
-    stats_.max_depth = std::max(stats_.max_depth, slot.stats.max_depth);
-    std::optional<Placement> placement = std::move(slot.result);
     if (!placement) continue;
     // The entry drb_place() writes for a mapped placement.
     explain_candidate(*placement, "drb");
-    explain_candidate(*placement, "best-machine:", slot.candidate->machine);
+    explain_candidate(*placement, "best-machine:", machine);
     // Strict `>` keeps the FIRST maximum in candidate order.
     if (!best || placement->utility > best->utility) {
       best = std::move(placement);

@@ -9,14 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "partition/drb.hpp"
 #include "sched/scheduler.hpp"
 #include "util/annotations.hpp"
 #include "util/sync.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gts::sched {
 
@@ -96,21 +94,6 @@ class TopoAwareScheduler final : public Scheduler {
   /// Always empty: kept only because perfbench/cpp/fig11.cpp reads it.
   PlacementCacheStats cache_stats() const noexcept { return {}; }
 
-  /// Parallel candidate scoring (DESIGN.md §17): fan the per-candidate
-  /// DRB + utility evaluations of place_on_best_machine() out across a
-  /// private worker pool. `threads` > 0 sizes the pool, < 0 uses all
-  /// cores, 0 drops the pool and scores inline. Decisions, explain output
-  /// and counters do not depend on the pool: twin detection and all
-  /// reduction/bookkeeping run on the decision thread in candidate order,
-  /// workers only compute independent (candidate -> placement)
-  /// evaluations with their own DrbStats and thread-local FmScratch.
-  void set_parallel_scoring(int threads) override;
-  /// Worker count of the scoring pool; 0 when scoring inline.
-  int scoring_threads() const noexcept {
-    const util::SerialGuard guard(replica_serial_);
-    return scoring_pool_ == nullptr ? 0 : scoring_pool_->thread_count();
-  }
-
  private:
   std::optional<Placement> place_on_best_machine(
       const jobgraph::JobRequest& request,
@@ -120,21 +103,15 @@ class TopoAwareScheduler final : public Scheduler {
   bool postpone_;
 
   // Replica-confinement role (DESIGN.md §16.2): the DRB and scoring
-  // counters and the scoring pool are private to one scheduler replica
-  // and are accessed without locking. The sweep runner gives each worker
-  // thread its own scheduler, so the role is never contended today;
-  // annotating it documents the contract and turns any future
+  // counters are private to one scheduler replica and are accessed
+  // without locking. The sweep runner and the shard cells give each
+  // worker thread its own scheduler, so the role is never contended
+  // today; annotating it documents the contract and turns any future
   // cross-thread sharing of one replica into a compile-time error instead
   // of a data race.
   mutable util::SerialCapability replica_serial_;
   partition::DrbStats stats_ GTS_GUARDED_BY(replica_serial_);
   ScoringStats scoring_ GTS_GUARDED_BY(replica_serial_);
-  /// Scoring pool (null = score inline). Owned and driven exclusively by
-  /// the decision thread; workers never touch scheduler state — they
-  /// write into per-candidate slots local to one place_on_best_machine()
-  /// call.
-  std::unique_ptr<util::ThreadPool> scoring_pool_
-      GTS_GUARDED_BY(replica_serial_);
 };
 
 }  // namespace gts::sched

@@ -79,11 +79,7 @@ util::Expected<int> bind_tcp_listener(const std::string& host, int port,
 }  // namespace
 
 Server::Server(ServiceCore& core, ServerOptions options)
-    : core_(core), options_(std::move(options)) {
-  if (options_.batch_max > 1 && options_.parse_threads > 0) {
-    parse_pool_ = std::make_unique<util::ThreadPool>(options_.parse_threads);
-  }
-}
+    : core_(core), options_(std::move(options)) {}
 
 Server::~Server() {
   // Destruction implies exclusive ownership; entering the reactor role
@@ -333,7 +329,6 @@ void Server::dispatch_pending() {
   // so appending replies in slot order reproduces the oracle byte stream.
   struct Slot {
     Session* session;
-    std::string line;
     std::optional<Request> request;
     std::string parse_error;
     bool skip = false;
@@ -344,7 +339,13 @@ void Server::dispatch_pending() {
     auto& pending = session->pending;
     std::size_t taken = 0;
     while (taken < pending.size() && slots.size() < batch_max) {
-      slots.push_back(Slot{session.get(), std::move(pending[taken]), {}, {}});
+      Slot& slot = slots.emplace_back(Slot{session.get(), {}, {}});
+      auto parsed = parse_request(pending[taken]);
+      if (parsed) {
+        slot.request = std::move(*parsed);
+      } else {
+        slot.parse_error = parsed.error().message;
+      }
       ++taken;
     }
     if (taken > 0) {
@@ -355,24 +356,6 @@ void Server::dispatch_pending() {
   }
 
   if (!slots.empty()) {
-    // Parse phase: parse_request is pure and each worker touches only its
-    // own slot, so the reactor confinement of the session table holds.
-    const auto parse_slot = [&slots](int index) {
-      Slot& slot = slots[static_cast<std::size_t>(index)];
-      auto parsed = parse_request(slot.line);
-      if (parsed) {
-        slot.request = std::move(*parsed);
-      } else {
-        slot.parse_error = parsed.error().message;
-      }
-    };
-    if (parse_pool_ && slots.size() > 1) {
-      util::parallel_for(*parse_pool_, static_cast<int>(slots.size()),
-                         parse_slot);
-    } else {
-      for (int i = 0; i < static_cast<int>(slots.size()); ++i) parse_slot(i);
-    }
-
     // Decision phase: a parse error condemns its session — the slot
     // answers id 0, later slots from that session are skipped, and any
     // lines still pending are dropped (the inline path leaves them

@@ -14,10 +14,8 @@
 // dispatching each complete line inline from service_input, the reactor
 // frames lines into per-session pending queues, then once per poll round
 // collects up to batch_max of them in (session, line) order, parses them
-// (optionally on a parse pool — parse_request is pure, workers touch only
-// batch-local slots, so the reactor confinement below stays intact) and
-// hands the parsed requests to ServiceCore::handle_batch in one serial
-// entry. Responses are routed back in slot order, so each session's
+// and hands the parsed requests to ServiceCore::handle_batch in one
+// serial entry. Responses are routed back in slot order, so each session's
 // reply stream is byte-identical to the batch_max == 1 oracle; leftover
 // pending lines force a zero-timeout poll so they drain on the next
 // round. batch_max == 1 keeps the legacy inline-dispatch path unchanged.
@@ -31,7 +29,6 @@
 #include "util/annotations.hpp"
 #include "util/expected.hpp"
 #include "util/sync.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gts::svc {
 
@@ -50,9 +47,6 @@ struct ServerOptions {
   /// Requests dispatched per reactor round; 1 = legacy inline dispatch
   /// (the oracle the batched path is held byte-identical to).
   int batch_max = 1;
-  /// Protocol-parse workers for batched rounds (0 = parse on the reactor
-  /// thread; ignored when batch_max == 1).
-  int parse_threads = 0;
   /// Prometheus scrape endpoint: a tiny HTTP/1.0 GET-only listener
   /// serving ServiceCore::prometheus_text() on the same poll() reactor
   /// (DESIGN.md section 18.2). Port 0 picks an ephemeral port (see
@@ -129,9 +123,8 @@ class Server {
   void close_session(Session& session) GTS_REQUIRES(reactor_);
   void write_periodic_snapshot() GTS_REQUIRES(reactor_);
   /// Batched mode: collects up to batch_max pending lines in (session,
-  /// line) order, parses them (parse pool when configured), dispatches
-  /// the valid ones through ServiceCore::handle_batch, and appends every
-  /// reply in slot order. A parse error answers id 0, drops the
+  /// line) order, parses them, dispatches the valid ones through
+  /// ServiceCore::handle_batch, and appends every reply in slot order. A parse error answers id 0, drops the
   /// session's remaining pending lines, and closes after flush — the
   /// same semantics as the inline path.
   void dispatch_pending() GTS_REQUIRES(reactor_);
@@ -139,10 +132,6 @@ class Server {
 
   ServiceCore& core_;
   ServerOptions options_;
-  /// Parse workers for batched rounds; created once in the constructor
-  /// and internally synchronized, so it needs no reactor guard. Null when
-  /// batching or parse pipelining is off.
-  std::unique_ptr<util::ThreadPool> parse_pool_;
   std::vector<int> listeners_;
   /// Prometheus HTTP listener fd; -1 while disabled. Kept out of
   /// `listeners_` so accepts can tag their sessions as HTTP.

@@ -23,8 +23,6 @@ sched::DriverOptions make_driver_options(const ServiceOptions& options) {
   sched::DriverOptions driver_options;
   driver_options.utility_weights = options.weights;
   driver_options.self_audit = options.self_audit;
-  driver_options.parallel_scoring = options.config.parallel_scoring;
-  driver_options.scoring_threads = options.config.scoring_threads;
   return driver_options;
 }
 

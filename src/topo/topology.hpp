@@ -191,13 +191,13 @@ class TopologyGraph {
   /// Pre-builds the lazily materialized structure and distance tables on
   /// the calling thread. The tables are `mutable` and built on first
   /// const access, which is fine single-threaded but a data race when
-  /// concurrent readers trigger the first build; callers that fan
-  /// read-only scoring work out across threads (the parallel candidate
-  /// scorer) call this once from the owning thread before the fan-out,
-  /// after which gpu_distance / max_gpu_distance / the structure lookups
-  /// are pure reads. gpu_path stays excluded: its hierarchical-mode
-  /// cross-machine memo fills on demand, so it must not be called from
-  /// concurrent workers (the decision path only uses gpu_distance).
+  /// concurrent readers trigger the first build. builders::make_cluster
+  /// and the shard cells (whose drivers advance on worker threads) call
+  /// this before handing the graph out, after which gpu_distance /
+  /// max_gpu_distance / the structure lookups are pure reads. gpu_path
+  /// stays excluded: its hierarchical-mode cross-machine memo fills on
+  /// demand, so it must not be called from concurrent readers of one
+  /// graph (the decision path only uses gpu_distance).
   void warm_caches() const {
     ensure_structure();
     ensure_paths();

@@ -3,13 +3,9 @@
 // Deliberately minimal: submit() enqueues a task, wait_idle() blocks until
 // every submitted task has finished. No futures, no work stealing — every
 // user writes each task's result into a pre-sized slot indexed by task
-// number (the sweep runner per replica, the parallel candidate scorer per
-// candidate chunk), so completion order never influences output order and
-// results stay byte-identical regardless of thread count.
-//
-// Lived in src/runner/ until the scheduler grew parallel candidate
-// scoring; gts_sched cannot link gts_runner (the dependency arrow points
-// the other way), so the pool moved down to util.
+// number (the sweep runner per replica, the sharded driver per cell), so
+// completion order never influences output order and results stay
+// byte-identical regardless of thread count.
 #pragma once
 
 #include <deque>

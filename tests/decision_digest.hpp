@@ -18,10 +18,13 @@ namespace gts::testing_digest {
 /// 64-bit FNV-1a over a stream of 64-bit words (little-endian bytes).
 class Fnv1a {
  public:
+  void mix_byte(unsigned char byte) {
+    hash_ ^= byte;
+    hash_ *= 1099511628211ULL;
+  }
   void mix(std::uint64_t word) {
     for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (word >> (8 * byte)) & 0xffU;
-      hash_ *= 1099511628211ULL;
+      mix_byte(static_cast<unsigned char>((word >> (8 * byte)) & 0xffU));
     }
   }
   void mix_double(double value) { mix(bits(value)); }
@@ -60,6 +63,38 @@ inline void mix_fm_result(Fnv1a& fnv, const partition::FmResult& result) {
   fnv.mix(static_cast<std::uint64_t>(result.passes));
   fnv.mix_double(result.cut_weight);
   fnv.mix_double(result.initial_cut);
+}
+
+/// `bytes` with every `"decision_us":<number>` value replaced by 0.
+/// decision_us is the one wall-clock field of an explain record
+/// (obs/explain.hpp): it measures the place() call, so it differs between
+/// any two runs. Every other byte of the explain JSONL is deterministic.
+inline std::string mask_decision_us(const std::string& bytes) {
+  const std::string key = "\"decision_us\":";
+  std::string masked;
+  masked.reserve(bytes.size());
+  size_t copied = 0;
+  size_t pos = 0;
+  while ((pos = bytes.find(key, copied)) != std::string::npos) {
+    const size_t value_begin = pos + key.size();
+    size_t value_end = value_begin;
+    while (value_end < bytes.size() && bytes[value_end] != ',' &&
+           bytes[value_end] != '}') {
+      ++value_end;
+    }
+    masked.append(bytes, copied, value_begin - copied);
+    masked.push_back('0');
+    copied = value_end;
+  }
+  masked.append(bytes, copied, std::string::npos);
+  return masked;
+}
+
+/// FNV-1a over the bytes of `text`.
+inline std::uint64_t text_digest(const std::string& text) {
+  Fnv1a fnv;
+  for (const char c : text) fnv.mix_byte(static_cast<unsigned char>(c));
+  return fnv.value();
 }
 
 /// "0x%016llx", for failure messages that re-pin a digest.

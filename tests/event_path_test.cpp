@@ -3,8 +3,8 @@
 // anchoring, FlowDelta subtract-on-read, indexed finish-time heap — is
 // byte-identical to the pre-scoping full recompute it replaced.
 //
-//   * Seeded mixed traces with a heavy multi-machine share, at scoring
-//     threads {1, 8} and shard counts {1, 4}, pinned by committed digests
+//   * Seeded mixed traces with a heavy multi-machine share, unsharded
+//     and at shard counts {1, 4}, pinned by committed digests
 //     (tests/decision_digest.hpp) over every record plus the event count
 //     and end-time bits. Recorded while the full recompute still ran the
 //     same traces to identical records.
@@ -78,7 +78,7 @@ std::vector<jobgraph::JobRequest> mixed_jobs(
 
 /// A run pinned by its record digest, event count and end-time bits.
 struct PinnedRun {
-  int axis;  // scoring threads or shard count
+  int axis;  // shard count (1 for the unsharded driver)
   std::uint64_t digest;
   std::uint64_t events;
   std::uint64_t end_time_bits;
@@ -115,29 +115,20 @@ std::optional<std::pair<int, double>> scan_next_completion(
   return best;
 }
 
-TEST(EventPathTest, MixedTraceMatchesCommittedDigestsAcrossThreadCounts) {
+TEST(EventPathTest, MixedTraceMatchesCommittedDigests) {
   const topo::TopologyGraph topology =
       topo::builders::cluster(8, MachineShape::kPower8Minsky);
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
   const auto jobs = mixed_jobs(400, model, topology, /*seed=*/20260807);
 
-  const PinnedRun pinned[] = {
-      {1, 0xc25536f1ab59d127ULL, 800, 0x40c50ea64242ceb2ULL},
-      {8, 0xc25536f1ab59d127ULL, 800, 0x40c50ea64242ceb2ULL},
-  };
-  for (const PinnedRun& pin : pinned) {
-    sched::TopoAwareScheduler scheduler({}, /*postpone=*/false);
-    sched::DriverOptions options;
-    options.record_series = false;
-    if (pin.axis > 1) {
-      options.parallel_scoring = true;
-      options.scoring_threads = pin.axis;
-    }
-    sched::Driver driver(topology, model, scheduler, options);
-    const sched::DriverReport report = driver.run(jobs);
-    ASSERT_EQ(report.recorder.records().size(), 400u);
-    expect_pinned(report, pin, "threads=" + std::to_string(pin.axis));
-  }
+  const PinnedRun pin{1, 0xc25536f1ab59d127ULL, 800, 0x40c50ea64242ceb2ULL};
+  sched::TopoAwareScheduler scheduler({}, /*postpone=*/false);
+  sched::DriverOptions options;
+  options.record_series = false;
+  sched::Driver driver(topology, model, scheduler, options);
+  const sched::DriverReport report = driver.run(jobs);
+  ASSERT_EQ(report.recorder.records().size(), 400u);
+  expect_pinned(report, pin, "unsharded");
 }
 
 TEST(EventPathTest, MixedTraceMatchesCommittedDigestsAcrossShardCounts) {

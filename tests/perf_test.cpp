@@ -288,7 +288,9 @@ TEST_F(PerfModelTest, ProfileAnchorsConsistent) {
   const JobRequest job = make_profiled_dl(0, 0.0, NeuralNet::kAlexNet, 1, 2,
                                           0.5, model_, minsky_, 100);
   EXPECT_GT(job.profile.solo_time_pack, 0.0);
-  EXPECT_GT(job.profile.solo_time_spread, job.profile.solo_time_pack);
+  // The model makes the spread placement slower than the pack anchor.
+  EXPECT_GT(model_.completion_time(job, spread_placement(minsky_, 2), minsky_),
+            job.profile.solo_time_pack);
   // The slowdown row mirrors the calibration matrix.
   EXPECT_DOUBLE_EQ(job.profile.collocation_slowdown[0], 0.30);
   EXPECT_DOUBLE_EQ(job.profile.collocation_slowdown[3], 0.24);

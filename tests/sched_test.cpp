@@ -4,19 +4,24 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/audit.hpp"
 #include "cluster/state.hpp"
+#include "decision_digest.hpp"
 #include "obs/explain.hpp"
 #include "obs/obs.hpp"
 #include "perf/profile.hpp"
+#include "sched/driver.hpp"
 #include "sched/greedy.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/topo_aware.hpp"
 #include "topo/builders.hpp"
+#include "trace/generator.hpp"
 
 namespace gts::sched {
 namespace {
@@ -443,6 +448,129 @@ TEST(TwinReuseTest, OnlyEmptyMachinesTwin) {
   ASSERT_TRUE(obs::finalize());
   obs::reset();
   std::remove(explain_path.c_str());
+}
+
+// The scheduler keeps the FIRST maximum in candidate order. Eight
+// identical empty machines tie on both the pre-score and the utility, so
+// the job lands on machine 0; a last-maximum reduction would pick
+// machine 7.
+TEST(TwinReuseTest, UtilityTiesBreakTowardTheFirstMachine) {
+  const topo::TopologyGraph topology =
+      topo::builders::cluster(8, MachineShape::kPower8Minsky);
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  const cluster::ClusterState state(topology, model);
+  const JobRequest job =
+      JobRequest::make_dl(1, 0.0, NeuralNet::kAlexNet, 4, 2, 0.4, 250);
+
+  TopoAwareScheduler scheduler({}, /*postpone=*/false);
+  const auto placement = scheduler.place(job, state);
+  ASSERT_TRUE(placement.has_value());
+  ASSERT_EQ(placement->gpus.size(), 2u);
+  for (const int gpu : placement->gpus) {
+    EXPECT_EQ(topology.machine_of_gpu(gpu), 0) << "gpu " << gpu;
+  }
+}
+
+DriverReport run_trace(const topo::TopologyGraph& topology,
+                       const perf::DlWorkloadModel& model,
+                       TopoAwareScheduler& scheduler,
+                       const std::vector<JobRequest>& jobs) {
+  DriverOptions options;
+  options.record_series = false;
+  Driver driver(topology, model, scheduler, options);
+  return driver.run(jobs);
+}
+
+// Twin reuse fires most on a large, lightly loaded cluster of one machine
+// shape, where nearly every candidate is an empty machine. Decisions of a
+// seeded 300-job TOPO-AWARE-P trace of short jobs on 40 Minsky machines
+// (16 candidates per decision) are pinned by a digest recorded before
+// twin reuse existed (tests/decision_digest.hpp), and its 4800 candidate
+// evaluations split into scored and twin-reused ones.
+TEST(TwinReuseTest, SeededTraceKeepsCommittedDecisionsAndScoringCounts) {
+  const topo::TopologyGraph topology =
+      topo::builders::cluster(40, MachineShape::kPower8Minsky);
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  trace::GeneratorOptions options;
+  options.job_count = 300;
+  options.seed = 20261018;
+  options.iterations = 250;
+  const auto jobs = trace::generate_workload(options, model, topology);
+
+  TopoAwareScheduler scheduler({}, /*postpone=*/true);
+  const DriverReport report = run_trace(topology, model, scheduler, jobs);
+  const std::uint64_t digest =
+      testing_digest::decision_digest(report.recorder);
+  EXPECT_EQ(digest, 0x0d2ad6b703386cbaULL)
+      << "digest " << testing_digest::hex(digest);
+  EXPECT_EQ(scheduler.scoring_stats().scored, 300);
+  EXPECT_EQ(scheduler.scoring_stats().twin_reuses, 4500);
+}
+
+// A seeded 500-job trace on 8 Minsky machines, large enough that every
+// single-node job takes the pre-scored candidate path. Per postponement
+// mode, the decisions, the DRB and scoring counters, and the explain
+// JSONL (decision_us masked) are pinned by values committed from a run
+// of the scheduler before its candidate-scoring pool was removed.
+struct SeededTracePin {
+  bool postpone;
+  std::uint64_t decisions;
+  int bipartitions;
+  int fm_passes;
+  int max_depth;
+  long long scored;
+  long long twin_reuses;
+  std::uint64_t explain;
+};
+
+TEST(SeededTracePinTest, FiveHundredJobsMatchCommittedPinsInBothModes) {
+  const topo::TopologyGraph topology =
+      topo::builders::cluster(8, MachineShape::kPower8Minsky);
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  trace::GeneratorOptions options;
+  options.job_count = 500;
+  options.seed = 20260807;
+  const auto jobs = trace::generate_workload(options, model, topology);
+
+  const SeededTracePin pins[] = {
+      {false, 0xd0bad453d1363ecaULL, 510, 510, 3, 510, 46,
+       0xd520c8b52fd1c4c1ULL},
+      {true, 0xa2e080f372025e6eULL, 624, 624, 3, 625, 46,
+       0x0f57b1853c65e289ULL},
+  };
+  for (const SeededTracePin& pin : pins) {
+    const std::string label = "postpone=" + std::to_string(pin.postpone);
+    const std::string explain_path =
+        ::testing::TempDir() + "seeded_trace_pin.jsonl";
+    obs::ObsConfig config;
+    config.explain_out = explain_path;
+    ASSERT_TRUE(obs::configure(config));
+    TopoAwareScheduler scheduler({}, pin.postpone);
+    const DriverReport report = run_trace(topology, model, scheduler, jobs);
+    ASSERT_TRUE(obs::finalize());
+    obs::reset();
+    std::ostringstream explain;
+    explain << std::ifstream(explain_path, std::ios::binary).rdbuf();
+    std::remove(explain_path.c_str());
+
+    ASSERT_EQ(report.recorder.records().size(), 500u) << label;
+    const std::uint64_t decisions =
+        testing_digest::decision_digest(report.recorder);
+    EXPECT_EQ(decisions, pin.decisions)
+        << label << " decisions " << testing_digest::hex(decisions);
+    const partition::DrbStats drb = scheduler.drb_stats();
+    EXPECT_EQ(drb.bipartitions, pin.bipartitions) << label;
+    EXPECT_EQ(drb.fm_passes, pin.fm_passes) << label;
+    EXPECT_EQ(drb.max_depth, pin.max_depth) << label;
+    EXPECT_EQ(scheduler.scoring_stats().scored, pin.scored) << label;
+    EXPECT_EQ(scheduler.scoring_stats().twin_reuses, pin.twin_reuses)
+        << label;
+    const std::string masked = testing_digest::mask_decision_us(explain.str());
+    ASSERT_NE(masked.find("\"decision_us\":0"), std::string::npos) << label;
+    const std::uint64_t explain_digest = testing_digest::text_digest(masked);
+    EXPECT_EQ(explain_digest, pin.explain)
+        << label << " explain " << testing_digest::hex(explain_digest);
+  }
 }
 
 // ------------------------------------------------------------- factory ----

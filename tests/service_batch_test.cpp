@@ -1,6 +1,6 @@
 // Batched admission (DESIGN.md §17.4): draining up to batch_max queued
 // requests into one ServiceCore entry — and, at the Server layer,
-// framing/parsing lines off the inline dispatch path — must be invisible
+// framing lines before parsing and dispatching them — must be invisible
 // on the wire. ServiceCore::handle_batch is held byte-identical to N
 // sequential handle() calls (including backpressure), the batched Server
 // reply stream is held byte-identical to the batch_max == 1 oracle
@@ -8,7 +8,7 @@
 // stress run lands the same final cluster state as an unbatched single
 // client, and a snapshot taken between batches restores into a core that
 // finishes the remaining batches identically. The multi-client test is a
-// TSan target (parse pool + reactor + client threads).
+// TSan target (reactor + client threads).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -178,8 +178,7 @@ TEST_F(ServiceBatchTest, HandleBatchMatchesOneAtATimeIncludingBackpressure) {
 
 std::vector<std::string> run_server_session(
     const topo::TopologyGraph& topology, const perf::DlWorkloadModel& model,
-    int batch_max, int parse_threads, const std::string& bytes,
-    int expected_replies) {
+    int batch_max, const std::string& bytes, int expected_replies) {
   ServiceOptions service_options;
   service_options.config.max_queue = 64;
   ServiceCore core(topology, model, service_options);
@@ -189,7 +188,6 @@ std::vector<std::string> run_server_session(
   ServerOptions server_options;
   server_options.unix_socket = socket_path;
   server_options.batch_max = batch_max;
-  server_options.parse_threads = parse_threads;
   Server server(core, server_options);
   if (!server.start()) return {};
   std::thread server_thread([&server] { (void)server.run(); });
@@ -201,7 +199,7 @@ std::vector<std::string> run_server_session(
 }
 
 // A pipelined burst of valid requests produces the same reply stream from
-// a batched server (batch_max 4, parse pool) as from the inline oracle —
+// a batched server (batch_max 4) as from the inline oracle —
 // including when the burst is larger than one batch, so leftovers cross
 // poll rounds.
 TEST_F(ServiceBatchTest, BatchedServerReplyStreamMatchesInlineOracle) {
@@ -218,10 +216,10 @@ TEST_F(ServiceBatchTest, BatchedServerReplyStreamMatchesInlineOracle) {
   count += 2;
 
   const std::vector<std::string> oracle = run_server_session(
-      topology_, model_, /*batch_max=*/1, /*parse_threads=*/0, bytes, count);
+      topology_, model_, /*batch_max=*/1, bytes, count);
   ASSERT_EQ(static_cast<int>(oracle.size()), count);
-  const std::vector<std::string> batched = run_server_session(
-      topology_, model_, /*batch_max=*/4, /*parse_threads=*/2, bytes, count);
+  const std::vector<std::string> batched =
+      run_server_session(topology_, model_, /*batch_max=*/4, bytes, count);
   EXPECT_EQ(batched, oracle);
 }
 
@@ -239,16 +237,13 @@ TEST_F(ServiceBatchTest, MidPipelineParseErrorClosesIdenticallyWhenBatched) {
 
   // Ask for more replies than can come; EOF ends the read.
   const std::vector<std::string> oracle = run_server_session(
-      topology_, model_, /*batch_max=*/1, /*parse_threads=*/0, bytes, 10);
+      topology_, model_, /*batch_max=*/1, bytes, 10);
   ASSERT_EQ(oracle.size(), 3u);
   EXPECT_NE(oracle[2].find("\"parse\""), std::string::npos);
   EXPECT_NE(oracle[2].find("\"id\":0"), std::string::npos);
-  for (const int parse_threads : {0, 2}) {
-    const std::vector<std::string> batched =
-        run_server_session(topology_, model_, /*batch_max=*/4, parse_threads,
-                           bytes, 10);
-    EXPECT_EQ(batched, oracle) << "parse_threads=" << parse_threads;
-  }
+  const std::vector<std::string> batched =
+      run_server_session(topology_, model_, /*batch_max=*/4, bytes, 10);
+  EXPECT_EQ(batched, oracle);
 }
 
 // --- concurrency ------------------------------------------------------------
@@ -258,7 +253,7 @@ TEST_F(ServiceBatchTest, MidPipelineParseErrorClosesIdenticallyWhenBatched) {
 // unbatched single-client run of the same jobs. Arrival times are part
 // of the manifests and the driver queues by arrival, so placements are
 // independent of submission interleaving. TSan runs this to hold the
-// parse pool + reactor confinement honest.
+// reactor confinement honest.
 TEST_F(ServiceBatchTest, ConcurrentClientsOnBatchedServerMatchSerialRun) {
   constexpr int kClients = 4;
   constexpr int kJobsPerClient = 5;
@@ -324,7 +319,6 @@ TEST_F(ServiceBatchTest, ConcurrentClientsOnBatchedServerMatchSerialRun) {
   ServerOptions batched_options;
   batched_options.unix_socket = batched_socket;
   batched_options.batch_max = 4;
-  batched_options.parse_threads = 2;
   Server batched_server(batched_core, batched_options);
   std::vector<long long> batched =
       finished_ids(batched_server, batched_socket,

@@ -799,7 +799,6 @@ TEST(SvcServerTest, MalformedLineAtEveryBatchBoundary) {
     ServerOptions server_options;
     server_options.unix_socket = socket_path;
     server_options.batch_max = batch_max;
-    server_options.parse_threads = batch_max > 1 ? 2 : 0;
     Server server(core, server_options);
     EXPECT_TRUE(server.start());
     std::thread server_thread([&server] { (void)server.run(); });

@@ -65,12 +65,6 @@ int main(int argc, char** argv) {
   cli.add_option("shape", "machine shape: minsky | pcie | dgx1", "minsky");
   cli.add_option("batch-max",
                  "requests dispatched per reactor round (1 = unbatched)");
-  cli.add_option("parse-threads",
-                 "protocol-parse workers for batched rounds (0 = inline)");
-  cli.add_flag("parallel-scoring",
-               "parallel candidate scoring (decisions stay byte-identical)");
-  cli.add_option("scoring-threads",
-                 "scoring workers with --parallel-scoring (0 = all cores)");
   cli.add_flag("self-audit", "validate state after every simulated event");
   cli.add_option("shards",
                  "partition the cluster into this many cells with an "
@@ -172,21 +166,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (cli.has("parse-threads")) {
-    service.parse_threads = static_cast<int>(cli.get_int("parse-threads"));
-    if (service.parse_threads < 0) {
-      std::fprintf(stderr, "--parse-threads must be >= 0\n");
-      return 1;
-    }
-  }
-  if (cli.has("parallel-scoring")) service.parallel_scoring = true;
-  if (cli.has("scoring-threads")) {
-    service.scoring_threads = static_cast<int>(cli.get_int("scoring-threads"));
-    if (service.scoring_threads < 0) {
-      std::fprintf(stderr, "--scoring-threads must be >= 0\n");
-      return 1;
-    }
-  }
   if (cli.has("prom-port")) {
     service.prom_port = static_cast<int>(cli.get_int("prom-port"));
     if (service.prom_port < 0 || service.prom_port > 65535) {
@@ -247,7 +226,6 @@ int main(int argc, char** argv) {
   server_options.snapshot_path = service.snapshot_path;
   server_options.snapshot_every_s = service.snapshot_every_s;
   server_options.batch_max = service.batch_max;
-  server_options.parse_threads = service.parse_threads;
   server_options.prom_port = service.prom_port;
   server_options.prom_host = service.prom_host;
 

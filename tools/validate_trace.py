@@ -433,24 +433,21 @@ def validate_bench(path, doc):
     if len(replicas) != len(scenarios) * len(seeds):
         fail(path, f"expected {len(scenarios)}x{len(seeds)} replicas, "
                    f"got {len(replicas)}")
-    # Execution-config fields (batched admission / parallel scoring):
-    # optional, but when present they must be sane and agree between the
-    # run metadata and every replica payload — bench_compare.py keys its
-    # config guard on them.
+    # Execution-config fields (batched admission): optional, but when
+    # present they must be sane and agree between the run metadata and
+    # every replica payload — bench_compare.py keys its config guard on
+    # them.
     metadata = doc.get("metadata")
     metadata = metadata if isinstance(metadata, dict) else {}
-    for key, minimum in (("batch_max", 1), ("parse_threads", 0),
-                         ("worker_threads", 0), ("scoring_threads", 0)):
-        if key in metadata:
-            value = metadata[key]
-            if (not isinstance(value, (int, float)) or
-                    isinstance(value, bool) or value < minimum):
-                fail(path, f"metadata['{key}']: expected number >= "
-                           f"{minimum}, got {value!r}")
-    for key in ("parallel_scoring", "pipeline"):
-        if key in metadata and not isinstance(metadata[key], bool):
-            fail(path, f"metadata['{key}']: expected bool, got "
-                       f"{metadata[key]!r}")
+    if "batch_max" in metadata:
+        value = metadata["batch_max"]
+        if (not isinstance(value, (int, float)) or
+                isinstance(value, bool) or value < 1):
+            fail(path, f"metadata['batch_max']: expected number >= 1, "
+                       f"got {value!r}")
+    if "pipeline" in metadata and not isinstance(metadata["pipeline"], bool):
+        fail(path, f"metadata['pipeline']: expected bool, got "
+                   f"{metadata['pipeline']!r}")
     for index, replica in enumerate(replicas):
         where = f"replicas[{index}]"
         if replica.get("scenario") not in scenarios:
@@ -461,16 +458,16 @@ def validate_bench(path, doc):
         payload = replica.get("payload")
         if not isinstance(payload, dict):
             fail(path, f"{where}: missing payload object")
-        for key in ("batch_max", "worker_threads"):
-            if key in payload:
-                value = payload[key]
-                if (not isinstance(value, (int, float)) or
-                        isinstance(value, bool) or value < 0):
-                    fail(path, f"{where}: payload['{key}']: expected "
-                               f"non-negative number, got {value!r}")
-                if key in metadata and value != metadata[key]:
-                    fail(path, f"{where}: payload['{key}'] {value!r} "
-                               f"disagrees with metadata {metadata[key]!r}")
+        if "batch_max" in payload:
+            value = payload["batch_max"]
+            if (not isinstance(value, (int, float)) or
+                    isinstance(value, bool) or value < 0):
+                fail(path, f"{where}: payload['batch_max']: expected "
+                           f"non-negative number, got {value!r}")
+            if "batch_max" in metadata and value != metadata["batch_max"]:
+                fail(path, f"{where}: payload['batch_max'] {value!r} "
+                           f"disagrees with metadata "
+                           f"{metadata['batch_max']!r}")
         if "pipeline" in payload:
             value = payload["pipeline"]
             if not isinstance(value, bool):
