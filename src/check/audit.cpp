@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "util/strings.hpp"
@@ -238,8 +239,9 @@ util::Status validate(const cluster::ClusterState& state) {
   }
 
   // Occupancy counters and the capacity index are maintained
-  // incrementally, so replay them from ownership: per-machine free counts,
-  // the machines-by-free-count histogram and the fragmented-machine count.
+  // incrementally, so replay them from ownership: per-machine and
+  // per-socket free counts, the machines-by-free-count histogram and the
+  // fragmented-machine count.
   {
     int fragmented = 0;
     std::vector<int> hist(state.machine_free_histogram().size(), 0);
@@ -253,6 +255,26 @@ util::Status validate(const cluster::ClusterState& state) {
         return util::Error{util::fmt(
             "cluster: machine {} free count {} but ownership implies {}",
             machine, state.machine_free_count(machine), machine_free)};
+      }
+      const std::vector<std::vector<int>>& sockets =
+          topology.socket_gpu_lists(machine);
+      const std::span<const int> socket_free =
+          state.socket_free_counts(machine);
+      if (socket_free.size() != sockets.size()) {
+        return util::Error{util::fmt(
+            "cluster: machine {} indexes {} sockets but has {}", machine,
+            socket_free.size(), sockets.size())};
+      }
+      for (size_t socket = 0; socket < sockets.size(); ++socket) {
+        const auto replay = std::count_if(
+            sockets[socket].begin(), sockets[socket].end(),
+            [&](int gpu) { return state.gpu_free(gpu); });
+        if (socket_free[socket] != replay) {
+          return util::Error{util::fmt(
+              "cluster: machine {} socket {} free count {} but ownership "
+              "implies {}",
+              machine, socket, socket_free[socket], replay)};
+        }
       }
       ++hist[static_cast<size_t>(machine_free)];
       if (machine_free > 0 && machine_free < static_cast<int>(gpus.size())) {

@@ -51,6 +51,14 @@ ClusterState::ClusterState(const topo::TopologyGraph& topology,
   for (const int free : machine_free_) {
     ++machine_hist_[static_cast<size_t>(free)];
   }
+  socket_begin_.assign(static_cast<size_t>(topology.machine_count()) + 1, 0);
+  for (int machine = 0; machine < topology.machine_count(); ++machine) {
+    const size_t m = static_cast<size_t>(machine);
+    for (const std::vector<int>& socket : topology.socket_gpu_lists(machine)) {
+      socket_free_.push_back(static_cast<int>(socket.size()));
+    }
+    socket_begin_[m + 1] = socket_free_.size();
+  }
 }
 
 void ClusterState::set_execution_noise(double sigma, std::uint64_t seed) {
@@ -117,6 +125,14 @@ void ClusterState::track_gpu(int gpu, bool allocated) {
       static_cast<int>(topology_->gpus_of_machine(machine).size());
   const bool was_fragmented = free > 0 && free < total;
   const int delta = allocated ? -1 : 1;
+  if (const int socket = topology_->socket_of_gpu(gpu); socket >= 0) {
+    int& socket_free = socket_free_[socket_begin_[static_cast<size_t>(
+                                        machine)] +
+                                    static_cast<size_t>(socket)];
+    socket_free += delta;
+    GTS_DCHECK(socket_free >= 0, "machine ", machine, " socket ", socket,
+               " free-GPU counter negative: ", socket_free);
+  }
   --machine_hist_[static_cast<size_t>(free)];
   free += delta;
   free_gpu_count_ += delta;

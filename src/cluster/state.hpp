@@ -112,13 +112,22 @@ class ClusterState {
   int free_gpu_count() const noexcept { return free_gpu_count_; }
 
   // --- capacity index ------------------------------------------------------
-  // Free GPUs per machine plus a histogram of machines by free count, both
-  // updated per GPU flip in O(1) (DESIGN.md section 21). Schedulers skip a
-  // machine by its count before building a free list; the driver and the
-  // shard router decline a shape that cannot fit with one may_fit call.
+  // Free GPUs per machine and per socket plus a histogram of machines by
+  // free count, all updated per GPU flip in O(1) (DESIGN.md section 21).
+  // Schedulers skip or pre-score a machine by its counts before building a
+  // free list; the driver and the shard router decline a shape that
+  // cannot fit with one may_fit call.
   /// Free GPUs on `machine`.
   int machine_free_count(int machine) const {
     return machine_free_[static_cast<size_t>(machine)];
+  }
+  /// Free GPUs per socket of `machine` (index = socket, as in
+  /// TopologyGraph::socket_gpu_lists); the candidate pre-score reads the
+  /// best socket from here instead of building a free list.
+  std::span<const int> socket_free_counts(int machine) const {
+    const size_t begin = socket_begin_[static_cast<size_t>(machine)];
+    return {socket_free_.data() + begin,
+            socket_begin_[static_cast<size_t>(machine) + 1] - begin};
   }
   /// Largest free-GPU count of any single machine: a top-down scan of
   /// the histogram, at most GPUs-per-machine + 1 buckets.
@@ -370,6 +379,8 @@ class ClusterState {
   // O(1)).
   std::vector<int> machine_free_;  // free GPUs per machine
   std::vector<int> machine_hist_;  // machines with exactly k free GPUs
+  std::vector<int> socket_free_;   // free GPUs per (machine, socket)
+  std::vector<size_t> socket_begin_;  // machine m: [begin[m], begin[m + 1])
   int free_gpu_count_ = 0;
   int fragmented_machines_ = 0;
   std::uint64_t version_ = 0;

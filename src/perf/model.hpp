@@ -11,6 +11,7 @@
 //     (Fig. 5's time series).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "jobgraph/jobgraph.hpp"
 #include "perf/params.hpp"
 #include "topo/topology.hpp"
+#include "util/instance_tag.hpp"
 
 namespace gts::perf {
 
@@ -113,8 +115,13 @@ class DlWorkloadModel {
   /// H2D input); used by metric recorders.
   double bytes_per_iteration_gb(const jobgraph::JobRequest& job) const;
 
+  /// Process-unique tag of this model's parameters (util::InstanceTag):
+  /// caches of model-derived results key on it, not on the address.
+  std::uint64_t instance_tag() const noexcept { return tag_.value(); }
+
  private:
   CalibrationParams params_;
+  util::InstanceTag tag_;
 };
 
 }  // namespace gts::perf

@@ -1,7 +1,9 @@
 #include "sched/topo_aware.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "check/check.hpp"
@@ -43,7 +45,7 @@ std::optional<Placement> TopoAwareScheduler::place(
   obs::SpanGuard span(obs::kSched, "topo.place");
   span.arg("job", request.id).arg("gpus", request.num_gpus);
   // Zero-cost role acquisition (DESIGN.md §16.2): asserts single-threaded
-  // ownership of the replica's counters and pool for the whole decision.
+  // ownership of the replica's counters and memo for the whole decision.
   const util::SerialGuard guard(replica_serial_);
   std::optional<Placement> placement;
   if (request.profile.single_node && !request.profile.anti_collocate &&
@@ -111,98 +113,156 @@ std::optional<Placement> drb_place(const jobgraph::JobRequest& request,
   return placement;
 }
 
+std::size_t TopoAwareScheduler::ShapeHash::operator()(
+    const std::vector<std::uint64_t>& key) const {
+  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a over words
+  for (const std::uint64_t word : key) {
+    hash = (hash ^ word) * 1099511628211ULL;
+  }
+  return static_cast<std::size_t>(hash ^ (hash >> 32));
+}
+
+void TopoAwareScheduler::memo_shape_key(const jobgraph::JobRequest& request,
+                                        std::vector<std::uint64_t>& key) {
+  const jobgraph::JobProfile& profile = request.profile;
+  const auto word = [](auto value) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(value));
+  };
+  key.assign({word(request.num_gpus), word(request.iterations),
+              word(profile.nn), word(profile.batch), word(profile.batch_size),
+              std::bit_cast<std::uint64_t>(profile.comm_weight),
+              std::bit_cast<std::uint64_t>(profile.solo_time_pack),
+              word(span_mode(profile)), word(request.comm_graph.task_count()),
+              word(request.comm_graph.edge_count())});
+  for (const jobgraph::CommEdge& edge : request.comm_graph.edges()) {
+    key.insert(key.end(), {word(edge.a), word(edge.b),
+                           std::bit_cast<std::uint64_t>(edge.weight)});
+  }
+}
+
+TopoAwareScheduler::ClassResults* TopoAwareScheduler::find_shape(
+    const jobgraph::JobRequest& request) {
+  memo_shape_key(request, shape_key_);
+  const auto found = memo_.find(shape_key_);
+  return found == memo_.end() ? nullptr : &found->second;
+}
+
+TopoAwareScheduler::ClassResults* TopoAwareScheduler::store_result(
+    ClassResults* shape, int machine,
+    const std::optional<Placement>& placement,
+    const topo::TopologyGraph& topology) {
+  if (memo_entries_ >= empty_memo_cap) {
+    memo_.clear();
+    memo_entries_ = 0;
+    shape = nullptr;
+  }
+  if (shape == nullptr) shape = &memo_[shape_key_];
+  EmptyResult& result = (*shape)[topology.machine_class(machine)];
+  ++memo_entries_;
+  if (placement) {
+    result.placed = true;
+    for (const int gpu : placement->gpus) {
+      result.local_gpus.push_back(topology.local_gpu_of(gpu));
+    }
+    result.utility = placement->utility;
+  }
+  return shape;
+}
+
 std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
     const jobgraph::JobRequest& request, const cluster::ClusterState& state) {
   const topo::TopologyGraph& topology = state.topology();
 
-  // Cheap pre-score per feasible machine: can the job land on one socket
-  // (pack), how many co-runners would interfere, how much capacity is
-  // left. Lower is better; ties break on machine id for determinism.
-  struct Candidate {
-    long long score;
-    int machine;
-    std::vector<int> free;  // free GPUs, reused by the evaluation pass
-  };
-  std::vector<Candidate> candidates;
-  std::vector<int> socket_free_scratch;
+  // Cheap pre-score per feasible machine, read from the capacity index:
+  // can the job land on one socket (pack), how many co-runners would
+  // interfere, how much capacity is left. Lower is better; ties break on
+  // machine id, so (score, machine) is a strict total order and
+  // partial_sort keeps exactly the candidates, in exactly the order, that
+  // sorting all of them and truncating would.
+  std::vector<std::pair<long long, int>> candidates;  // (score, machine)
   for (int machine = 0; machine < topology.machine_count(); ++machine) {
     // Section 4.3 capacity constraints: GPUs and host memory bandwidth.
-    if (state.machine_free_count(machine) < request.num_gpus ||
+    const int free = state.machine_free_count(machine);
+    if (free < request.num_gpus ||
         !state.host_bw_available(machine,
                                  request.profile.host_bw_demand_gbps)) {
       continue;
     }
-    std::vector<int> free = state.free_gpus_of_machine(machine);
-    socket_free_scratch.assign(
-        static_cast<size_t>(topology.sockets_of_machine(machine)) + 1, 0);
-    int best_socket_free = 0;
-    for (const int gpu : free) {
-      const size_t socket = static_cast<size_t>(topology.socket_of_gpu(gpu));
-      if (socket >= socket_free_scratch.size()) {
-        socket_free_scratch.resize(socket + 1, 0);
-      }
-      best_socket_free = std::max(best_socket_free, ++socket_free_scratch[socket]);
-    }
+    const std::span<const int> sockets = state.socket_free_counts(machine);
+    const int best_socket_free =
+        sockets.empty() ? 0 : *std::max_element(sockets.begin(), sockets.end());
     const bool can_pack = best_socket_free >= request.num_gpus ||
                           request.num_gpus > 2;  // >2 GPUs spans sockets anyway
     const long long co_runners =
         static_cast<long long>(state.jobs_of_machine(machine).size());
-    const long long score = (can_pack ? 0 : 1000000) + co_runners * 100 +
-                            static_cast<long long>(free.size());
-    candidates.push_back({score, machine, std::move(free)});
+    candidates.emplace_back(
+        (can_pack ? 0 : 1000000) + co_runners * 100 + free, machine);
   }
   if (candidates.empty()) return std::nullopt;
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.score != b.score ? a.score < b.score
-                                        : a.machine < b.machine;
-            });
-  if (static_cast<int>(candidates.size()) > candidate_limit) {
-    candidates.resize(static_cast<size_t>(candidate_limit));
+  const auto kept =
+      candidates.begin() +
+      std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(candidates.size()),
+                               candidate_limit);
+  std::partial_sort(candidates.begin(), kept, candidates.end());
+  candidates.erase(kept, candidates.end());
+
+  // The memo holds results for one topology and one model.
+  if (memo_topology_ != topology.instance_tag() ||
+      memo_model_ != state.model().instance_tag()) {
+    memo_.clear();
+    memo_entries_ = 0;
+    memo_topology_ = topology.instance_tag();
+    memo_model_ = state.model().instance_tag();
   }
 
-  // One pass in candidate order (DESIGN.md §17.1). An empty machine whose
-  // class an earlier empty candidate already holds is a twin: it takes
-  // that representative's result, moved to the twin's machine by local
-  // GPU index, instead of running DRB again. The result is exact: on a
-  // single machine, DRB and the utility read only that machine's GPUs,
-  // distances, socket lists, co-runners and link flows. Machines of one
-  // class agree on the structure up to the order-keeping local
-  // translation, and an empty machine has no co-runners or flows.
-  struct Representative {
-    int shape;
-    std::optional<Placement> result;  // kept: `best` may take the original
-  };
-  std::vector<Representative> representatives;
+  // One pass in candidate order (DESIGN.md §17.1). An empty candidate
+  // (no running job, no flow on any of its links) takes the memo's result
+  // for its class and the job's shape, moved onto its GPUs by local
+  // index; a miss runs DRB and stores the result. Occupied candidates
+  // always run DRB.
+  ClassResults* shape = nullptr;
+  bool shape_found = false;
   std::optional<Placement> best;
-  for (const Candidate& candidate : candidates) {
-    const int machine = candidate.machine;
-    const Representative* twin_of = nullptr;
-    int shape = -1;
-    if (state.jobs_of_machine(machine).empty()) {
-      GTS_DCHECK(candidate.free == topology.gpus_of_machine(machine));
-      shape = topology.machine_class(machine);
-      const auto found = std::find_if(
-          representatives.begin(), representatives.end(),
-          [shape](const Representative& r) { return r.shape == shape; });
-      if (found != representatives.end()) twin_of = &*found;
+  for (const auto& [score, machine] : candidates) {
+    const bool empty =
+        state.jobs_of_machine(machine).empty() &&
+        std::ranges::none_of(topology.links_of_machine(machine),
+                             [&](topo::LinkId link) {
+                               return state.link_flows()[static_cast<size_t>(
+                                          link)] != 0;
+                             });
+    const EmptyResult* memo = nullptr;
+    if (empty) {
+      GTS_DCHECK(state.machine_free_count(machine) ==
+                 static_cast<int>(topology.gpus_of_machine(machine).size()));
+      if (!shape_found) {
+        shape = find_shape(request);
+        shape_found = true;
+      }
+      if (shape != nullptr) {
+        const auto hit = shape->find(topology.machine_class(machine));
+        if (hit != shape->end()) memo = &hit->second;
+      }
     }
     std::optional<Placement> placement;
-    if (twin_of != nullptr) {
+    if (memo != nullptr) {
       ++scoring_.twin_reuses;
       GTS_METRIC_COUNT("sched.twin_reuses", 1);
-      placement = twin_of->result;
-      if (placement) {
+      if (memo->placed) {
         const std::vector<int>& target = topology.gpus_of_machine(machine);
-        for (int& gpu : placement->gpus) {
-          gpu = target[static_cast<size_t>(topology.local_gpu_of(gpu))];
+        placement.emplace();
+        for (const int local : memo->local_gpus) {
+          placement->gpus.push_back(target[static_cast<size_t>(local)]);
         }
+        placement->utility = memo->utility;
+        placement->satisfied =
+            placement->utility + 1e-9 >= request.min_utility;
       }
     } else {
       ++scoring_.scored;
-      placement =
-          drb_evaluate(request, candidate.free, state, utility_, &stats_);
-      if (shape >= 0) representatives.push_back({shape, placement});
+      placement = drb_evaluate(request, state.free_gpus_of_machine(machine),
+                               state, utility_, &stats_);
+      if (empty) shape = store_result(shape, machine, placement, topology);
     }
     if (!placement) continue;
     // The entry drb_place() writes for a mapped placement.

@@ -8,8 +8,11 @@
 // TOPO-AWARE always places when resources suffice.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "partition/drb.hpp"
 #include "sched/scheduler.hpp"
@@ -35,7 +38,7 @@ struct PlacementCacheStats {
 /// counts of DRB work, next to DrbStats).
 struct ScoringStats {
   long long scored = 0;       // DRB + utility evaluations actually run
-  long long twin_reuses = 0;  // empty candidates given a twin's result
+  long long twin_reuses = 0;  // empty candidates served from the memo
 };
 
 /// Maps `request` onto the `available` GPUs with the utility-driven DRB
@@ -63,12 +66,16 @@ class TopoAwareScheduler final : public Scheduler {
       : utility_(weights), postpone_(postpone) {}
 
   /// Above this machine count, single-node jobs use the scalable placement
-  /// path: candidate machines are pre-scored cheaply (pack availability,
-  /// co-runner count, free capacity) and only the best `candidate_limit`
-  /// run the full DRB + utility evaluation. Below it, one DRB runs over
-  /// the whole filtered GPU set exactly as in Algorithm 1.
+  /// path: candidate machines are pre-scored from the capacity index
+  /// (pack availability, co-runner count, free capacity) and only the
+  /// best `candidate_limit` get the full DRB + utility evaluation, run or
+  /// served from the empty-machine memo. Below it, one DRB runs over the
+  /// whole filtered GPU set exactly as in Algorithm 1.
   static constexpr int direct_drb_machine_limit = 4;
   static constexpr int candidate_limit = 16;
+  /// Most (machine class, job shape) results the empty-machine memo holds
+  /// (DESIGN.md §17.1); a store past it empties the memo first.
+  static constexpr std::size_t empty_memo_cap = 1024;
 
   std::string name() const override {
     return postpone_ ? "TOPO-AWARE-P" : "TOPO-AWARE";
@@ -80,24 +87,59 @@ class TopoAwareScheduler final : public Scheduler {
   const UtilityModel& utility_model() const noexcept { return utility_; }
 
   /// Cumulative DRB statistics (for the Section 5.5.3 overhead analysis).
-  /// Twin reuses skip the DRB entirely and do not accumulate here.
+  /// Memo hits skip the DRB entirely and do not accumulate here.
   partition::DrbStats drb_stats() const noexcept {
     const util::SerialGuard guard(replica_serial_);
     return stats_;
   }
-  /// Candidates scored by DRB and candidates that reused an identical
-  /// empty machine's result within one decision (DESIGN.md §17.1).
+  /// Candidates scored by DRB and empty candidates served from the
+  /// empty-machine memo (DESIGN.md §17.1).
   ScoringStats scoring_stats() const noexcept {
     const util::SerialGuard guard(replica_serial_);
     return scoring_;
+  }
+  /// Writes `request`'s job shape, the memo's key within a machine class,
+  /// into `key`: every request field drb_evaluate reads, and nothing else
+  /// (id, min_utility and arrival_time never reach DRB or the utility).
+  static void memo_shape_key(const jobgraph::JobRequest& request,
+                             std::vector<std::uint64_t>& key);
+  /// (machine class, job shape) results the empty-machine memo holds now.
+  std::size_t empty_memo_size() const noexcept {
+    const util::SerialGuard guard(replica_serial_);
+    return memo_entries_;
   }
   /// Always empty: kept only because perfbench/cpp/fig11.cpp reads it.
   PlacementCacheStats cache_stats() const noexcept { return {}; }
 
  private:
+  /// One empty machine's DRB + utility result: the placement as local
+  /// GPU indices (gpus_of_machine positions) and its utility, or no
+  /// placement at all.
+  struct EmptyResult {
+    bool placed = false;
+    std::vector<int> local_gpus;
+    double utility = 0.0;
+  };
+  /// Results of one job shape, by machine class.
+  using ClassResults = std::unordered_map<int, EmptyResult>;
+  struct ShapeHash {
+    std::size_t operator()(const std::vector<std::uint64_t>& key) const;
+  };
+
   std::optional<Placement> place_on_best_machine(
       const jobgraph::JobRequest& request,
       const cluster::ClusterState& state) GTS_REQUIRES(replica_serial_);
+  /// The memo's results for `request`'s shape, or nullptr; builds the
+  /// shape key into shape_key_ first.
+  ClassResults* find_shape(const jobgraph::JobRequest& request)
+      GTS_REQUIRES(replica_serial_);
+  /// Stores `placement` (made on `machine`) as the result of the shape in
+  /// shape_key_ on `machine`'s class; returns the shape's results, which
+  /// move when the store first empties a full memo.
+  ClassResults* store_result(ClassResults* shape, int machine,
+                             const std::optional<Placement>& placement,
+                             const topo::TopologyGraph& topology)
+      GTS_REQUIRES(replica_serial_);
 
   UtilityModel utility_;
   bool postpone_;
@@ -112,6 +154,16 @@ class TopoAwareScheduler final : public Scheduler {
   mutable util::SerialCapability replica_serial_;
   partition::DrbStats stats_ GTS_GUARDED_BY(replica_serial_);
   ScoringStats scoring_ GTS_GUARDED_BY(replica_serial_);
+
+  // Empty-machine memo (DESIGN.md §17.1): job shape key -> results by
+  // machine class, for the topology and model whose instance tags it
+  // holds. memo_entries_ counts (shape, class) results.
+  std::unordered_map<std::vector<std::uint64_t>, ClassResults, ShapeHash>
+      memo_ GTS_GUARDED_BY(replica_serial_);
+  std::size_t memo_entries_ GTS_GUARDED_BY(replica_serial_) = 0;
+  std::uint64_t memo_topology_ GTS_GUARDED_BY(replica_serial_) = 0;
+  std::uint64_t memo_model_ GTS_GUARDED_BY(replica_serial_) = 0;
+  std::vector<std::uint64_t> shape_key_ GTS_GUARDED_BY(replica_serial_);
 };
 
 }  // namespace gts::sched

@@ -70,6 +70,10 @@ class ShardedDriver : public sched::DriverApi {
   const sched::Driver& cell(int shard) const {
     return *cells_.at(static_cast<size_t>(shard)).driver;
   }
+  /// The cell schedulers, for tests that read their work counters.
+  const sched::Scheduler& cell_scheduler(int shard) const {
+    return *cells_.at(static_cast<size_t>(shard)).scheduler;
+  }
 
   // --- DriverApi -----------------------------------------------------------
   sched::SubmitResult submit(const jobgraph::JobRequest& request) override;

@@ -57,6 +57,7 @@ NodeId TopologyGraph::add_node(Node node) {
   adjacency_.emplace_back();
   paths_valid_ = false;
   structure_valid_ = false;
+  tag_.renew();
   return id;
 }
 
@@ -67,6 +68,7 @@ LinkId TopologyGraph::add_link(Link link) {
   links_.push_back(link);
   paths_valid_ = false;
   structure_valid_ = false;  // machine classes describe links
+  tag_.renew();
   return id;
 }
 
@@ -225,6 +227,9 @@ void TopologyGraph::build_machine_classes() const {
   int previous_class = -1;
   int class_count = 0;
   machine_class_.assign(machines, -1);
+  machine_link_begin_.assign(machines + 1, 0);
+  machine_link_ids_.clear();
+  machine_link_ids_.reserve(machine_links.size());
   for (size_t m = 0; m < machines; ++m) {
     const size_t nodes = node_begin[m + 1] - node_begin[m];
     run.resize(1 + 3 * nodes + 7 * (link_begin[m + 1] - link_begin[m]));
@@ -265,6 +270,33 @@ void TopologyGraph::build_machine_classes() const {
       *out++ = std::bit_cast<std::uint64_t>(link.bandwidth_gbps);
       *out++ = word(link.lanes);
     }
+    const auto first = static_cast<std::ptrdiff_t>(machine_link_ids_.size());
+    machine_link_ids_.insert(
+        machine_link_ids_.end(),
+        machine_links.begin() + static_cast<std::ptrdiff_t>(link_begin[m]),
+        machine_links.begin() +
+            static_cast<std::ptrdiff_t>(link_begin[m + 1]));
+    if (singleton) {
+      // Its GPUs may route through other machines: add every link of
+      // every route between two of them (both directions, as ensure_paths
+      // computes them).
+      for (const int a : machine_gpus_[m]) {
+        for (const int b : machine_gpus_[m]) {
+          if (a == b) continue;
+          const GpuPath route = shortest_path(
+              gpu_nodes_[static_cast<size_t>(a)],
+              gpu_nodes_[static_cast<size_t>(b)]);
+          machine_link_ids_.insert(machine_link_ids_.end(),
+                                   route.links.begin(), route.links.end());
+        }
+      }
+      std::sort(machine_link_ids_.begin() + first, machine_link_ids_.end());
+      machine_link_ids_.erase(
+          std::unique(machine_link_ids_.begin() + first,
+                      machine_link_ids_.end()),
+          machine_link_ids_.end());
+    }
+    machine_link_begin_[m + 1] = machine_link_ids_.size();
     if (singleton) {
       machine_class_[m] = class_count++;
       continue;

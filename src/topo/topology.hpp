@@ -17,11 +17,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "util/expected.hpp"
+#include "util/instance_tag.hpp"
 
 namespace gts::topo {
 
@@ -160,6 +162,22 @@ class TopologyGraph {
     ensure_structure();
     return machine_class_.at(static_cast<size_t>(machine));
   }
+  /// Links whose flows a placement inside `machine` can meet: every link
+  /// with an endpoint in its subtree, plus, for a machine that is a class
+  /// of its own, every link on a route between two of its GPUs (its
+  /// routes may leave the subtree). A job with no GPU on the machine
+  /// loads one of these only by routing through it.
+  std::span<const LinkId> links_of_machine(int machine) const {
+    ensure_structure();
+    const size_t begin = machine_link_begin_.at(static_cast<size_t>(machine));
+    return {machine_link_ids_.data() + begin,
+            machine_link_begin_.at(static_cast<size_t>(machine) + 1) - begin};
+  }
+
+  /// Process-unique tag of the graph's current contents, renewed on
+  /// construction, copy and every add_node/add_link. Caches of results
+  /// derived from the graph key on it instead of on its address.
+  std::uint64_t instance_tag() const noexcept { return tag_.value(); }
 
   // --- shortest paths ------------------------------------------------------
   /// Min-weight path between two arbitrary nodes (Dijkstra). Ties are broken
@@ -248,6 +266,12 @@ class TopologyGraph {
   mutable std::vector<int> gpu_socket_;
   mutable std::vector<int> gpu_local_index_;
   mutable std::vector<int> machine_class_;
+  // links_of_machine(m): machine_link_ids_[machine_link_begin_[m] ..
+  // machine_link_begin_[m + 1]).
+  mutable std::vector<size_t> machine_link_begin_;
+  mutable std::vector<LinkId> machine_link_ids_;
+
+  util::InstanceTag tag_;
 };
 
 }  // namespace gts::topo

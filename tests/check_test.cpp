@@ -4,6 +4,8 @@
 // ClusterState (double-allocated GPU) is caught while valid states pass.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -248,6 +250,46 @@ TEST_F(ClusterAuditTest, CapacityIndexFollowsCorruptedOwnership) {
   EXPECT_TRUE(check::validate(state_).is_ok());
   EXPECT_EQ(state_.machine_free_histogram()[2], 1);
   EXPECT_EQ(state_.machine_free_histogram()[4], 1);
+}
+
+TEST_F(ClusterAuditTest, SocketFreeCountsFollowCorruptedOwnership) {
+  // The per-socket free counts that TOPO-AWARE's candidate pre-score reads
+  // belong to the capacity index: validate replays them from ownership,
+  // and a corrupted owner table moves them with it, so the audit reports
+  // the ownership fault itself as a clean error, never a socket drift.
+  const auto counts = [&](int machine) {
+    const std::span<const int> free = state_.socket_free_counts(machine);
+    return std::vector<int>(free.begin(), free.end());
+  };
+  EXPECT_EQ(counts(0), (std::vector<int>{2, 2}));
+  state_.place(job(1, 2), {0, 1}, 0.0);
+  ASSERT_TRUE(check::validate(state_).is_ok());
+  EXPECT_EQ(counts(0), (std::vector<int>{0, 2}));
+  EXPECT_EQ(counts(1), (std::vector<int>{2, 2}));
+
+  // A phantom owner takes GPU 7 (machine 1, socket 1).
+  state_.corrupt_gpu_owner_for_test(7, 99);
+  EXPECT_EQ(counts(1), (std::vector<int>{2, 1}));
+  const util::Status phantom = check::validate(state_);
+  ASSERT_FALSE(phantom.is_ok());
+  EXPECT_NE(phantom.error().message.find("no running job"), std::string::npos)
+      << phantom.error().message;
+  EXPECT_EQ(phantom.error().message.find("socket"), std::string::npos)
+      << phantom.error().message;
+
+  // Job 1 loses GPU 0 to nobody: socket 0 of machine 0 gains it back.
+  state_.corrupt_gpu_owner_for_test(7, -1);
+  state_.corrupt_gpu_owner_for_test(0, -1);
+  EXPECT_EQ(counts(0), (std::vector<int>{1, 2}));
+  const util::Status lost = check::validate(state_);
+  ASSERT_FALSE(lost.is_ok());
+  EXPECT_NE(lost.error().message.find("GPU 0"), std::string::npos)
+      << lost.error().message;
+
+  state_.corrupt_gpu_owner_for_test(0, 1);  // repair
+  EXPECT_TRUE(check::validate(state_).is_ok());
+  EXPECT_EQ(counts(0), (std::vector<int>{0, 2}));
+  EXPECT_EQ(counts(1), (std::vector<int>{2, 2}));
 }
 
 TEST_F(ClusterAuditTest, PlacementAuditEnforcesShapeAndConstraints) {

@@ -324,14 +324,16 @@ sched::DriverReport run_trace(const topo::TopologyGraph& topology,
 struct PinnedTraceRun {
   bool postpone;
   std::uint64_t digest;
+  long long candidates;  // scored + twin_reuses
   long long scored;
   long long twin_reuses;
 };
 
 // Decisions and DRB work on the seeded 500-job regression trace, for both
 // postponement modes. The digests date from the byte-string placement-cache
-// key; the scoring counts were recorded with the placement cache off, the
-// only path left since the cache was deleted (DESIGN.md §12).
+// key. The scoring counts were re-pinned when the empty-machine memo
+// (DESIGN.md §17.1) replaced per-decision twins; the candidates weighed,
+// scored + twin_reuses, are those the cache-off path weighed before.
 TEST(SeededTraceTest, DecisionsAndScoringMatchCommittedPins) {
   const topo::TopologyGraph topology =
       topo::builders::cluster(5, MachineShape::kPower8Minsky);
@@ -339,8 +341,8 @@ TEST(SeededTraceTest, DecisionsAndScoringMatchCommittedPins) {
   const auto jobs = seeded_trace(model, topology, 500, /*seed=*/20260806);
 
   const PinnedTraceRun pinned[] = {
-      {false, 0x970e00271938deb6ULL, 503, 15},
-      {true, 0xa5767ea914ff0e6cULL, 552, 15},
+      {false, 0x970e00271938deb6ULL, 518, 419, 99},
+      {true, 0xa5767ea914ff0e6cULL, 567, 468, 99},
   };
   for (const PinnedTraceRun& pin : pinned) {
     sched::TopoAwareScheduler scheduler({}, pin.postpone);
@@ -351,9 +353,11 @@ TEST(SeededTraceTest, DecisionsAndScoringMatchCommittedPins) {
         testing_digest::decision_digest(report.recorder);
     EXPECT_EQ(digest, pin.digest)
         << "postpone=" << pin.postpone << " digest " << hex(digest);
-    EXPECT_EQ(scheduler.scoring_stats().scored, pin.scored)
+    const sched::ScoringStats scoring = scheduler.scoring_stats();
+    EXPECT_EQ(scoring.scored + scoring.twin_reuses, pin.candidates)
         << "postpone=" << pin.postpone;
-    EXPECT_EQ(scheduler.scoring_stats().twin_reuses, pin.twin_reuses)
+    EXPECT_EQ(scoring.scored, pin.scored) << "postpone=" << pin.postpone;
+    EXPECT_EQ(scoring.twin_reuses, pin.twin_reuses)
         << "postpone=" << pin.postpone;
   }
 }

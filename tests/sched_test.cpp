@@ -286,13 +286,13 @@ TEST_F(SchedTest, TopoAwareFastPathHonorsBandwidth) {
 
 // ------------------------------------------------------- twin reuse ----
 //
-// Within one decision, place_on_best_machine scores one empty machine per
-// machine class and hands its result to the later empty candidates of the
-// class (DESIGN.md §17.1). The proof that this is exact: on every empty
-// machine, drb_evaluate returns the representative's placement translated
-// by local GPU index, with bit-equal utility, for every network, batch
-// class and job size, next to occupied machines whose jobs load the
-// cluster's shared state.
+// place_on_best_machine runs DRB once per (machine class, job shape) on
+// empty machines and serves every later empty candidate of the class from
+// the empty-machine memo (DESIGN.md §17.1). The first proof that this is
+// exact: on every empty machine, drb_evaluate returns the first empty
+// machine's placement translated by local GPU index, with bit-equal
+// utility, for every network, batch class and job size, next to occupied
+// machines whose jobs load the cluster's shared state.
 
 struct TwinCase {
   const char* name;
@@ -383,11 +383,11 @@ TEST(TwinReuseTest, EmptyMachinesOfOneClassScoreAsTranslatedTwins) {
   }
 }
 
-// The scheduler scores every occupied candidate and one empty candidate
-// per class; every other empty candidate is a twin. Each candidate is
-// either scored or twinned, so the counts show that occupied machines
-// never twin. The explain entries show each twin's
-// placement moved onto its own machine.
+// A fresh scheduler scores every occupied candidate and one empty
+// candidate per class; every other empty candidate is a memo hit. Each
+// candidate is either scored or served, so the counts show that occupied
+// machines are never served from the memo. The explain entries show each
+// served placement moved onto its own machine.
 TEST(TwinReuseTest, OnlyEmptyMachinesTwin) {
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
   const std::string explain_path = ::testing::TempDir() + "twin_reuse.jsonl";
@@ -471,6 +471,352 @@ TEST(TwinReuseTest, UtilityTiesBreakTowardTheFirstMachine) {
   }
 }
 
+// ------------------------------------------------- empty-machine memo ----
+//
+// The memo carries results across decisions, so on top of the class
+// translation above it needs: an empty machine's result does not depend
+// on placements elsewhere; the key covers every request field the result
+// depends on; results never leak between topologies or models; machines
+// that carry other machines' flows are never served; and its size stays
+// bounded.
+
+bool same_result(const std::optional<Placement>& a,
+                 const std::optional<Placement>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a || (a->gpus == b->gpus &&
+                std::bit_cast<std::uint64_t>(a->utility) ==
+                    std::bit_cast<std::uint64_t>(b->utility) &&
+                a->satisfied == b->satisfied);
+}
+
+std::string describe(const std::optional<Placement>& placement) {
+  if (!placement) return "none";
+  std::string out = "gpus";
+  for (const int gpu : placement->gpus) out += " " + std::to_string(gpu);
+  return out + " utility " + std::to_string(placement->utility);
+}
+
+TEST(EmptyMemoTest, EmptyMachineResultIgnoresPlacementsElsewhere) {
+  const topo::TopologyGraph topology =
+      topo::builders::cluster(6, MachineShape::kPower8Minsky);
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  cluster::ClusterState state(topology, model);
+  const UtilityModel utility{UtilityWeights{}};
+  std::vector<JobRequest> requests;
+  for (int nn = 0; nn < jobgraph::kNeuralNetCount; ++nn) {
+    for (int k = 1; k <= 4; ++k) {
+      requests.push_back(perf::make_profiled_dl(
+          1, 0.0, static_cast<NeuralNet>(nn), 16, k, 0.5, model, topology,
+          700));
+    }
+  }
+  const int empty = 5;
+  std::vector<std::optional<Placement>> before;
+  TopoAwareScheduler warmed({}, /*postpone=*/false);
+  for (const JobRequest& request : requests) {
+    before.push_back(drb_evaluate(
+        request, state.free_gpus_of_machine(empty), state, utility));
+    warmed.place(request, state);
+  }
+
+  // A job inside machine 0, and one spanning machines 1 and 2 whose flows
+  // cross both uplinks and the network root.
+  const std::vector<int>& m0 = topology.gpus_of_machine(0);
+  const std::vector<int>& m1 = topology.gpus_of_machine(1);
+  const std::vector<int>& m2 = topology.gpus_of_machine(2);
+  state.place(perf::make_profiled_dl(1000, 0.0, NeuralNet::kGoogLeNet, 4, 2,
+                                     0.0, model, topology, 700),
+              {m0[0], m0[3]}, 0.0);
+  state.place(perf::make_profiled_dl(1001, 0.0, NeuralNet::kCaffeRef, 1, 2,
+                                     0.0, model, topology, 700),
+              {m1[0], m2[0]}, 0.0);
+  const auto loaded = [&](int machine) {
+    return std::ranges::any_of(
+        topology.links_of_machine(machine), [&](topo::LinkId link) {
+          return state.link_flows()[static_cast<size_t>(link)] != 0;
+        });
+  };
+  ASSERT_TRUE(loaded(1) && loaded(2));
+  ASSERT_FALSE(loaded(empty));
+
+  const ScoringStats warm = warmed.scoring_stats();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const std::string label = "request " + std::to_string(i);
+    const std::optional<Placement> after = drb_evaluate(
+        requests[i], state.free_gpus_of_machine(empty), state, utility);
+    EXPECT_TRUE(same_result(before[i], after))
+        << label << ": " << describe(before[i]) << " vs " << describe(after);
+    TopoAwareScheduler fresh({}, /*postpone=*/false);
+    const std::optional<Placement> want = fresh.place(requests[i], state);
+    const std::optional<Placement> got = warmed.place(requests[i], state);
+    EXPECT_TRUE(same_result(got, want))
+        << label << ": " << describe(got) << " vs " << describe(want);
+  }
+  // Every decision after the placements found the empty machines' results
+  // in the memo: machines 3, 4 and 5 are served, and no DRB ran on them.
+  EXPECT_EQ(warmed.scoring_stats().twin_reuses - warm.twin_reuses,
+            3 * static_cast<long long>(requests.size()));
+}
+
+TEST(EmptyMemoTest, KeyCoversEveryFieldThatChangesTheResult) {
+  const topo::TopologyGraph topology =
+      topo::builders::cluster(6, MachineShape::kDgx1);
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  const cluster::ClusterState state(topology, model);
+  const UtilityModel utility{UtilityWeights{}};
+  const JobRequest base = perf::make_profiled_dl(
+      7, 1.0, NeuralNet::kAlexNet, 16, 4, 0.5, model, topology, 700);
+
+  struct Perturbation {
+    const char* field;
+    void (*apply)(JobRequest&);
+  };
+  const Perturbation perturbations[] = {
+      {"id", [](JobRequest& r) { r.id = 99; }},
+      {"arrival_time", [](JobRequest& r) { r.arrival_time = 50.0; }},
+      {"min_utility", [](JobRequest& r) { r.min_utility = 0.99; }},
+      {"num_gpus", [](JobRequest& r) {
+         r.num_gpus = 3;
+         r.comm_graph = jobgraph::JobGraph::all_to_all(3, r.profile.comm_weight);
+       }},
+      {"iterations", [](JobRequest& r) { r.iterations += 1; }},
+      {"nn", [](JobRequest& r) { r.profile.nn = NeuralNet::kGoogLeNet; }},
+      {"batch", [](JobRequest& r) { r.profile.batch = jobgraph::BatchClass::kBig; }},
+      {"batch_size", [](JobRequest& r) { r.profile.batch_size = 64; }},
+      {"comm_weight", [](JobRequest& r) { r.profile.comm_weight = 1.0; }},
+      {"solo_time_pack", [](JobRequest& r) { r.profile.solo_time_pack *= 0.5; }},
+      {"solo_time_pack=0", [](JobRequest& r) { r.profile.solo_time_pack = 0.0; }},
+      {"collocation_slowdown",
+       [](JobRequest& r) { r.profile.collocation_slowdown.fill(0.9); }},
+      {"host_bw_demand_gbps",
+       [](JobRequest& r) { r.profile.host_bw_demand_gbps += 1.0; }},
+      {"single_node", [](JobRequest& r) { r.profile.single_node = false; }},
+      {"anti_collocate", [](JobRequest& r) { r.profile.anti_collocate = true; }},
+      {"edge weight", [](JobRequest& r) {
+         r.comm_graph = jobgraph::JobGraph::all_to_all(4, 2.5);
+       }},
+      {"one edge weight", [](JobRequest& r) {
+         jobgraph::JobGraph graph(4);
+         for (const jobgraph::CommEdge& edge : r.comm_graph.edges()) {
+           graph.add_edge(edge.a, edge.b,
+                          edge.a == 0 && edge.b == 1 ? 0.5 : edge.weight);
+         }
+         r.comm_graph = graph;
+       }},
+      {"ring", [](JobRequest& r) {
+         r.comm_graph = jobgraph::JobGraph::ring(4, r.profile.comm_weight);
+       }},
+      {"edgeless", [](JobRequest& r) {
+         r.comm_graph = jobgraph::JobGraph::all_to_all(4, 0.0);
+       }},
+  };
+
+  std::vector<std::uint64_t> base_key;
+  TopoAwareScheduler::memo_shape_key(base, base_key);
+  const std::optional<Placement> base_result =
+      drb_evaluate(base, state.free_gpus_of_machine(0), state, utility);
+  ASSERT_TRUE(base_result.has_value());
+  int changed = 0;
+  for (const Perturbation& perturbation : perturbations) {
+    JobRequest request = base;
+    perturbation.apply(request);
+    std::vector<std::uint64_t> key;
+    TopoAwareScheduler::memo_shape_key(request, key);
+    const std::optional<Placement> result =
+        drb_evaluate(request, state.free_gpus_of_machine(0), state, utility);
+    // `satisfied` follows min_utility, which the memo recomputes per hit.
+    const bool differs =
+        result.has_value() != base_result.has_value() ||
+        (result && (result->gpus != base_result->gpus ||
+                    std::bit_cast<std::uint64_t>(result->utility) !=
+                        std::bit_cast<std::uint64_t>(base_result->utility)));
+    if (differs) {
+      ++changed;
+      EXPECT_NE(key, base_key) << perturbation.field;
+    }
+    // Whatever the key says, a scheduler that saw `base` decides like a
+    // fresh one.
+    TopoAwareScheduler warmed({}, /*postpone=*/false);
+    warmed.place(base, state);
+    TopoAwareScheduler fresh({}, /*postpone=*/false);
+    const std::optional<Placement> want = fresh.place(request, state);
+    const std::optional<Placement> got = warmed.place(request, state);
+    EXPECT_TRUE(same_result(got, want))
+        << perturbation.field << ": " << describe(got) << " vs "
+        << describe(want);
+  }
+  // The perturbations have teeth: most of them move the result.
+  EXPECT_GE(changed, 10);
+  // The fields DRB never reads stay out of the key, so those jobs share
+  // one memo entry.
+  for (void (*apply)(JobRequest&) :
+       {perturbations[0].apply, perturbations[1].apply,
+        perturbations[2].apply}) {
+    JobRequest request = base;
+    apply(request);
+    std::vector<std::uint64_t> key;
+    TopoAwareScheduler::memo_shape_key(request, key);
+    EXPECT_EQ(key, base_key);
+  }
+}
+
+// Decisions of one scheduler fed states of different topologies, then of
+// different perf models, equal a fresh scheduler's. Each new topology and
+// model is built in the storage of the one before, so a memo keyed by
+// address would serve stale results.
+TEST(EmptyMemoTest, MemoFollowsTopologyAndModelIdentity) {
+  TopoAwareScheduler reused({}, /*postpone=*/false);
+  std::optional<topo::TopologyGraph> topology;
+  std::optional<perf::DlWorkloadModel> model;
+  // The requests are profiled once, so their shape keys are the same
+  // under every topology and model the states use.
+  std::vector<JobRequest> requests;
+  {
+    const perf::DlWorkloadModel profiler(
+        perf::CalibrationParams::paper_minsky());
+    const topo::TopologyGraph profiled =
+        topo::builders::cluster(6, MachineShape::kPower8Minsky);
+    for (int k = 1; k <= 4; ++k) {
+      requests.push_back(perf::make_profiled_dl(
+          1, 0.0, NeuralNet::kAlexNet, 16, k, 0.5, profiler, profiled, 700));
+    }
+  }
+  const auto check = [&](const std::string& label) {
+    const cluster::ClusterState state(*topology, *model);
+    for (const JobRequest& request : requests) {
+      const int k = request.num_gpus;
+      TopoAwareScheduler fresh({}, /*postpone=*/false);
+      const std::optional<Placement> want = fresh.place(request, state);
+      const std::optional<Placement> got = reused.place(request, state);
+      EXPECT_TRUE(same_result(got, want))
+          << label << " k " << k << ": " << describe(got) << " vs "
+          << describe(want);
+    }
+  };
+  model.emplace(perf::CalibrationParams::paper_minsky());
+  for (const MachineShape shape :
+       {MachineShape::kPower8Minsky, MachineShape::kPower8Pcie,
+        MachineShape::kPower8Minsky}) {
+    topology.reset();
+    topology.emplace(topo::builders::cluster(6, shape));
+    check("topology " + std::to_string(static_cast<int>(shape)));
+  }
+  for (const bool k80 : {true, false, true}) {
+    model.reset();
+    model.emplace(k80 ? perf::CalibrationParams::paper_k80()
+                      : perf::CalibrationParams::paper_minsky());
+    check(std::string("model ") + (k80 ? "k80" : "minsky"));
+  }
+  // A topology changed in place is a new topology too: an NVLink across
+  // machine 0's sockets changes its distances.
+  check("before the new link");
+  const std::vector<int> gpus = topology->gpus_of_machine(0);
+  topology->add_link({topology->gpu_node(gpus[0]), topology->gpu_node(gpus[2]),
+                      topo::LinkKind::kNvlink, 1.0, 40.0, 2});
+  check("after the new link");
+}
+
+// A hand-built cluster of five two-socket machines with one GPU per
+// socket. Machine 1 has no uplink of its own: it hangs off machine 0's
+// socket 0, so its traffic to the network crosses machine 0's
+// socket-to-machine link, which machine 0's own two-GPU jobs also use. A
+// job spanning machines 1 and 2 therefore loads a link inside the empty
+// machine 0, and the memo must not serve machine 0 then.
+TEST(EmptyMemoTest, MachineCarryingAnotherMachinesRouteIsNeverServed) {
+  using topo::Link;
+  using topo::LinkKind;
+  using topo::Node;
+  using topo::NodeKind;
+  topo::TopologyGraph topology;
+  const topo::NodeId root =
+      topology.add_node({NodeKind::kNetwork, "net", -1, -1, -1, -1});
+  std::vector<topo::NodeId> sockets0;
+  for (int m = 0; m < 5; ++m) {
+    const std::string name = "m" + std::to_string(m);
+    const topo::NodeId machine =
+        topology.add_node({NodeKind::kMachine, name, m, -1, -1, -1});
+    for (int s = 0; s < 2; ++s) {
+      const topo::NodeId socket = topology.add_node(
+          {NodeKind::kSocket, name + "s" + std::to_string(s), m, s, -1, -1});
+      const topo::NodeId gpu = topology.add_node(
+          {NodeKind::kGpu, name + "g" + std::to_string(s), m, s, -1, s});
+      topology.add_link({gpu, socket, LinkKind::kPcie, 1.0, 32.0, 16});
+      topology.add_link({socket, machine, LinkKind::kSmpBus, 20.0, 16.0, 1});
+      if (m == 0 && s == 0) sockets0.push_back(socket);
+    }
+    const topo::NodeId uplink = m == 1 ? sockets0.front() : root;
+    topology.add_link({machine, uplink, LinkKind::kNetwork, 100.0, 10.0, 1});
+  }
+  ASSERT_TRUE(topology.validate().is_ok());
+  ASSERT_EQ(topology.machine_count(), 5);
+
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  const UtilityModel utility{UtilityWeights{}};
+  const JobRequest request = perf::make_profiled_dl(
+      1, 0.0, NeuralNet::kAlexNet, 16, 2, 0.0, model, topology, 700);
+
+  TopoAwareScheduler warmed({}, /*postpone=*/false);
+  cluster::ClusterState idle(topology, model);
+  ASSERT_TRUE(warmed.place(request, idle).has_value());
+  const std::optional<Placement> idle_result =
+      drb_evaluate(request, idle.free_gpus_of_machine(0), idle, utility);
+
+  cluster::ClusterState state(topology, model);
+  JobRequest spanning = perf::make_profiled_dl(
+      1000, 0.0, NeuralNet::kCaffeRef, 1, 2, 0.0, model, topology, 700);
+  spanning.profile.single_node = false;
+  state.place(spanning,
+              {topology.gpus_of_machine(1)[0], topology.gpus_of_machine(2)[0]},
+              0.0);
+  ASSERT_TRUE(state.jobs_of_machine(0).empty());
+  // The flow makes machine 0's result differ, so a memo hit would be
+  // wrong.
+  const std::optional<Placement> loaded_result =
+      drb_evaluate(request, state.free_gpus_of_machine(0), state, utility);
+  ASSERT_TRUE(idle_result.has_value() && loaded_result.has_value());
+  EXPECT_NE(std::bit_cast<std::uint64_t>(idle_result->utility),
+            std::bit_cast<std::uint64_t>(loaded_result->utility));
+
+  const ScoringStats warm = warmed.scoring_stats();
+  TopoAwareScheduler fresh({}, /*postpone=*/false);
+  const std::optional<Placement> want = fresh.place(request, state);
+  const std::optional<Placement> got = warmed.place(request, state);
+  EXPECT_TRUE(same_result(got, want))
+      << describe(got) << " vs " << describe(want);
+  // Candidates are machines 0, 3 and 4 (1 and 2 have one free GPU).
+  // Machines 3 and 4 are served; machine 0 runs DRB again.
+  EXPECT_EQ(warmed.scoring_stats().scored - warm.scored, 1);
+  EXPECT_EQ(warmed.scoring_stats().twin_reuses - warm.twin_reuses, 2);
+}
+
+// More distinct comm graphs than the memo's cap: the memo never holds
+// more than the cap, and decisions still equal a fresh scheduler's.
+TEST(EmptyMemoTest, MemoStaysBoundedUnderDistinctShapes) {
+  const topo::TopologyGraph topology =
+      topo::builders::cluster(6, MachineShape::kPower8Minsky);
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  const cluster::ClusterState state(topology, model);
+  TopoAwareScheduler reused({}, /*postpone=*/false);
+  const JobRequest base = perf::make_profiled_dl(
+      1, 0.0, NeuralNet::kAlexNet, 16, 2, 0.5, model, topology, 700);
+  const int shapes = static_cast<int>(TopoAwareScheduler::empty_memo_cap) + 100;
+  std::size_t largest = 0;
+  for (int i = 0; i < shapes; ++i) {
+    JobRequest request = base;
+    request.comm_graph = jobgraph::JobGraph::all_to_all(2, 1.0 + i / 4096.0);
+    TopoAwareScheduler fresh({}, /*postpone=*/false);
+    const std::optional<Placement> want = fresh.place(request, state);
+    const std::optional<Placement> got = reused.place(request, state);
+    ASSERT_TRUE(same_result(got, want))
+        << "shape " << i << ": " << describe(got) << " vs " << describe(want);
+    ASSERT_LE(reused.empty_memo_size(), TopoAwareScheduler::empty_memo_cap)
+        << "shape " << i;
+    largest = std::max(largest, reused.empty_memo_size());
+  }
+  EXPECT_EQ(largest, TopoAwareScheduler::empty_memo_cap);
+  EXPECT_EQ(reused.scoring_stats().scored, shapes);
+}
+
 DriverReport run_trace(const topo::TopologyGraph& topology,
                        const perf::DlWorkloadModel& model,
                        TopoAwareScheduler& scheduler,
@@ -481,12 +827,13 @@ DriverReport run_trace(const topo::TopologyGraph& topology,
   return driver.run(jobs);
 }
 
-// Twin reuse fires most on a large, lightly loaded cluster of one machine
+// The memo fires most on a large, lightly loaded cluster of one machine
 // shape, where nearly every candidate is an empty machine. Decisions of a
 // seeded 300-job TOPO-AWARE-P trace of short jobs on 40 Minsky machines
 // (16 candidates per decision) are pinned by a digest recorded before
-// twin reuse existed (tests/decision_digest.hpp), and its 4800 candidate
-// evaluations split into scored and twin-reused ones.
+// twin reuse existed (tests/decision_digest.hpp). Its 4800 candidates
+// split into DRB runs and memo hits; within-decision twins alone scored
+// 300, and the cross-decision memo leaves one DRB run per job shape.
 TEST(TwinReuseTest, SeededTraceKeepsCommittedDecisionsAndScoringCounts) {
   const topo::TopologyGraph topology =
       topo::builders::cluster(40, MachineShape::kPower8Minsky);
@@ -503,21 +850,27 @@ TEST(TwinReuseTest, SeededTraceKeepsCommittedDecisionsAndScoringCounts) {
       testing_digest::decision_digest(report.recorder);
   EXPECT_EQ(digest, 0x0d2ad6b703386cbaULL)
       << "digest " << testing_digest::hex(digest);
-  EXPECT_EQ(scheduler.scoring_stats().scored, 300);
-  EXPECT_EQ(scheduler.scoring_stats().twin_reuses, 4500);
+  const ScoringStats scoring = scheduler.scoring_stats();
+  EXPECT_EQ(scoring.scored + scoring.twin_reuses, 4800);
+  EXPECT_EQ(scoring.scored, 34);
+  EXPECT_EQ(scoring.twin_reuses, 4766);
 }
 
 // A seeded 500-job trace on 8 Minsky machines, large enough that every
 // single-node job takes the pre-scored candidate path. Per postponement
-// mode, the decisions, the DRB and scoring counters, and the explain
-// JSONL (decision_us masked) are pinned by values committed from a run
-// of the scheduler before its candidate-scoring pool was removed.
+// mode, the decisions and the explain JSONL (decision_us masked) are
+// pinned by values committed from a run of the scheduler before its
+// candidate-scoring pool was removed. The DRB and scoring counters were
+// re-pinned when the empty-machine memo replaced per-decision twins: the
+// candidates weighed (scored + twin_reuses) did not change, but more of
+// them are memo hits, so fewer run DRB.
 struct SeededTracePin {
   bool postpone;
   std::uint64_t decisions;
   int bipartitions;
   int fm_passes;
   int max_depth;
+  long long candidates;  // scored + twin_reuses
   long long scored;
   long long twin_reuses;
   std::uint64_t explain;
@@ -533,9 +886,9 @@ TEST(SeededTracePinTest, FiveHundredJobsMatchCommittedPinsInBothModes) {
   const auto jobs = trace::generate_workload(options, model, topology);
 
   const SeededTracePin pins[] = {
-      {false, 0xd0bad453d1363ecaULL, 510, 510, 3, 510, 46,
+      {false, 0xd0bad453d1363ecaULL, 274, 274, 3, 556, 430, 126,
        0xd520c8b52fd1c4c1ULL},
-      {true, 0xa2e080f372025e6eULL, 624, 624, 3, 625, 46,
+      {true, 0xa2e080f372025e6eULL, 388, 388, 3, 671, 545, 126,
        0x0f57b1853c65e289ULL},
   };
   for (const SeededTracePin& pin : pins) {
@@ -562,9 +915,10 @@ TEST(SeededTracePinTest, FiveHundredJobsMatchCommittedPinsInBothModes) {
     EXPECT_EQ(drb.bipartitions, pin.bipartitions) << label;
     EXPECT_EQ(drb.fm_passes, pin.fm_passes) << label;
     EXPECT_EQ(drb.max_depth, pin.max_depth) << label;
-    EXPECT_EQ(scheduler.scoring_stats().scored, pin.scored) << label;
-    EXPECT_EQ(scheduler.scoring_stats().twin_reuses, pin.twin_reuses)
-        << label;
+    const ScoringStats scoring = scheduler.scoring_stats();
+    EXPECT_EQ(scoring.scored + scoring.twin_reuses, pin.candidates) << label;
+    EXPECT_EQ(scoring.scored, pin.scored) << label;
+    EXPECT_EQ(scoring.twin_reuses, pin.twin_reuses) << label;
     const std::string masked = testing_digest::mask_decision_us(explain.str());
     ASSERT_NE(masked.find("\"decision_us\":0"), std::string::npos) << label;
     const std::uint64_t explain_digest = testing_digest::text_digest(masked);

@@ -23,10 +23,12 @@
 
 #include "cluster/recorder.hpp"
 #include "cluster/state.hpp"
+#include "decision_digest.hpp"
 #include "exp/scenarios.hpp"
 #include "jobgraph/manifest.hpp"
 #include "perf/profile.hpp"
 #include "sched/driver.hpp"
+#include "sched/topo_aware.hpp"
 #include "shard/cells.hpp"
 #include "shard/sharded_driver.hpp"
 #include "shard/summary.hpp"
@@ -296,6 +298,53 @@ TEST_F(ShardDifferentialTest, ShardedRunPlacesEveryGlobalGpuOnce) {
 }
 
 // --- router Filter soundness ------------------------------------------------
+
+// A seeded smoke-size copy of the scale-light benchmark (64 Minsky
+// machines in 2 cells, TOPO-AWARE-P, 400 short jobs at one job per
+// machine-minute). Its decisions and the cells' summed DRB work are
+// pinned, so a change that re-runs DRB where the empty-machine memo
+// (DESIGN.md §17.1) served a result fails here.
+TEST(ShardedWorkTest, SmokeScaleLightPinsDecisionsAndDrbWork) {
+  const topo::TopologyGraph topology = topo::builders::make_cluster(
+      64, 4, MachineShape::kPower8Minsky);
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  trace::GeneratorOptions generator;
+  generator.job_count = 400;
+  generator.seed = 20261019;
+  generator.iterations = 250;
+  generator.arrival_rate_per_minute = 1.0 * topology.machine_count();
+  const auto jobs = trace::generate_workload(generator, model, topology);
+
+  ShardedOptions options;
+  options.shards = 2;
+  options.policy = sched::Policy::kTopoAwareP;
+  options.driver.record_series = false;
+  ShardedDriver driver(topology, model, options);
+  const sched::DriverReport report = driver.run(jobs);
+  ASSERT_EQ(report.recorder.records().size(), 400u);
+
+  long long scored = 0;
+  long long twin_reuses = 0;
+  long long bipartitions = 0;
+  for (int cell = 0; cell < driver.shard_count(); ++cell) {
+    const auto& scheduler = dynamic_cast<const sched::TopoAwareScheduler&>(
+        driver.cell_scheduler(cell));
+    scored += scheduler.scoring_stats().scored;
+    twin_reuses += scheduler.scoring_stats().twin_reuses;
+    bipartitions += scheduler.drb_stats().bipartitions;
+  }
+  const std::uint64_t digest =
+      testing_digest::decision_digest(report.recorder);
+  // The digest and the candidates weighed (scored + twin_reuses) are those
+  // of the per-decision twins the memo replaced, which scored 1151 of them
+  // with 1667 bipartitions.
+  EXPECT_EQ(digest, 0xab99d462f7595be5ULL)
+      << "digest " << testing_digest::hex(digest);
+  EXPECT_EQ(scored + twin_reuses, 5476);
+  EXPECT_EQ(scored, 819);
+  EXPECT_EQ(twin_reuses, 4657);
+  EXPECT_EQ(bipartitions, 957);
+}
 
 TEST(ShardRouterTest, FilterNeverRejectsAPlaceableShard) {
   // The Filter and the driver's capacity gate share one predicate,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -487,6 +489,49 @@ TEST(MachineClassTest, ExtraOutsideLinksMakeSingletons) {
   EXPECT_NE(classes[0], classes[1]);
   EXPECT_NE(classes[0], classes[2]);
   EXPECT_NE(classes[1], classes[2]);
+}
+
+// links_of_machine lists every link a placement inside a machine can
+// share. Machine 0's sockets reach each other more cheaply through
+// machine 1 than through their own machine node, so the route between
+// its two GPUs crosses a link inside machine 1. Machine 0 is a class of
+// its own, and that link must be among its links.
+TEST(MachineClassTest, SingletonLinksIncludeRoutesThroughOtherMachines) {
+  TopologyGraph g;
+  const NodeId root = g.add_node({NodeKind::kNetwork, "net", -1, -1, -1, -1});
+  std::vector<std::vector<NodeId>> sockets(2);
+  for (int m = 0; m < 2; ++m) {
+    const std::string name = "m" + std::to_string(m);
+    const NodeId machine =
+        g.add_node({NodeKind::kMachine, name, m, -1, -1, -1});
+    g.add_link({machine, root, LinkKind::kNetwork, 100.0, 10.0, 1});
+    for (int s = 0; s < 2; ++s) {
+      const NodeId socket = g.add_node(
+          {NodeKind::kSocket, name + "s" + std::to_string(s), m, s, -1, -1});
+      const NodeId gpu = g.add_node(
+          {NodeKind::kGpu, name + "g" + std::to_string(s), m, s, -1, s});
+      g.add_link({gpu, socket, LinkKind::kPcie, 1.0, 16.0, 16});
+      g.add_link({socket, machine, LinkKind::kSmpBus, 20.0, 32.0, 1});
+      sockets[static_cast<size_t>(m)].push_back(socket);
+    }
+  }
+  const LinkId inside_m1 = g.add_link({sockets[1][0], sockets[1][1],
+                                       LinkKind::kSmpBus, 1.0, 32.0, 1});
+  g.add_link({sockets[0][0], sockets[1][0], LinkKind::kSmpBus, 1.0, 32.0, 1});
+  g.add_link({sockets[1][1], sockets[0][1], LinkKind::kSmpBus, 1.0, 32.0, 1});
+  ASSERT_TRUE(g.validate().is_ok());
+
+  const std::vector<int>& gpus = g.gpus_of_machine(0);
+  const GpuPath route = g.shortest_path(g.gpu_node(gpus[0]),
+                                        g.gpu_node(gpus[1]));
+  ASSERT_NE(std::find(route.links.begin(), route.links.end(), inside_m1),
+            route.links.end());
+  const std::span<const LinkId> links = g.links_of_machine(0);
+  for (const LinkId link : route.links) {
+    EXPECT_NE(std::find(links.begin(), links.end(), link), links.end())
+        << "link " << link;
+  }
+  EXPECT_NE(g.machine_class(0), g.machine_class(1));
 }
 
 TEST(MachineClassTest, CellsClassifyLikeTheirSourceMachines) {
