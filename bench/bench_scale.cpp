@@ -12,10 +12,10 @@
 // GPUs, so cells can be locally fuller than the oracle would allow).
 //
 // Scenario labels follow bench_overhead: "minsky-1000m-8s". Everything
-// outside the "timing" subtrees is byte-identical across --threads and
-// --shard-threads (the runner's determinism contract); BENCH_scale.json
-// diffs are gated in CI by tools/bench_compare.py against the committed
-// baseline at 500 machines.
+// outside the "timing" subtrees is byte-identical across --threads (the
+// runner's determinism contract); a replica's cells advance one after
+// another on its own thread. BENCH_scale.json diffs are gated in CI by
+// tools/bench_compare.py against the committed baseline at 500 machines.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -118,8 +118,6 @@ int main(int argc, char** argv) {
                  "auto");
   cli.add_option("cell-machines",
                  "target cell size for --shards auto", "125");
-  cli.add_option("shard-threads",
-                 "cell-advance workers (results stay byte-identical)", "1");
   cli.add_option("jobs",
                  "jobs per replica (0 = auto: 6 jobs per 5 machines, so "
                  "every cluster size sees comparable queue pressure)",
@@ -168,7 +166,6 @@ int main(int argc, char** argv) {
     }
     shard_axis = *parsed;
   }
-  const int shard_threads = static_cast<int>(cli.get_int("shard-threads"));
   const int job_count = static_cast<int>(cli.get_int("jobs"));
   if (job_count < 0) {
     std::fprintf(stderr, "--jobs must be >= 0\n");
@@ -207,7 +204,6 @@ int main(int argc, char** argv) {
   options.metadata["jobs"] = job_count;
   options.metadata["iterations"] = iterations;
   options.metadata["cell_machines"] = cell_machines;
-  options.metadata["shard_threads"] = shard_threads;
   options.metadata["oracle_max"] = oracle_max;
   options.metadata["policy"] = std::string("TOPO-AWARE-P");
 
@@ -256,7 +252,6 @@ int main(int argc, char** argv) {
         // Sharded run.
         shard::ShardedOptions sharded_options;
         sharded_options.shards = s;
-        sharded_options.shard_threads = shard_threads;
         // Nothing in the payload reads the bandwidth/utility series; at
         // 5000 machines the per-event series append is pure overhead.
         sharded_options.driver.record_series = false;

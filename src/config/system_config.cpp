@@ -106,11 +106,6 @@ util::Expected<SystemConfig> SystemConfig::from_ini(const Ini& ini) {
   if (svc.shard_count < 1) {
     return util::Error{"sys-config [service]: shard_count must be >= 1"};
   }
-  svc.shard_threads = static_cast<int>(
-      ini.get_int("service", "shard_threads", svc.shard_threads));
-  if (svc.shard_threads < 0) {
-    return util::Error{"sys-config [service]: shard_threads must be >= 0"};
-  }
   return config;
 }
 
@@ -166,8 +161,6 @@ Ini SystemConfig::to_ini() const {
   }
   if (service.shard_count != 1) {
     ini.set("service", "shard_count", std::to_string(service.shard_count));
-    ini.set("service", "shard_threads",
-            std::to_string(service.shard_threads));
   }
   return ini;
 }

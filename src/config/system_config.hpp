@@ -52,9 +52,6 @@ struct ServiceConfig {
   /// Cells the cluster is partitioned into (shard::ShardedDriver,
   /// DESIGN.md section 19); 1 = the classic single-driver daemon.
   int shard_count = 1;
-  /// Worker threads advancing cells concurrently; <= 1 advances serially.
-  /// Any value produces byte-identical decisions.
-  int shard_threads = 1;
 };
 
 /// Parsed sys-config.ini.

@@ -43,8 +43,8 @@ struct LargeScaleSweepConfig {
 };
 
 /// Fans the (single scenario x seeds) replicas of a large-scale experiment
-/// across the pool. The scenario label encodes the cluster size, e.g.
-/// "minsky-5m-100j".
+/// across the sweep's worker threads. The scenario label encodes the
+/// cluster size, e.g. "minsky-5m-100j".
 SweepResult run_large_scale_sweep(const LargeScaleSweepConfig& config);
 
 /// Renders the per-policy aggregate table of a large-scale sweep (mean

@@ -1,14 +1,16 @@
 #include "runner/sweep.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <map>
+#include <thread>
 #include <utility>
 
 #include "check/check.hpp"
 #include "obs/trace.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gts::runner {
 
@@ -92,33 +94,51 @@ SweepResult run_sweep(const SweepOptions& options, const ReplicaFn& fn) {
   result.replicas.resize(static_cast<size_t>(replica_count));
   std::vector<std::exception_ptr> errors(static_cast<size_t>(replica_count));
 
+  const auto run_replica = [&](int index) {
+    const int scenario_index = index / seed_count;
+    const int seed_index = index % seed_count;
+    ReplicaContext context;
+    context.scenario_index = scenario_index;
+    context.scenario = options.scenarios[static_cast<size_t>(scenario_index)];
+    context.seed = options.seeds[static_cast<size_t>(seed_index)];
+    context.seed_index = seed_index;
+    context.replica_index = index;
+    context.rng = util::Rng::for_stream(
+        context.seed, static_cast<std::uint64_t>(scenario_index));
+    Replica& slot = result.replicas[static_cast<size_t>(index)];
+    slot.scenario_index = scenario_index;
+    slot.seed = context.seed;
+    obs::SpanGuard replica_span(obs::kRunner, "runner.replica");
+    replica_span.arg("scenario", scenario_index)
+        .arg("seed", static_cast<double>(context.seed))
+        .arg("replica", index);
+    try {
+      slot.payload = fn(context);
+    } catch (...) {
+      errors[static_cast<size_t>(index)] = std::current_exception();
+    }
+  };
+
+  // Workers claim replica indices from one counter and write only their
+  // own replica's slots. Every worker is joined (the jthreads' destructors
+  // at the end of this block) before any slot is read.
+  const int threads = options.threads > 0
+                          ? options.threads
+                          : static_cast<int>(std::max(
+                                1U, std::thread::hardware_concurrency()));
+  const int workers = std::min(threads, replica_count);
   const auto t0 = std::chrono::steady_clock::now();
   {
-    util::ThreadPool pool(options.threads);
-    util::parallel_for(pool, replica_count, [&](int index) {
-      const int scenario_index = index / seed_count;
-      const int seed_index = index % seed_count;
-      ReplicaContext context;
-      context.scenario_index = scenario_index;
-      context.scenario = options.scenarios[static_cast<size_t>(scenario_index)];
-      context.seed = options.seeds[static_cast<size_t>(seed_index)];
-      context.seed_index = seed_index;
-      context.replica_index = index;
-      context.rng = util::Rng::for_stream(
-          context.seed, static_cast<std::uint64_t>(scenario_index));
-      Replica& slot = result.replicas[static_cast<size_t>(index)];
-      slot.scenario_index = scenario_index;
-      slot.seed = context.seed;
-      obs::SpanGuard replica_span(obs::kRunner, "runner.replica");
-      replica_span.arg("scenario", scenario_index)
-          .arg("seed", static_cast<double>(context.seed))
-          .arg("replica", index);
-      try {
-        slot.payload = fn(context);
-      } catch (...) {
-        errors[static_cast<size_t>(index)] = std::current_exception();
-      }
-    });
+    std::atomic<int> next{0};
+    std::vector<std::jthread> pool;
+    pool.reserve(static_cast<size_t>(workers));
+    for (int w = 0; w < workers; ++w) {
+      pool.emplace_back([&] {
+        for (int index = next++; index < replica_count; index = next++) {
+          run_replica(index);
+        }
+      });
+    }
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -1,8 +1,8 @@
 // Parallel (scenario x seed) sweep runner with versioned BENCH JSON output.
 //
 // The paper's headline results (Figs. 8-11) rest on repeated trace-driven
-// simulations; this runner fans the replicas out over a fixed-size thread
-// pool and aggregates their metrics. Determinism contract:
+// simulations; this runner fans the replicas out over worker threads
+// and aggregates their metrics. Determinism contract:
 //
 //   * one replica == one (scenario, seed) cell; the replica function must
 //     build everything it touches (sim::Engine, ClusterState, topology,
@@ -107,9 +107,10 @@ struct SweepResult {
   json::Value to_json(bool include_timing = true) const;
 };
 
-/// Fans the (scenario x seed) matrix out over a thread pool and aggregates.
-/// Replica exceptions are rethrown (first in replica order) after the pool
-/// drains. Deterministic: see the header comment.
+/// Fans the (scenario x seed) matrix out over min(threads, replicas)
+/// worker threads that claim replica indices from one atomic counter, and
+/// aggregates. Replica exceptions are rethrown (first in replica order)
+/// after every worker has joined. Deterministic: see the header comment.
 SweepResult run_sweep(const SweepOptions& options, const ReplicaFn& fn);
 
 /// Seed-spec grammar shared by the bench binaries' --seeds flag:

@@ -6,8 +6,8 @@
 // copied in original insertion order (so GPU indices stay dense and in the
 // same relative order), machine indices are rebased to start at 0, and a
 // synthetic network root replaces the cluster root for multi-machine
-// cells. Structure and distance caches are pre-warmed so cells can be
-// advanced from pool workers without racing a lazy first build.
+// cells. Structure and distance caches are pre-warmed at extraction, so
+// no cell pays for a lazy first build mid-run.
 #pragma once
 
 #include <utility>

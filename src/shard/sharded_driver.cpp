@@ -51,10 +51,6 @@ ShardedDriver::ShardedDriver(const topo::TopologyGraph& topology,
         cell.topo->graph, model_, *cell.scheduler, std::move(driver_options));
     cells_.push_back(std::move(cell));
   }
-  if (options_.shard_threads > 1 && shards > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(
-        std::min(options_.shard_threads, shards));
-  }
 }
 
 bool ShardedDriver::known_id(int job_id) const {
@@ -116,23 +112,13 @@ void ShardedDriver::drain() {
 bool ShardedDriver::draining() const { return draining_; }
 
 void ShardedDriver::advance_cells_to(double t) {
-  const auto advance = [this, t](int i) {
-    sched::Driver& driver = *cells_[static_cast<size_t>(i)].driver;
+  for (Cell& cell : cells_) {
+    sched::Driver& driver = *cell.driver;
     if (std::isinf(t)) {
       driver.advance_all();
     } else if (driver.now() <= t) {
       driver.advance_to(t);
     }
-  };
-  // Cells share no mutable state, so advancing them on pool workers keeps
-  // per-cell event order (and therefore every decision) byte-identical.
-  // The explain JSONL sink is the one order-sensitive consumer: keep cell
-  // advancement serial while it is enabled so its records interleave
-  // deterministically.
-  if (pool_ && !obs::explain_enabled()) {
-    util::parallel_for(*pool_, static_cast<int>(cells_.size()), advance);
-  } else {
-    for (int i = 0; i < static_cast<int>(cells_.size()); ++i) advance(i);
   }
 }
 

@@ -16,12 +16,10 @@
 // at the boundary.
 //
 // Determinism: routing happens at arrival timestamps in submission order,
-// and cells between routing points advance independently (optionally on a
-// util::ThreadPool — cells share no mutable state, and per-cell event
-// order is unaffected by interleaving). Results are byte-identical for
-// any --shard-threads; tests/shard_test.cpp holds {1,2,8} to that. With
-// the explain JSONL pillar enabled, cells advance serially so decision
-// records keep a deterministic file order.
+// and between routing points the cells advance on the caller's thread in
+// cell order, so decision records (and the explain JSONL) come out in one
+// fixed order. tests/shard_test.cpp pins a 4-cell trace to its committed
+// digest.
 //
 // One shard is one cell spanning every machine, run through the same
 // router, summary, id translation and restore path as N cells;
@@ -36,21 +34,21 @@
 #include "sched/driver.hpp"
 #include "shard/cells.hpp"
 #include "shard/summary.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gts::shard {
 
 struct ShardedOptions {
   /// Number of cells; clamped to [1, machines].
   int shards = 1;
-  /// Worker threads advancing cells concurrently; <= 1 (or a single
-  /// cell) advances serially. Any value produces byte-identical results.
+  /// Ignored: cells always advance on the caller's thread. It exists only
+  /// because perfbench/cpp/scale_light.cpp assigns it; nothing in src/
+  /// reads it.
   int shard_threads = 1;
   /// Placement policy instantiated per cell.
   sched::Policy policy = sched::Policy::kTopoAwareP;
-  /// Per-cell driver options (noise, audit, utility weights, parallel
-  /// candidate scoring). `allocation_listener` is reserved for the
-  /// facade's own cell summaries and must be empty.
+  /// Per-cell driver options (noise, audit, utility weights, series
+  /// recording). `allocation_listener` is reserved for the facade's own
+  /// cell summaries and must be empty.
   sched::DriverOptions driver;
 };
 
@@ -140,8 +138,8 @@ class ShardedDriver : public sched::DriverApi {
   bool any_cell_fits(const jobgraph::JobRequest& request) const;
   /// Advances every cell whose clock is at or behind `t` (a cell already
   /// at `t` still fires arrivals routed to it at `t`), or runs every cell
-  /// to completion when `t` is +infinity (pool-parallel when configured
-  /// and the explain pillar is off).
+  /// to completion when `t` is +infinity; one cell after another, in
+  /// cell order.
   void advance_cells_to(double t);
   /// One routing candidate per cell, indexed by shard.
   std::vector<ShardCandidate> candidates() const;
@@ -182,7 +180,6 @@ class ShardedDriver : public sched::DriverApi {
   long long filtered_ = 0;
   long long exhausted_ = 0;
   obs::HistogramData route_latency_us_;
-  std::unique_ptr<util::ThreadPool> pool_;
   /// Global GPU id -> owning shard / cell-local id.
   std::vector<int> gpu_shard_;
   std::vector<int> gpu_local_;

@@ -32,7 +32,6 @@ std::unique_ptr<sched::DriverApi> make_driver(
   if (options.config.shard_count > 1) {
     shard::ShardedOptions sharded;
     sharded.shards = options.config.shard_count;
-    sharded.shard_threads = options.config.shard_threads;
     sharded.policy = options.config.policy;
     sharded.driver = make_driver_options(options);
     return std::make_unique<shard::ShardedDriver>(topology, model,

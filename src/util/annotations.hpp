@@ -10,9 +10,9 @@
 // zero cost and zero semantic change.
 //
 // The annotated primitives that make the analysis useful live in
-// util/sync.hpp (util::Mutex, util::MutexLock, util::CondVar,
-// util::SerialCapability); std::mutex itself is not annotated under
-// libstdc++, so annotated code must hold locks through those wrappers.
+// util/sync.hpp (util::Mutex, util::MutexLock, util::SerialCapability);
+// std::mutex itself is not annotated under libstdc++, so annotated code
+// must hold locks through those wrappers.
 #pragma once
 
 #if defined(__clang__) && defined(__has_attribute)

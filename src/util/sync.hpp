@@ -4,9 +4,9 @@
 // analysis cannot reason about code that locks it directly. These wrappers
 // add the capability annotations while staying zero-overhead: Mutex is
 // layout-identical to std::mutex, MutexLock to std::lock_guard, and every
-// method is a forwarding inline. Concurrent subsystems (runner thread
-// pool, obs buffers/registry, svc, util logger) hold locks exclusively
-// through these types.
+// method is a forwarding inline. Concurrent subsystems (obs
+// buffers/registry, svc, util logger) hold locks exclusively through
+// these types.
 //
 // SerialCapability is the second, zero-size kind of capability: it models
 // single-thread confinement instead of mutual exclusion. State that is
@@ -19,17 +19,13 @@
 // every such access into a compile error until it is really locked.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 
 #include "util/annotations.hpp"
 
 namespace gts::util {
 
-/// Annotated std::mutex. `native()` is the escape hatch for APIs that
-/// need the raw mutex (e.g. CondVar); using it forfeits the analysis for
-/// that access, so keep it out of application code.
+/// Annotated std::mutex.
 class GTS_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -39,8 +35,6 @@ class GTS_CAPABILITY("mutex") Mutex {
   void lock() GTS_ACQUIRE() { mutex_.lock(); }
   void unlock() GTS_RELEASE() { mutex_.unlock(); }
   bool try_lock() GTS_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
-
-  std::mutex& native() { return mutex_; }
 
  private:
   std::mutex mutex_;
@@ -59,46 +53,6 @@ class GTS_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mutex_;
-};
-
-/// Condition variable usable with util::Mutex. wait() temporarily hands
-/// the already-held Mutex to a std::unique_lock (adopt/release), so the
-/// capability stays held across the call from the analysis's point of
-/// view — which matches reality: wait() returns with the lock re-taken.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void wait(Mutex& mutex) GTS_REQUIRES(mutex) {
-    std::unique_lock<std::mutex> lock(mutex.native(), std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();
-  }
-
-  template <typename Predicate>
-  void wait(Mutex& mutex, Predicate predicate) GTS_REQUIRES(mutex) {
-    std::unique_lock<std::mutex> lock(mutex.native(), std::adopt_lock);
-    cv_.wait(lock, std::move(predicate));
-    lock.release();
-  }
-
-  template <typename Rep, typename Period, typename Predicate>
-  bool wait_for(Mutex& mutex,
-                const std::chrono::duration<Rep, Period>& timeout,
-                Predicate predicate) GTS_REQUIRES(mutex) {
-    std::unique_lock<std::mutex> lock(mutex.native(), std::adopt_lock);
-    const bool satisfied = cv_.wait_for(lock, timeout, std::move(predicate));
-    lock.release();
-    return satisfied;
-  }
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 /// Zero-size capability modelling single-thread confinement (see file

@@ -96,6 +96,30 @@ TEST(SystemConfigTest, RoundTrip) {
   EXPECT_DOUBLE_EQ(parsed->noise_sigma, 0.1);
 }
 
+TEST(SystemConfigTest, ServiceSectionRoundTrips) {
+  SystemConfig config;
+  config.service.shard_count = 4;
+  config.service.batch_max = 8;
+  config.service.max_queue = 64;
+  config.service.prom_port = 9100;
+  const Ini ini = config.to_ini();
+  const auto parsed = SystemConfig::from_ini(ini);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
+  EXPECT_EQ(parsed->service.shard_count, 4);
+  EXPECT_EQ(parsed->service.batch_max, 8);
+  EXPECT_EQ(parsed->service.max_queue, 64);
+  EXPECT_EQ(parsed->service.prom_port, 9100);
+
+  // Cells advance serially, so a legacy shard_threads key loads (and is
+  // ignored) but is never written back.
+  Ini legacy = ini;
+  legacy.set("service", "shard_threads", "4");
+  const auto loaded = SystemConfig::from_ini(legacy);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
+  EXPECT_EQ(loaded->service.shard_count, 4);
+  EXPECT_FALSE(loaded->to_ini().has("service", "shard_threads"));
+}
+
 TEST(SystemConfigTest, RejectsBadValues) {
   Ini bad_machines;
   bad_machines.set("system", "machines", "0");

@@ -5,14 +5,11 @@
 // aggregates (only the "run" / "timing" sections may differ).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 
 #include "json/json.hpp"
 #include "runner/experiments.hpp"
 #include "runner/sweep.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gts::runner {
 namespace {
@@ -43,28 +40,6 @@ TEST(SeedSpecTest, RejectsGarbage) {
   EXPECT_FALSE(parse_seed_spec("abc"));
   EXPECT_FALSE(parse_seed_spec("1,x,3"));
   EXPECT_FALSE(parse_seed_spec(","));
-}
-
-// ----------------------------------------------------------- thread pool ---
-
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  std::atomic<int> sum{0};
-  {
-    util::ThreadPool pool(4);
-    for (int i = 1; i <= 100; ++i) {
-      pool.submit([&sum, i] { sum += i; });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(sum.load(), 5050);
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  std::vector<std::atomic<int>> hits(64);
-  util::ThreadPool pool(8);
-  util::parallel_for(pool, 64,
-                     [&](int i) { ++hits[static_cast<size_t>(i)]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // ----------------------------------------------------------------- sweep ---
@@ -169,6 +144,10 @@ TEST(SweepTest, ThreadCountDoesNotChangeResults) {
   doc1.set("threads", 0);
   doc8.set("threads", 0);
   EXPECT_EQ(json::write(doc1), json::write(doc8));
+  // threads <= 0 starts one worker per hardware thread.
+  json::Value doc0 = sweep_with(0).to_json(/*include_timing=*/false);
+  doc0.set("threads", 0);
+  EXPECT_EQ(json::write(doc1), json::write(doc0));
 }
 
 TEST(SweepTest, StripTimingRemovesReservedSubtrees) {

@@ -207,8 +207,8 @@ run_scenario() {
     scale)
       # Sharded datacenter sweep; replicas stay sequential (--threads 1)
       # so the flat-latency claim in the timing subtrees is not polluted
-      # by replica-level core contention. --shard-threads keeps its
-      # byte-identical guarantee, so it can follow the machine's cores.
+      # by replica-level core contention. Each replica advances its cells
+      # on its own thread.
       bin="$(bench_bin bench_scale)" || return 1
       "$bin" --machines "$SCALE_MACHINES" --seeds "$SEEDS" --threads 1 \
         --out "$out" --metrics-out "$metrics"

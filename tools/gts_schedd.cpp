@@ -69,9 +69,6 @@ int main(int argc, char** argv) {
   cli.add_option("shards",
                  "partition the cluster into this many cells with an "
                  "inter-shard router (1 = classic single driver)");
-  cli.add_option("shard-threads",
-                 "worker threads advancing cells concurrently (results stay "
-                 "byte-identical; <= 1 = serial)");
   cli.add_option("prom-port",
                  "Prometheus scrape port (HTTP GET /metrics; 0 = ephemeral; "
                  "enables metrics + windows)");
@@ -178,13 +175,6 @@ int main(int argc, char** argv) {
     service.shard_count = static_cast<int>(cli.get_int("shards"));
     if (service.shard_count < 1) {
       std::fprintf(stderr, "--shards must be >= 1\n");
-      return 1;
-    }
-  }
-  if (cli.has("shard-threads")) {
-    service.shard_threads = static_cast<int>(cli.get_int("shard-threads"));
-    if (service.shard_threads < 0) {
-      std::fprintf(stderr, "--shard-threads must be >= 0\n");
       return 1;
     }
   }
