@@ -8,10 +8,10 @@
 // workload (round-robin job assignment, submits retried on
 // backpressure), then drains the daemon and collects the decision
 // figures. With --pipeline each connection flushes its whole remaining
-// wave of submits in one write and then collects the replies — the burst
-// shape batched admission (--batch-max > 1) exists for; without it the
-// clients are strict request/response and throughput measures round
-// trips, not the admission path. Pipelined latency is recorded per reply
+// wave of submits in one write and then collects the replies, so the
+// daemon sees bursts of queued lines; without it the clients are strict
+// request/response and throughput measures round trips, not the
+// admission path. Pipelined latency is recorded per reply
 // as time-since-wave-flush, so the tail shows queueing inside a wave.
 // The BENCH document (schema_version 1) keeps the determinism
 // contract: the admitted/finished/rejected job counts are byte-identical
@@ -163,8 +163,6 @@ int main(int argc, char** argv) {
   cli.add_option("machines", "cluster size (Minsky machines)", "4");
   cli.add_option("iterations", "training iterations per job", "250");
   cli.add_option("max-queue", "daemon admission bound", "16");
-  cli.add_option("batch-max",
-                 "requests dispatched per reactor round (1 = unbatched)", "1");
   cli.add_flag("pipeline",
                "clients flush submit waves instead of strict request/response");
   cli.add_option("seeds", "replica count N (seeds 1..N) or list 'a,b,c'",
@@ -192,14 +190,9 @@ int main(int argc, char** argv) {
   const int machines = static_cast<int>(cli.get_int("machines"));
   const long long iterations = cli.get_int("iterations");
   const int max_queue = static_cast<int>(cli.get_int("max-queue"));
-  const int batch_max = static_cast<int>(cli.get_int("batch-max"));
   const bool pipeline = cli.has("pipeline");
   if (connections < 1 || job_count < 1 || machines < 1 || max_queue < 1) {
     std::fprintf(stderr, "connections/jobs/machines/max-queue must be >= 1\n");
-    return 1;
-  }
-  if (batch_max < 1) {
-    std::fprintf(stderr, "batch-max must be >= 1\n");
     return 1;
   }
 
@@ -214,7 +207,6 @@ int main(int argc, char** argv) {
   options.metadata["machines"] = machines;
   options.metadata["max_queue"] = max_queue;
   options.metadata["rate_per_minute"] = rate;
-  options.metadata["batch_max"] = batch_max;
   options.metadata["pipeline"] = pipeline;
 
   const runner::SweepResult result = runner::run_sweep(
@@ -226,7 +218,6 @@ int main(int argc, char** argv) {
         svc::ServiceOptions service_options;
         service_options.config.max_queue = max_queue;
         service_options.config.retry_after_ms = 1.0;
-        service_options.config.batch_max = batch_max;
         svc::ServiceCore core(topology, model, service_options);
 
         const std::string socket_path =
@@ -234,7 +225,6 @@ int main(int argc, char** argv) {
                       context.replica_index);
         svc::ServerOptions server_options;
         server_options.unix_socket = socket_path;
-        server_options.batch_max = batch_max;
         svc::Server server(core, server_options);
         if (auto status = server.start(); !status) {
           throw std::runtime_error(status.error().message);
@@ -441,7 +431,6 @@ int main(int argc, char** argv) {
         }
         json::Value payload;
         payload.set("jobs", job_count);
-        payload.set("batch_max", batch_max);
         payload.set("pipeline", pipeline);
         payload.set("finished",
                     listing->result.at("finished").as_array().size());

@@ -89,11 +89,6 @@ util::Expected<SystemConfig> SystemConfig::from_ini(const Ini& ini) {
   svc.snapshot_path = ini.get_or("service", "snapshot_path", "");
   svc.snapshot_every_s =
       ini.get_double("service", "snapshot_every_s", svc.snapshot_every_s);
-  svc.batch_max = static_cast<int>(
-      ini.get_int("service", "batch_max", svc.batch_max));
-  if (svc.batch_max < 1) {
-    return util::Error{"sys-config [service]: batch_max must be >= 1"};
-  }
   svc.prom_port =
       static_cast<int>(ini.get_int("service", "prom_port", svc.prom_port));
   if (svc.prom_port < -1 || svc.prom_port > 65535) {
@@ -151,9 +146,6 @@ Ini SystemConfig::to_ini() const {
   if (service.snapshot_every_s > 0.0) {
     ini.set("service", "snapshot_every_s",
             util::format_double(service.snapshot_every_s, 2));
-  }
-  if (service.batch_max != 1) {
-    ini.set("service", "batch_max", std::to_string(service.batch_max));
   }
   if (service.prom_port >= 0) {
     ini.set("service", "prom_port", std::to_string(service.prom_port));

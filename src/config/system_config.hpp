@@ -41,9 +41,9 @@ struct ServiceConfig {
   /// Periodic crash-recovery snapshot target ("" = disabled).
   std::string snapshot_path;
   double snapshot_every_s = 0.0;
-  /// Requests dispatched per reactor round (Server batching): complete
-  /// lines are framed first, then parsed and dispatched in arrival order
-  /// as one batch. 1 = the legacy one-request-at-a-time path (the oracle).
+  /// Ignored: the daemon dispatches every request inline, and no
+  /// [service] key sets it. It exists only because
+  /// perfbench/cpp/daemon.cpp reads it; nothing in src/ reads it.
   int batch_max = 1;
   /// Prometheus scrape listener port (HTTP GET /metrics, DESIGN.md
   /// section 18.2); 0 = ephemeral, -1 = disabled.

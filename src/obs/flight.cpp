@@ -133,7 +133,6 @@ const char* to_string(FlightKind kind) noexcept {
     case FlightKind::kAdmission: return "admission";
     case FlightKind::kDecision: return "decision";
     case FlightKind::kPostponement: return "postponement";
-    case FlightKind::kBatch: return "batch";
     case FlightKind::kBackpressure: return "backpressure";
     case FlightKind::kSnapshot: return "snapshot";
     case FlightKind::kError: return "error";

@@ -2,7 +2,7 @@
 // recent structured scheduler events, for postmortems of a live
 // gts_schedd (DESIGN.md section 18.3).
 //
-// Events (admission, decision, postponement, batch, backpressure,
+// Events (admission, decision, postponement, backpressure,
 // snapshot, error) are written on the decision thread — the same
 // SerialCapability-confined paths PR 6 annotated — but the ring itself
 // is safe for any thread: every slot field is a relaxed atomic and a
@@ -34,7 +34,6 @@ enum class FlightKind : int {
   kAdmission = 0,
   kDecision = 1,
   kPostponement = 2,
-  kBatch = 3,
   kBackpressure = 4,
   kSnapshot = 5,
   kError = 6,

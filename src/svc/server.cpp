@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -256,7 +255,6 @@ bool Server::service_http_input(Session& session) {
 
 bool Server::service_input(Session& session) {
   if (session.http) return service_http_input(session);
-  const bool batched = options_.batch_max > 1;
   char buffer[4096];
   while (true) {
     const ssize_t n = ::recv(session.fd, buffer, sizeof(buffer), 0);
@@ -265,17 +263,10 @@ bool Server::service_input(Session& session) {
       if (session.in.size() > kMaxLineBytes &&
           session.in.find('\n') == std::string::npos) {
         // Unframeable flood: answer once, then drop the connection.
-        const std::string failure = encode(Response::failure(
+        session.out += encode(Response::failure(
             0, ErrorCode::kParse,
             util::fmt("request line exceeds {} bytes", kMaxLineBytes)));
-        if (batched && !session.pending.empty()) {
-          // Replies to lines framed before the flood are still owed and
-          // must precede the failure; stash it until pending drains.
-          session.pending_error = failure;
-        } else {
-          session.out += failure;
-          session.close_after_flush = true;
-        }
+        session.close_after_flush = true;
         session.in.clear();
         return true;
       }
@@ -286,122 +277,23 @@ bool Server::service_input(Session& session) {
     if (errno == EINTR) continue;
     return false;
   }
-  if (!session.pending_error.empty()) {
-    // The session is already condemned; discard anything past the flood.
-    session.in.clear();
-    return true;
-  }
   std::size_t start = 0;
   while (!session.close_after_flush) {
     const std::size_t newline = session.in.find('\n', start);
     if (newline == std::string::npos) break;
     const std::string_view line(session.in.data() + start, newline - start);
     if (!line.empty()) {
-      if (batched) {
-        session.pending.emplace_back(line);
-      } else {
-        const Response response = core_.handle_line(line);
-        session.out += encode(response);
-        if (!response.ok && response.code == ErrorCode::kParse) {
-          // Framing is unrecoverable after a malformed line.
-          session.close_after_flush = true;
-        }
+      const Response response = core_.handle_line(line);
+      session.out += encode(response);
+      if (!response.ok && response.code == ErrorCode::kParse) {
+        // Framing is unrecoverable after a malformed line.
+        session.close_after_flush = true;
       }
     }
     start = newline + 1;
   }
   session.in.erase(0, start);
   return true;
-}
-
-bool Server::has_pending() const {
-  for (const auto& session : sessions_) {
-    if (!session->pending.empty() || !session->pending_error.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void Server::dispatch_pending() {
-  // One slot per line taken this round; slot order is (session, line)
-  // order, which is exactly the order the inline path would dispatch in,
-  // so appending replies in slot order reproduces the oracle byte stream.
-  struct Slot {
-    Session* session;
-    std::optional<Request> request;
-    std::string parse_error;
-    bool skip = false;
-  };
-  std::vector<Slot> slots;
-  const auto batch_max = static_cast<std::size_t>(options_.batch_max);
-  for (auto& session : sessions_) {
-    auto& pending = session->pending;
-    std::size_t taken = 0;
-    while (taken < pending.size() && slots.size() < batch_max) {
-      Slot& slot = slots.emplace_back(Slot{session.get(), {}, {}});
-      auto parsed = parse_request(pending[taken]);
-      if (parsed) {
-        slot.request = std::move(*parsed);
-      } else {
-        slot.parse_error = parsed.error().message;
-      }
-      ++taken;
-    }
-    if (taken > 0) {
-      pending.erase(pending.begin(),
-                    pending.begin() + static_cast<std::ptrdiff_t>(taken));
-    }
-    if (slots.size() >= batch_max) break;
-  }
-
-  if (!slots.empty()) {
-    // Decision phase: a parse error condemns its session — the slot
-    // answers id 0, later slots from that session are skipped, and any
-    // lines still pending are dropped (the inline path leaves them
-    // unread in `in` and closes, which drops them the same way).
-    std::vector<Request> requests;
-    requests.reserve(slots.size());
-    for (Slot& slot : slots) {
-      Session& session = *slot.session;
-      if (session.close_after_flush) {
-        slot.skip = true;
-        continue;
-      }
-      if (!slot.request) {
-        session.close_after_flush = true;
-        session.pending.clear();
-        session.pending_error.clear();
-        continue;
-      }
-      requests.push_back(std::move(*slot.request));
-    }
-
-    std::vector<Response> responses;
-    if (!requests.empty()) responses = core_.handle_batch(requests);
-
-    // Reply phase, in slot order.
-    std::size_t next_response = 0;
-    for (Slot& slot : slots) {
-      if (slot.skip) continue;
-      if (!slot.parse_error.empty()) {
-        slot.session->out += encode(
-            Response::failure(0, ErrorCode::kParse, slot.parse_error));
-        continue;
-      }
-      slot.session->out += encode(responses[next_response++]);
-    }
-  }
-
-  // Oversize-line failures fire once the owed replies are out.
-  for (auto& session : sessions_) {
-    if (!session->pending_error.empty() && session->pending.empty() &&
-        !session->close_after_flush) {
-      session->out += session->pending_error;
-      session->pending_error.clear();
-      session->close_after_flush = true;
-    }
-  }
 }
 
 bool Server::service_output(Session& session) {
@@ -476,9 +368,6 @@ util::Status Server::run() {
           std::chrono::milliseconds>(next_snapshot - Clock::now());
       timeout_ms = static_cast<int>(std::max<long long>(0, remaining.count()));
     }
-    // Leftover batched lines (batch_max cap hit) must not wait for new
-    // socket activity.
-    if (options_.batch_max > 1 && has_pending()) timeout_ms = 0;
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;
@@ -488,7 +377,7 @@ util::Status Server::run() {
       write_periodic_snapshot();
       next_snapshot += snapshot_interval;
     }
-    if (ready == 0 && !(options_.batch_max > 1 && has_pending())) continue;
+    if (ready == 0) continue;
 
     if ((fds[0].revents & POLLIN) != 0) {
       char drain[64];
@@ -531,26 +420,6 @@ util::Status Server::run() {
       }
     }
     sessions_ = std::move(alive);
-    if (options_.batch_max > 1 && has_pending()) {
-      dispatch_pending();
-      // Flush the batch replies and retire sessions whose final flush
-      // just completed (the inline path does this per session above).
-      std::vector<std::unique_ptr<Session>> still_alive;
-      still_alive.reserve(sessions_.size());
-      for (auto& session : sessions_) {
-        bool keep = true;
-        if (!session->out.empty()) keep = service_output(*session);
-        if (keep && session->out.empty() && session->close_after_flush) {
-          keep = false;
-        }
-        if (keep) {
-          still_alive.push_back(std::move(session));
-        } else {
-          close_session(*session);
-        }
-      }
-      sessions_ = std::move(still_alive);
-    }
     GTS_METRIC_GAUGE_SET("svc.active_sessions",
                          static_cast<double>(sessions_.size()));
   }

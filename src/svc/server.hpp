@@ -10,15 +10,10 @@
 // crash-recovery snapshots — snapshotting is read-only, so the timer
 // cannot perturb the virtual-time decision sequence.
 //
-// Batched admission (batch_max > 1, DESIGN.md section 17.4): instead of
-// dispatching each complete line inline from service_input, the reactor
-// frames lines into per-session pending queues, then once per poll round
-// collects up to batch_max of them in (session, line) order, parses them
-// and hands the parsed requests to ServiceCore::handle_batch in one
-// serial entry. Responses are routed back in slot order, so each session's
-// reply stream is byte-identical to the batch_max == 1 oracle; leftover
-// pending lines force a zero-timeout poll so they drain on the next
-// round. batch_max == 1 keeps the legacy inline-dispatch path unchanged.
+// There is one admission path: service_input dispatches each complete
+// line inline through ServiceCore::handle_line as soon as it is framed,
+// and the reply is flushed in the same poll round (DESIGN.md section
+// 17.3).
 #pragma once
 
 #include <memory>
@@ -44,8 +39,8 @@ struct ServerOptions {
   /// `snapshot_path` (both must be set; 0 disables).
   std::string snapshot_path;
   double snapshot_every_s = 0.0;
-  /// Requests dispatched per reactor round; 1 = legacy inline dispatch
-  /// (the oracle the batched path is held byte-identical to).
+  /// Ignored: every line is dispatched inline. It exists only because
+  /// perfbench/cpp/daemon.cpp assigns it; nothing in src/ reads it.
   int batch_max = 1;
   /// Prometheus scrape endpoint: a tiny HTTP/1.0 GET-only listener
   /// serving ServiceCore::prometheus_text() on the same poll() reactor
@@ -98,13 +93,6 @@ class Server {
     bool http = false;
     /// Set after an unrecoverable framing error: flush `out`, then close.
     bool close_after_flush = false;
-    /// Batched mode only: complete lines framed but not yet dispatched.
-    std::vector<std::string> pending;
-    /// Batched mode only: encoded oversize-line failure to emit after
-    /// `pending` drains (serial emits it after the lines framed before
-    /// the flood; the batch path must preserve that reply order). While
-    /// set, further input from the session is discarded.
-    std::string pending_error;
   };
 
   util::Status listen_unix(const std::string& path);
@@ -122,13 +110,6 @@ class Server {
   bool service_output(Session& session) GTS_REQUIRES(reactor_);
   void close_session(Session& session) GTS_REQUIRES(reactor_);
   void write_periodic_snapshot() GTS_REQUIRES(reactor_);
-  /// Batched mode: collects up to batch_max pending lines in (session,
-  /// line) order, parses them, dispatches the valid ones through
-  /// ServiceCore::handle_batch, and appends every reply in slot order. A parse error answers id 0, drops the
-  /// session's remaining pending lines, and closes after flush — the
-  /// same semantics as the inline path.
-  void dispatch_pending() GTS_REQUIRES(reactor_);
-  bool has_pending() const GTS_REQUIRES(reactor_);
 
   ServiceCore& core_;
   ServerOptions options_;

@@ -94,10 +94,6 @@ int ServiceCore::admission_depth() const noexcept {
 
 Response ServiceCore::handle(const Request& request) {
   util::SerialGuard guard(serial_);
-  return handle_one(request);
-}
-
-Response ServiceCore::handle_one(const Request& request) {
   obs::SpanGuard span(obs::kSvc, "svc.request");
   span.arg("request_id", static_cast<double>(request.id));
   const auto t0 = std::chrono::steady_clock::now();
@@ -120,31 +116,6 @@ Response ServiceCore::handle_one(const Request& request) {
                     static_cast<double>(admission_depth()),
                     obs::depth_bounds());
   return response;
-}
-
-std::vector<Response> ServiceCore::handle_batch(
-    const std::vector<Request>& requests) {
-  util::SerialGuard guard(serial_);
-  obs::SpanGuard span(obs::kSvc, "svc.batch");
-  span.arg("requests", static_cast<double>(requests.size()));
-  GTS_METRIC_COUNT("svc.batches", 1);
-  GTS_METRIC_HISTOGRAM("svc.batch_size",
-                       static_cast<double>(requests.size()),
-                       obs::depth_bounds());
-  GTS_FLIGHT_AT(obs::FlightKind::kBatch, -1,
-                static_cast<double>(requests.size()), 0.0, "batch",
-                driver_->now());
-  std::vector<Response> responses;
-  responses.reserve(requests.size());
-  // Dispatch in arrival order under one serial entry: each request goes
-  // through exactly the per-request path handle() takes, so a batch of N
-  // is semantically N sequential handle() calls — placements, queue and
-  // backpressure behavior are identical by construction
-  // (tests/service_batch_test.cpp holds the responses to that).
-  for (const Request& request : requests) {
-    responses.push_back(handle_one(request));
-  }
-  return responses;
 }
 
 Response ServiceCore::handle_line(std::string_view line) {

@@ -25,7 +25,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "config/system_config.hpp"
 #include "perf/model.hpp"
@@ -56,13 +55,6 @@ class ServiceCore {
   /// Instrumented: kSvc span, svc.requests / svc.request_latency_us /
   /// svc.queue_depth metrics.
   Response handle(const Request& request);
-
-  /// Dispatches a batch of already-parsed requests in order under one
-  /// serial entry (one SerialGuard, one svc.batch span). Response i
-  /// answers request i; the sequence of responses is identical to N
-  /// individual handle() calls — batching only amortizes the entry cost
-  /// and lets the server parse the next batch off this thread.
-  std::vector<Response> handle_batch(const std::vector<Request>& requests);
 
   /// Parses one wire line and dispatches it. Undecodable lines yield a
   /// `parse` failure addressed to id 0; the caller should close the
@@ -104,9 +96,6 @@ class ServiceCore {
   util::Status load_snapshot(const std::string& path);
 
  private:
-  /// Body of handle(): per-request span + metrics + dispatch, callable
-  /// from handle_batch without re-entering the serial capability.
-  Response handle_one(const Request& request) GTS_REQUIRES(serial_);
   Response dispatch(const Request& request) GTS_REQUIRES(serial_);
   Response verb_ping(const Request& request) GTS_REQUIRES(serial_);
   Response verb_submit(const Request& request) GTS_REQUIRES(serial_);

@@ -99,25 +99,27 @@ TEST(SystemConfigTest, RoundTrip) {
 TEST(SystemConfigTest, ServiceSectionRoundTrips) {
   SystemConfig config;
   config.service.shard_count = 4;
-  config.service.batch_max = 8;
   config.service.max_queue = 64;
   config.service.prom_port = 9100;
   const Ini ini = config.to_ini();
   const auto parsed = SystemConfig::from_ini(ini);
   ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
   EXPECT_EQ(parsed->service.shard_count, 4);
-  EXPECT_EQ(parsed->service.batch_max, 8);
   EXPECT_EQ(parsed->service.max_queue, 64);
   EXPECT_EQ(parsed->service.prom_port, 9100);
 
-  // Cells advance serially, so a legacy shard_threads key loads (and is
-  // ignored) but is never written back.
+  // Cells advance serially and requests are dispatched inline, so the
+  // legacy shard_threads and batch_max keys load (and are ignored) but
+  // are never written back.
   Ini legacy = ini;
   legacy.set("service", "shard_threads", "4");
+  legacy.set("service", "batch_max", "8");
   const auto loaded = SystemConfig::from_ini(legacy);
   ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
   EXPECT_EQ(loaded->service.shard_count, 4);
+  EXPECT_EQ(loaded->service.batch_max, 1);
   EXPECT_FALSE(loaded->to_ini().has("service", "shard_threads"));
+  EXPECT_FALSE(loaded->to_ini().has("service", "batch_max"));
 }
 
 TEST(SystemConfigTest, RejectsBadValues) {

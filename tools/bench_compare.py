@@ -24,10 +24,10 @@ Contract (DESIGN.md section 15):
     being wrong, and a ratio over a tiny denominator means nothing. A
     real hot-path regression clears both bars in the large cells.
   * Run configuration must match: every `metadata` key present in BOTH
-    documents must carry the same value (batch_max, pipeline,
-    connections, ...). Comparing a batched run against an
-    unbatched baseline says nothing about regressions, so a mismatch is
-    a hard error unless --allow-config-mismatch is given. Keys present
+    documents must carry the same value (pipeline, connections,
+    max_queue, ...). Comparing a pipelined run against a strict
+    request/response baseline says nothing about regressions, so a
+    mismatch is a hard error unless --allow-config-mismatch is given. Keys present
     in only one document are ignored (older baselines predate newer
     knobs), and the guard only fires when the documents share scenarios
     (disjoint quick-mode grids gate nothing anyway).
@@ -65,7 +65,7 @@ def check_config(base_doc: dict, cur_doc: dict, allow_mismatch: bool) -> None:
     """Refuse to gate documents produced under different configurations.
 
     Every metadata key both documents carry must agree; a differing
-    batch_max / pipeline / connections means the timing deltas
+    pipeline / connections / max_queue means the timing deltas
     measure the config change, not a code regression.
     """
     base_meta = base_doc.get("metadata")

@@ -63,8 +63,6 @@ int main(int argc, char** argv) {
   cli.add_option("restore", "restore state from this snapshot, then serve");
   cli.add_option("machines", "cluster size (without --config)", "2");
   cli.add_option("shape", "machine shape: minsky | pcie | dgx1", "minsky");
-  cli.add_option("batch-max",
-                 "requests dispatched per reactor round (1 = unbatched)");
   cli.add_flag("self-audit", "validate state after every simulated event");
   cli.add_option("shards",
                  "partition the cluster into this many cells with an "
@@ -156,13 +154,6 @@ int main(int argc, char** argv) {
   if (cli.has("snapshot-every-s")) {
     service.snapshot_every_s = cli.get_double("snapshot-every-s");
   }
-  if (cli.has("batch-max")) {
-    service.batch_max = static_cast<int>(cli.get_int("batch-max"));
-    if (service.batch_max < 1) {
-      std::fprintf(stderr, "--batch-max must be >= 1\n");
-      return 1;
-    }
-  }
   if (cli.has("prom-port")) {
     service.prom_port = static_cast<int>(cli.get_int("prom-port"));
     if (service.prom_port < 0 || service.prom_port > 65535) {
@@ -215,7 +206,6 @@ int main(int argc, char** argv) {
   }
   server_options.snapshot_path = service.snapshot_path;
   server_options.snapshot_every_s = service.snapshot_every_s;
-  server_options.batch_max = service.batch_max;
   server_options.prom_port = service.prom_port;
   server_options.prom_host = service.prom_host;
 

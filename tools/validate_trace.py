@@ -433,18 +433,12 @@ def validate_bench(path, doc):
     if len(replicas) != len(scenarios) * len(seeds):
         fail(path, f"expected {len(scenarios)}x{len(seeds)} replicas, "
                    f"got {len(replicas)}")
-    # Execution-config fields (batched admission): optional, but when
-    # present they must be sane and agree between the run metadata and
-    # every replica payload — bench_compare.py keys its config guard on
-    # them.
+    # Execution-config fields (the service-load client shape): optional,
+    # but when present they must be sane and agree between the run
+    # metadata and every replica payload — bench_compare.py keys its
+    # config guard on them.
     metadata = doc.get("metadata")
     metadata = metadata if isinstance(metadata, dict) else {}
-    if "batch_max" in metadata:
-        value = metadata["batch_max"]
-        if (not isinstance(value, (int, float)) or
-                isinstance(value, bool) or value < 1):
-            fail(path, f"metadata['batch_max']: expected number >= 1, "
-                       f"got {value!r}")
     if "pipeline" in metadata and not isinstance(metadata["pipeline"], bool):
         fail(path, f"metadata['pipeline']: expected bool, got "
                    f"{metadata['pipeline']!r}")
@@ -458,16 +452,6 @@ def validate_bench(path, doc):
         payload = replica.get("payload")
         if not isinstance(payload, dict):
             fail(path, f"{where}: missing payload object")
-        if "batch_max" in payload:
-            value = payload["batch_max"]
-            if (not isinstance(value, (int, float)) or
-                    isinstance(value, bool) or value < 0):
-                fail(path, f"{where}: payload['batch_max']: expected "
-                           f"non-negative number, got {value!r}")
-            if "batch_max" in metadata and value != metadata["batch_max"]:
-                fail(path, f"{where}: payload['batch_max'] {value!r} "
-                           f"disagrees with metadata "
-                           f"{metadata['batch_max']!r}")
         if "pipeline" in payload:
             value = payload["pipeline"]
             if not isinstance(value, bool):
@@ -615,8 +599,8 @@ def validate_prom(path, lines):
             f"{histograms} histogram series")
 
 
-_FLIGHT_EVENTS = ("admission", "decision", "postponement", "batch",
-                  "backpressure", "snapshot", "error")
+_FLIGHT_EVENTS = ("admission", "decision", "postponement", "backpressure",
+                  "snapshot", "error")
 
 
 def validate_flight(path, lines):
