@@ -178,8 +178,7 @@ int main(int argc, char** argv) {
         const std::vector<jobgraph::JobRequest> jobs =
             overhead_jobs(job_count, t, iterations, model, topology, rng);
         json::Value payload = runner::policy_comparison_payload(
-            exp::compare_policies(jobs, topology, model, {},
-                                  /*record_series=*/false));
+            exp::compare_policies(jobs, topology, model));
         // Min-of-repeats estimator: the deterministic sections (placements,
         // utilities, event counts) are byte-identical across repeats, so
         // re-running only tightens the wall-clock timing subtrees. Each
@@ -187,8 +186,7 @@ int main(int argc, char** argv) {
         // far less sensitive to scheduler noise than a single-shot mean.
         for (int repeat = 1; repeat < repeats; ++repeat) {
           const json::Value candidate = runner::policy_comparison_payload(
-              exp::compare_policies(jobs, topology, model, {},
-                                    /*record_series=*/false));
+              exp::compare_policies(jobs, topology, model));
           json::Object& policies =
               payload.mutable_object()["policies"].mutable_object();
           for (auto& [name, entry] : policies) {

@@ -252,9 +252,6 @@ int main(int argc, char** argv) {
         // Sharded run.
         shard::ShardedOptions sharded_options;
         sharded_options.shards = s;
-        // Nothing in the payload reads the bandwidth/utility series; at
-        // 5000 machines the per-event series append is pure overhead.
-        sharded_options.driver.record_series = false;
         shard::ShardedDriver sharded(topology, model, sharded_options);
         const sched::DriverReport sharded_report = sharded.run(jobs);
         json::Value sharded_payload = quality_payload(sharded_report);
@@ -288,9 +285,7 @@ int main(int argc, char** argv) {
         if (oracle_max > 0 && m <= oracle_max) {
           const auto scheduler =
               sched::make_scheduler(sched::Policy::kTopoAwareP);
-          sched::DriverOptions oracle_options;
-          oracle_options.record_series = false;
-          sched::Driver oracle(topology, model, *scheduler, oracle_options);
+          sched::Driver oracle(topology, model, *scheduler);
           const sched::DriverReport oracle_report = oracle.run(jobs);
           json::Value oracle_payload = quality_payload(oracle_report);
           oracle_payload.set("timing", timing_payload(oracle_report));

@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
                         "mean wait(s)", "QoS mean", "QoS p95",
                         "decisions", "mean decision(us)"});
   for (const sched::Policy policy : policies) {
-    const auto report = exp::run_policy(policy, jobs, topology, model, {},
-                                        /*record_series=*/machines <= 16);
+    const auto report = exp::run_policy(policy, jobs, topology, model);
     const auto qos = metrics::summarize(report.recorder.sorted_qos_slowdowns());
     table.add_row({std::string(sched::to_string(policy)),
                    util::format_double(report.recorder.makespan(), 1),

@@ -74,54 +74,12 @@ void Recorder::on_reject(int job_id) {
   if (JobRecord* record = find(job_id)) record->rejected = true;
 }
 
-void Recorder::sample(const ClusterState& state, double t) {
-  double p2p_gbps = 0.0;
-  double host_gbps = 0.0;
-  double utility_sum = 0.0;
-  int running = 0;
-  for (const auto& [id, job] : state.running_jobs()) {
-    const double bw = state.model().average_link_bandwidth(
-        job.request, job.gpus, state.topology());
-    (job.p2p ? p2p_gbps : host_gbps) += bw;
-    utility_sum += job.placement_utility;
-    ++running;
-  }
-  p2p_bw_.push_back({t, p2p_gbps});
-  host_bw_.push_back({t, host_gbps});
-  mean_utility_.push_back({t, running > 0 ? utility_sum / running : 0.0});
-}
-
 int Recorder::slo_violations() const {
   int violations = 0;
   for (const JobRecord& record : records_) {
     if (record.slo_violated()) ++violations;
   }
   return violations;
-}
-
-long long Recorder::total_postponements() const {
-  long long total = 0;
-  for (const JobRecord& record : records_) total += record.postponements;
-  return total;
-}
-
-int Recorder::total_degradations() const {
-  int total = 0;
-  for (const JobRecord& record : records_) total += record.degradation_events;
-  return total;
-}
-
-double Recorder::mean_jct_slowdown() const {
-  double total = 0.0;
-  int count = 0;
-  for (const JobRecord& record : records_) {
-    const double slowdown = record.jct_slowdown();
-    if (slowdown >= 0.0) {
-      total += slowdown;
-      ++count;
-    }
-  }
-  return count == 0 ? 0.0 : total / count;
 }
 
 std::vector<double> Recorder::sorted_qos_slowdowns() const {

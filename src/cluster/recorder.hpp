@@ -2,8 +2,8 @@
 // (nvprof, nvidia-smi nvlink counters, Perfmon2 DRAM counters).
 //
 // Records the per-job lifecycle (Fig. 8/9 timelines, QoS slowdowns,
-// waiting times, SLO violations) and piecewise time series of aggregate
-// P2P vs host-routed link bandwidth and of mean running-job utility.
+// waiting times, SLO violations). It keeps no time series: Fig. 9's
+// mean-utility curve is derived from the job records.
 #pragma once
 
 #include <optional>
@@ -81,11 +81,6 @@ struct JobRecord {
   }
 };
 
-struct SeriesPoint {
-  double t = 0.0;
-  double value = 0.0;
-};
-
 class Recorder {
  public:
   void on_submit(const jobgraph::JobRequest& request);
@@ -99,10 +94,6 @@ class Recorder {
   /// Marks a just-submitted job as refused (it can never fit).
   void on_reject(int job_id);
 
-  /// Appends one sample of the aggregate bandwidth (P2P and host-routed,
-  /// GB/s) and mean running-job utility series. Call at every state change.
-  void sample(const ClusterState& state, double t);
-
   /// Appends one fully formed record (the sharded driver merges per-cell
   /// recorders into a facade report this way; a restore imports the
   /// snapshot's terminal records). False, and nothing appended, when the
@@ -113,28 +104,11 @@ class Recorder {
   JobRecord* find(int job_id);
   const JobRecord* find(int job_id) const;
 
-  const std::vector<SeriesPoint>& p2p_bandwidth() const noexcept {
-    return p2p_bw_;
-  }
-  const std::vector<SeriesPoint>& host_bandwidth() const noexcept {
-    return host_bw_;
-  }
-  const std::vector<SeriesPoint>& mean_utility() const noexcept {
-    return mean_utility_;
-  }
-
   // --- summary -------------------------------------------------------------
   /// Time the last job finished ("cumulative execution time", Section 5.2.2).
   /// A running max kept by on_finish and import_record: O(1).
   double makespan() const noexcept { return makespan_; }
   int slo_violations() const;
-  /// Declined offers summed over all jobs (live-telemetry SLO summary).
-  long long total_postponements() const;
-  /// Below-minimum-utility placements summed over all jobs.
-  int total_degradations() const;
-  /// Mean jct_slowdown() over finished jobs with a known solo time
-  /// (0 when no job qualifies).
-  double mean_jct_slowdown() const;
   /// QoS slowdowns sorted descending (the Fig. 8e/9e/10/11 curves).
   std::vector<double> sorted_qos_slowdowns() const;
   std::vector<double> sorted_qos_wait_slowdowns() const;
@@ -148,9 +122,6 @@ class Recorder {
   std::vector<JobRecord> records_;
   std::unordered_map<int, size_t> index_;  // job id -> records_ position
   double makespan_ = 0.0;  // max end over finished records
-  std::vector<SeriesPoint> p2p_bw_;
-  std::vector<SeriesPoint> host_bw_;
-  std::vector<SeriesPoint> mean_utility_;
 };
 
 }  // namespace gts::cluster

@@ -310,9 +310,8 @@ class ClusterState {
   void corrupt_gpu_owner_for_test(int gpu, int job_id);
 
  private:
-  /// Scratch for co-runner gathering on the serial mutation path (the
-  /// public co_runners() allocates instead, staying safe under the
-  /// schedulers' parallel candidate scoring).
+  /// Scratch for co-runner gathering on the mutation path (the public
+  /// co_runners() allocates instead, so it stays a pure const read).
   struct CoRunnerScratch {
     std::vector<std::pair<int, int>> sockets;  // (machine, socket), sorted
     std::vector<int> ids;

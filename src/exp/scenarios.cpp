@@ -68,12 +68,11 @@ sched::DriverReport run_policy(sched::Policy policy,
                                const topo::TopologyGraph& topology,
                                const perf::DlWorkloadModel& model,
                                sched::UtilityWeights weights,
-                               bool record_series, SchedulerStats* stats) {
+                               SchedulerStats* stats) {
   const std::unique_ptr<sched::Scheduler> scheduler =
       sched::make_scheduler(policy, weights);
   sched::DriverOptions options;
   options.utility_weights = weights;
-  options.record_series = record_series;
   sched::Driver driver(topology, model, *scheduler, options);
   sched::DriverReport report = driver.run(std::move(jobs));
   if (stats != nullptr) {
@@ -99,15 +98,14 @@ const PolicyComparison::Entry& PolicyComparison::entry(
 PolicyComparison compare_policies(const std::vector<jobgraph::JobRequest>& jobs,
                                   const topo::TopologyGraph& topology,
                                   const perf::DlWorkloadModel& model,
-                                  sched::UtilityWeights weights,
-                                  bool record_series) {
+                                  sched::UtilityWeights weights) {
   PolicyComparison comparison;
   for (const sched::Policy policy :
        {sched::Policy::kBestFit, sched::Policy::kFcfs,
         sched::Policy::kTopoAware, sched::Policy::kTopoAwareP}) {
     SchedulerStats stats;
-    sched::DriverReport report = run_policy(policy, jobs, topology, model,
-                                            weights, record_series, &stats);
+    sched::DriverReport report =
+        run_policy(policy, jobs, topology, model, weights, &stats);
     PolicyComparison::Entry entry;
     entry.policy = policy;
     entry.name = std::string(sched::to_string(policy));
@@ -143,8 +141,7 @@ PolicyComparison run_large_scale(const LargeScaleOptions& options) {
   const std::vector<jobgraph::JobRequest> jobs =
       trace::generate_workload(gen, model, topology);
 
-  return compare_policies(jobs, topology, model, {},
-                          /*record_series=*/options.machines <= 16);
+  return compare_policies(jobs, topology, model);
 }
 
 }  // namespace gts::exp

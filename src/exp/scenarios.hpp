@@ -46,7 +46,6 @@ sched::DriverReport run_policy(sched::Policy policy,
                                const topo::TopologyGraph& topology,
                                const perf::DlWorkloadModel& model,
                                sched::UtilityWeights weights = {},
-                               bool record_series = true,
                                SchedulerStats* stats = nullptr);
 
 /// Comparison across the four policies of one workload.
@@ -74,8 +73,7 @@ struct PolicyComparison {
 PolicyComparison compare_policies(const std::vector<jobgraph::JobRequest>& jobs,
                                   const topo::TopologyGraph& topology,
                                   const perf::DlWorkloadModel& model,
-                                  sched::UtilityWeights weights = {},
-                                  bool record_series = true);
+                                  sched::UtilityWeights weights = {});
 
 /// The two large-scale simulation scenarios (Section 5.5): clusters of
 /// Minsky machines with the Section 5.3 generator.

@@ -165,8 +165,7 @@ json::Value fig8_payload() {
         sched::Policy::kTopoAware, sched::Policy::kTopoAwareP}) {
     exp::SchedulerStats stats;
     const sched::DriverReport report =
-        exp::run_policy(policy, jobs, minsky, model, {},
-                        /*record_series=*/true, &stats);
+        exp::run_policy(policy, jobs, minsky, model, {}, &stats);
     json::Object entry;
     entry["cumulative_time_s"] = report.recorder.makespan();
     entry["slo_violations"] = report.recorder.slo_violations();

@@ -210,13 +210,17 @@ LifecycleSummary summarize_lifecycle(
   return summary;
 }
 
-LifecycleSummary Driver::lifecycle() const {
+LifecycleSummary summarize_lifecycle(const cluster::Recorder& recorder) {
   std::vector<const cluster::JobRecord*> records;
-  records.reserve(report_.recorder.records().size());
-  for (const cluster::JobRecord& record : report_.recorder.records()) {
+  records.reserve(recorder.records().size());
+  for (const cluster::JobRecord& record : recorder.records()) {
     records.push_back(&record);
   }
   return summarize_lifecycle(std::move(records));
+}
+
+LifecycleSummary Driver::lifecycle() const {
+  return summarize_lifecycle(report_.recorder);
 }
 
 std::vector<ShardInfo> Driver::shard_infos() const {
@@ -559,9 +563,6 @@ void Driver::scheduling_pass() {
     GTS_FLIGHT_AT(obs::FlightKind::kDecision, request.id, decision_us,
                   utility, "placed", now);
     it = queue_.erase(it);
-  }
-  if (options_.record_series) {
-    report_.recorder.sample(state_, now);
   }
   GTS_METRIC_WINDOW("sched.queue_depth",
                     static_cast<double>(queue_.size()), obs::depth_bounds());

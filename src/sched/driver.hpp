@@ -33,8 +33,10 @@
 namespace gts::sched {
 
 struct DriverOptions {
-  /// Record bandwidth / mean-utility series points at every state change.
-  bool record_series = true;
+  /// Ignored: the driver records job records only, no time series. It
+  /// exists only because perfbench/cpp/fig11.cpp and
+  /// perfbench/cpp/scale_light.cpp assign it; nothing in src/ reads it.
+  bool record_series = false;
   /// Lognormal execution-noise sigma (0 = deterministic). The schedulers
   /// still predict with the noise-free model, as in the paper's cloud.
   double noise_sigma = 0.0;

@@ -102,6 +102,8 @@ struct LifecycleSummary {
 /// in (a restored driver holds the same records in another order).
 LifecycleSummary summarize_lifecycle(
     std::vector<const cluster::JobRecord*> records);
+/// The same over every record `recorder` holds.
+LifecycleSummary summarize_lifecycle(const cluster::Recorder& recorder);
 
 /// Checks a terminal record a snapshot carries before a driver imports
 /// it: terminal state, finite times, GPU ids in [0, gpu_count) exactly

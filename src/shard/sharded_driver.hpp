@@ -46,9 +46,9 @@ struct ShardedOptions {
   int shard_threads = 1;
   /// Placement policy instantiated per cell.
   sched::Policy policy = sched::Policy::kTopoAwareP;
-  /// Per-cell driver options (noise, audit, utility weights, series
-  /// recording). `allocation_listener` is reserved for the facade's own
-  /// cell summaries and must be empty.
+  /// Per-cell driver options (noise, audit, utility weights).
+  /// `allocation_listener` is reserved for the facade's own cell
+  /// summaries and must be empty.
   sched::DriverOptions driver;
 };
 
@@ -61,7 +61,7 @@ class ShardedDriver : public sched::DriverApi {
   /// Batch convenience mirroring Driver::run: submits the whole workload,
   /// runs every cell to completion, and returns the merged report
   /// (records in (arrival, id) order with global GPU ids; counters and
-  /// latency histograms summed over cells; series not merged).
+  /// latency histograms summed over cells).
   sched::DriverReport run(std::vector<jobgraph::JobRequest> jobs);
 
   /// The cell drivers, for tests and benchmarks.

@@ -41,13 +41,6 @@ std::unique_ptr<sched::DriverApi> make_driver(
                                          make_driver_options(options));
 }
 
-json::Value int_array(const std::vector<int>& values) {
-  json::Array array;
-  array.reserve(values.size());
-  for (const int value : values) array.push_back(value);
-  return json::Value{std::move(array)};
-}
-
 json::Value int_array(std::span<const int> values) {
   json::Array array;
   array.reserve(values.size());

@@ -62,11 +62,11 @@ int gpus_per_machine(MachineShape shape) noexcept;
 /// (bench_overhead / bench_service_load / bench_scale): builds
 /// `cluster(machines, fabric)`, cross-checks the caller's per-machine GPU
 /// expectation against the fabric, and pre-warms the lazily built
-/// structure / distance caches so concurrent read-only consumers
-/// (parallel candidate scoring, sharded cells) never race the first
-/// build. `gpus_per_machine` must match `gpus_per_machine(fabric)` — the
-/// parameter exists so workload generators that size jobs off it are
-/// checked against the fabric they actually got.
+/// structure / distance caches (TopologyGraph::warm_caches), so later
+/// const lookups are pure reads. `gpus_per_machine` must match
+/// `gpus_per_machine(fabric)` — the parameter exists so workload
+/// generators that size jobs off it are checked against the fabric they
+/// actually got.
 TopologyGraph make_cluster(int machines, int gpus_per_machine,
                            MachineShape fabric,
                            const MachineShapeOptions& options = {});

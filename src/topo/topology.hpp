@@ -210,12 +210,12 @@ class TopologyGraph {
   /// the calling thread. The tables are `mutable` and built on first
   /// const access, which is fine single-threaded but a data race when
   /// concurrent readers trigger the first build. builders::make_cluster
-  /// and the shard cells (whose drivers advance on worker threads) call
-  /// this before handing the graph out, after which gpu_distance /
-  /// max_gpu_distance / the structure lookups are pure reads. gpu_path
-  /// stays excluded: its hierarchical-mode cross-machine memo fills on
-  /// demand, so it must not be called from concurrent readers of one
-  /// graph (the decision path only uses gpu_distance).
+  /// and the shard cells call this before handing the graph out, after
+  /// which gpu_distance / max_gpu_distance / the structure lookups are
+  /// pure reads. gpu_path stays excluded: its hierarchical-mode
+  /// cross-machine memo fills on demand, so it must not be called from
+  /// concurrent readers of one graph (the decision path only uses
+  /// gpu_distance).
   void warm_caches() const {
     ensure_structure();
     ensure_paths();

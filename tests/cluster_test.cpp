@@ -271,25 +271,5 @@ TEST(RecorderTest, TimelineRendersJobs) {
   EXPECT_NE(timeline.find('7'), std::string::npos);  // job id glyph
 }
 
-TEST(RecorderTest, SampleSeries) {
-  const topo::TopologyGraph topo = topo::builders::power8_minsky();
-  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
-  ClusterState state(topo, model);
-  Recorder recorder;
-  recorder.sample(state, 0.0);
-  EXPECT_EQ(recorder.p2p_bandwidth().size(), 1u);
-  EXPECT_DOUBLE_EQ(recorder.p2p_bandwidth()[0].value, 0.0);
-
-  const JobRequest job = perf::make_profiled_dl(
-      1, 0.0, NeuralNet::kAlexNet, 1, 2, 0.0, model, topo, 100);
-  state.place(job, {0, 1}, 0.0, 0.9);
-  recorder.on_submit(job);
-  recorder.on_place(1, 0.0, {0, 1}, 0.9, true);
-  recorder.sample(state, 1.0);
-  EXPECT_GT(recorder.p2p_bandwidth()[1].value, 0.0);
-  EXPECT_DOUBLE_EQ(recorder.host_bandwidth()[1].value, 0.0);
-  EXPECT_DOUBLE_EQ(recorder.mean_utility()[1].value, 0.9);
-}
-
 }  // namespace
 }  // namespace gts::cluster

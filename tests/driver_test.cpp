@@ -138,16 +138,6 @@ TEST_F(DriverTest, SingleNodeSpreadRejectedWithoutBlockingFcfs) {
   }
 }
 
-TEST_F(DriverTest, SeriesRecordedWhenEnabled) {
-  const auto scheduler = make_scheduler(Policy::kTopoAware);
-  DriverOptions options;
-  options.record_series = true;
-  Driver driver(topo_, model_, *scheduler, options);
-  const DriverReport report = driver.run({job(0, 0.0, 2)});
-  EXPECT_GE(report.recorder.p2p_bandwidth().size(), 2u);
-  EXPECT_GE(report.recorder.mean_utility().size(), 2u);
-}
-
 TEST_F(DriverTest, DeterministicAcrossRuns) {
   std::vector<JobRequest> jobs = {job(0, 0.0, 2), job(1, 3.0, 2),
                                   job(2, 5.0, 1), job(3, 6.0, 2)};
@@ -257,12 +247,17 @@ TEST_F(DriverTest, MakespanIsLastCompletion) {
 // gate. The gate declines only offers no
 // policy could place, so the schedule, the postponement total and the
 // offer total (scheduler calls + gate skips) must all stay exactly put.
+// The work counts (scheduler calls, gate skips, engine events) are pinned
+// too, so a change that makes the driver do more work fails here.
 
 struct PinnedPolicy {
   Policy policy;
   std::uint64_t digest;
   long long postponements;
   long long offers;  // Scheduler::place calls before the gate existed
+  long long decisions;
+  long long capacity_skips;
+  std::uint64_t events;
 };
 
 TEST(CapacityGateTest, QueueHeavyDecisionsMatchCommittedDigests) {
@@ -278,10 +273,11 @@ TEST(CapacityGateTest, QueueHeavyDecisionsMatchCommittedDigests) {
       trace::generate_workload(generator, model, topology);
 
   const PinnedPolicy pinned[] = {
-      {Policy::kBestFit, 0xf975dc3cca382916ULL, 4287, 4787},
-      {Policy::kFcfs, 0x8d2d940924880e97ULL, 280, 780},
-      {Policy::kTopoAware, 0x02c5b489fd024585ULL, 4629, 5129},
-      {Policy::kTopoAwareP, 0x40c3fad06c5f80c3ULL, 4097, 4597},
+      {Policy::kBestFit, 0xf975dc3cca382916ULL, 4287, 4787, 500, 4287, 999},
+      {Policy::kFcfs, 0x8d2d940924880e97ULL, 280, 780, 500, 280, 997},
+      {Policy::kTopoAware, 0x02c5b489fd024585ULL, 4629, 5129, 500, 4629, 998},
+      {Policy::kTopoAwareP, 0x40c3fad06c5f80c3ULL, 4097, 4597, 522, 4075,
+       997},
   };
   for (const PinnedPolicy& pin : pinned) {
     const std::string name(to_string(pin.policy));
@@ -297,11 +293,15 @@ TEST(CapacityGateTest, QueueHeavyDecisionsMatchCommittedDigests) {
         testing_digest::decision_digest(report.recorder);
     EXPECT_EQ(digest, pin.digest)
         << name << " digest " << testing_digest::hex(digest);
-    EXPECT_EQ(report.recorder.total_postponements(), pin.postponements)
+    EXPECT_EQ(summarize_lifecycle(report.recorder).postponements,
+              pin.postponements)
         << name;
     EXPECT_EQ(report.decision_count + report.capacity_skips, pin.offers)
         << name;
     EXPECT_GT(report.capacity_skips, 0) << name << ": the gate never fired";
+    EXPECT_EQ(report.decision_count, pin.decisions) << name;
+    EXPECT_EQ(report.capacity_skips, pin.capacity_skips) << name;
+    EXPECT_EQ(report.events, pin.events) << name;
     EXPECT_EQ(report.placed_latency_us.count(), 500) << name;
     EXPECT_EQ(report.placed_latency_us.count() +
                   report.declined_latency_us.count(),

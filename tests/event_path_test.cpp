@@ -123,9 +123,7 @@ TEST(EventPathTest, MixedTraceMatchesCommittedDigests) {
 
   const PinnedRun pin{1, 0xc25536f1ab59d127ULL, 800, 0x40c50ea64242ceb2ULL};
   sched::TopoAwareScheduler scheduler({}, /*postpone=*/false);
-  sched::DriverOptions options;
-  options.record_series = false;
-  sched::Driver driver(topology, model, scheduler, options);
+  sched::Driver driver(topology, model, scheduler);
   const sched::DriverReport report = driver.run(jobs);
   ASSERT_EQ(report.recorder.records().size(), 400u);
   expect_pinned(report, pin, "unsharded");
@@ -144,7 +142,6 @@ TEST(EventPathTest, MixedTraceMatchesCommittedDigestsAcrossShardCounts) {
   for (const PinnedRun& pin : pinned) {
     shard::ShardedOptions options;
     options.shards = pin.axis;
-    options.driver.record_series = false;
     shard::ShardedDriver driver(topology, model, options);
     const sched::DriverReport report = driver.run(jobs);
     ASSERT_GT(report.recorder.records().size(), 0u);
@@ -303,9 +300,7 @@ TEST(EventPathTest, SnapshotRestoreCarriesBitwiseIdenticalRates) {
   const auto jobs = mixed_jobs(200, model, topology, /*seed=*/11);
 
   sched::TopoAwareScheduler scheduler_a({}, /*postpone=*/false);
-  sched::DriverOptions options;
-  options.record_series = false;
-  sched::Driver original(topology, model, scheduler_a, options);
+  sched::Driver original(topology, model, scheduler_a);
   for (const jobgraph::JobRequest& job : jobs) {
     ASSERT_EQ(original.submit(job), sched::SubmitResult::kAccepted);
   }
@@ -317,7 +312,7 @@ TEST(EventPathTest, SnapshotRestoreCarriesBitwiseIdenticalRates) {
   ASSERT_GT(original.running_job_count(), 0);
 
   sched::TopoAwareScheduler scheduler_b({}, /*postpone=*/false);
-  sched::Driver restored(topology, model, scheduler_b, options);
+  sched::Driver restored(topology, model, scheduler_b);
   ASSERT_TRUE(
       restored.begin_restore(mid, original.capacity_version()).is_ok());
   original.visit_running([&](const sched::RunningJobView& view) {

@@ -121,9 +121,7 @@ TEST(GoldenTest, Fig8ScheduleMatchesCommittedDigests) {
   };
   for (const PinnedFig8& pin : pinned) {
     sched::TopoAwareScheduler scheduler({}, pin.postpone);
-    sched::DriverOptions options;
-    options.record_series = false;
-    sched::Driver driver(minsky, model, scheduler, options);
+    sched::Driver driver(minsky, model, scheduler);
     const sched::DriverReport report = driver.run(jobs);
     const std::uint64_t digest =
         testing_digest::decision_digest(report.recorder);

@@ -469,12 +469,13 @@ TEST_F(LiveTelemetryTest, LifecycleAccountingMatchesAHandComputedTrace) {
   EXPECT_FALSE(job5->placed());
 
   // Aggregates over the whole trace.
-  EXPECT_EQ(recorder.total_postponements(), 6);
-  EXPECT_EQ(recorder.total_degradations(), 1);
+  const sched::LifecycleSummary summary = sched::summarize_lifecycle(recorder);
+  EXPECT_EQ(summary.postponements, 6);
+  EXPECT_EQ(summary.degradations, 1);
   EXPECT_EQ(recorder.slo_violations(), 1);
   EXPECT_DOUBLE_EQ(recorder.makespan(), 140.0);
   EXPECT_DOUBLE_EQ(recorder.mean_waiting_time(), (0.0 + 20.0 + 20.0) / 3.0);
-  EXPECT_NEAR(recorder.mean_jct_slowdown(), (1.2 + 2.0 + 1.5) / 3.0, 1e-12);
+  EXPECT_NEAR(summary.mean_jct_slowdown, (1.2 + 2.0 + 1.5) / 3.0, 1e-12);
 }
 
 // --- the headline property, extended over the live layer ----------------
@@ -490,8 +491,7 @@ TEST_F(LiveTelemetryTest, LiveTelemetryIsAPureObserverOn500JobTrace) {
 
   // Baseline: everything off (the SetUp reset).
   const sched::DriverReport baseline = exp::run_policy(
-      sched::Policy::kTopoAwareP, jobs, topology, model, {},
-      /*record_series=*/false);
+      sched::Policy::kTopoAwareP, jobs, topology, model);
 
   ObsConfig config;
   config.metrics = true;
@@ -500,8 +500,7 @@ TEST_F(LiveTelemetryTest, LiveTelemetryIsAPureObserverOn500JobTrace) {
   config.flight_capacity = 1024;
   ASSERT_TRUE(configure(config));
   const sched::DriverReport observed = exp::run_policy(
-      sched::Policy::kTopoAwareP, jobs, topology, model, {},
-      /*record_series=*/false);
+      sched::Policy::kTopoAwareP, jobs, topology, model);
 
   ASSERT_EQ(baseline.recorder.records().size(), 500u);
   ASSERT_EQ(observed.recorder.records().size(), 500u);
@@ -517,8 +516,8 @@ TEST_F(LiveTelemetryTest, LiveTelemetryIsAPureObserverOn500JobTrace) {
     EXPECT_EQ(a.postponements, b.postponements) << "record " << i;
     EXPECT_EQ(a.degradation_events, b.degradation_events) << "record " << i;
   }
-  EXPECT_EQ(observed.recorder.total_postponements(),
-            baseline.recorder.total_postponements());
+  EXPECT_EQ(sched::summarize_lifecycle(observed.recorder).postponements,
+            sched::summarize_lifecycle(baseline.recorder).postponements);
   EXPECT_EQ(observed.recorder.slo_violations(),
             baseline.recorder.slo_violations());
 

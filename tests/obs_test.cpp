@@ -224,8 +224,7 @@ TEST_F(ObsTest, RegistrySnapshotIsIdenticalAcrossResetReplicas) {
 
   const auto run_replica = [&] {
     Registry::instance().reset();
-    exp::run_policy(sched::Policy::kTopoAwareP, jobs, topology, model, {},
-                    /*record_series=*/false);
+    exp::run_policy(sched::Policy::kTopoAwareP, jobs, topology, model);
     json::Value snapshot = Registry::instance().snapshot_json();
     // The latency histograms are wall-clock-derived; everything else is a
     // pure function of the (deterministic) decision sequence.
@@ -378,8 +377,7 @@ TEST_F(ObsTest, FullObservabilityDoesNotChangeDecisionsOn500JobTrace) {
 
   // Baseline: everything off (the SetUp reset).
   const sched::DriverReport baseline = exp::run_policy(
-      sched::Policy::kTopoAwareP, jobs, topology, model, {},
-      /*record_series=*/false);
+      sched::Policy::kTopoAwareP, jobs, topology, model);
 
   const std::string explain_path = temp_path("obs_determinism.jsonl");
   ObsConfig config;
@@ -388,8 +386,7 @@ TEST_F(ObsTest, FullObservabilityDoesNotChangeDecisionsOn500JobTrace) {
   config.explain_out = explain_path;
   ASSERT_TRUE(configure(config));
   const sched::DriverReport observed = exp::run_policy(
-      sched::Policy::kTopoAwareP, jobs, topology, model, {},
-      /*record_series=*/false);
+      sched::Policy::kTopoAwareP, jobs, topology, model);
   ASSERT_TRUE(finalize());
 
   ASSERT_EQ(baseline.recorder.records().size(), 500u);

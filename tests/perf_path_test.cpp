@@ -315,9 +315,7 @@ sched::DriverReport run_trace(const topo::TopologyGraph& topology,
                               const perf::DlWorkloadModel& model,
                               sched::TopoAwareScheduler& scheduler,
                               const std::vector<jobgraph::JobRequest>& jobs) {
-  sched::DriverOptions options;
-  options.record_series = false;
-  sched::Driver driver(topology, model, scheduler, options);
+  sched::Driver driver(topology, model, scheduler);
   return driver.run(jobs);
 }
 

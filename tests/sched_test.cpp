@@ -821,9 +821,7 @@ DriverReport run_trace(const topo::TopologyGraph& topology,
                        const perf::DlWorkloadModel& model,
                        TopoAwareScheduler& scheduler,
                        const std::vector<JobRequest>& jobs) {
-  DriverOptions options;
-  options.record_series = false;
-  Driver driver(topology, model, scheduler, options);
+  Driver driver(topology, model, scheduler);
   return driver.run(jobs);
 }
 

@@ -204,7 +204,8 @@ TEST_F(ShardDifferentialTest, OneShardMatchesDriverOn500JobTrace) {
       EXPECT_EQ(got.decision_count, want.decision_count) << label;
       EXPECT_EQ(got.capacity_skips, want.capacity_skips) << label;
       EXPECT_EQ(got.rejected_jobs, want.rejected_jobs) << label;
-      EXPECT_GT(want.recorder.total_postponements(), 0) << label;
+      EXPECT_GT(sched::summarize_lifecycle(want.recorder).postponements, 0)
+          << label;
     }
   }
 }
@@ -317,7 +318,6 @@ TEST(ShardedWorkTest, SmokeScaleLightPinsDecisionsAndDrbWork) {
   ShardedOptions options;
   options.shards = 2;
   options.policy = sched::Policy::kTopoAwareP;
-  options.driver.record_series = false;
   ShardedDriver driver(topology, model, options);
   const sched::DriverReport report = driver.run(jobs);
   ASSERT_EQ(report.recorder.records().size(), 400u);
