@@ -62,8 +62,9 @@ int main() {
   }
 
   // 7. Predicted performance on this placement.
-  const perf::IterationBreakdown step = state.predict_iteration(
-      job, placement->gpus);
+  cluster::CoRunnerScratch scratch;
+  const perf::IterationBreakdown step =
+      state.predict_iteration(job, placement->gpus, scratch);
   std::printf(
       "Predicted iteration: %.1f ms compute + %.1f ms comm, interference "
       "x%.2f => %.1f ms/iter\n",

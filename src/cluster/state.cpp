@@ -11,23 +11,6 @@
 
 namespace gts::cluster {
 
-namespace {
-/// Condenses a flattened link list (with multiplicity) into sorted unique
-/// (link, count) pairs — the perf::FlowDelta shape.
-std::vector<std::pair<topo::LinkId, int>> condense_links(
-    std::vector<topo::LinkId> links) {
-  std::sort(links.begin(), links.end());
-  std::vector<std::pair<topo::LinkId, int>> counts;
-  for (size_t i = 0; i < links.size();) {
-    size_t j = i;
-    while (j < links.size() && links[j] == links[i]) ++j;
-    counts.emplace_back(links[i], static_cast<int>(j - i));
-    i = j;
-  }
-  return counts;
-}
-}  // namespace
-
 ClusterState::ClusterState(const topo::TopologyGraph& topology,
                            const perf::DlWorkloadModel& model)
     : topology_(&topology),
@@ -185,7 +168,8 @@ void ClusterState::place(const jobgraph::JobRequest& request,
     job.flow_links.insert(job.flow_links.end(), path.links.begin(),
                           path.links.end());
   }
-  job.flow_link_counts = condense_links(job.flow_links);
+  std::vector<topo::LinkId> sorted_links = job.flow_links;
+  perf::condense_flows(sorted_links, job.flow_link_counts);
   job.solo_iteration_s = solo_iteration_time(job.request);
   for (const int gpu : job.gpus) {
     GTS_CHECK(gpu_free(gpu), "job ", request.id, " placed on busy GPU ",
@@ -315,17 +299,6 @@ void ClusterState::bank_progress(double now) {
   }
 }
 
-perf::LinkFlows ClusterState::flows_excluding(int job_id) const {
-  perf::LinkFlows flows = flows_;
-  const RunningJob* job = find(job_id);
-  if (job != nullptr) {
-    for (const topo::LinkId link : job->flow_links) {
-      --flows[static_cast<size_t>(link)];
-    }
-  }
-  return flows;
-}
-
 std::vector<int> ClusterState::machines_of(std::span<const int> gpus) const {
   // Sorted + deduped via a small vector; the sets here are tiny (one
   // machine per task at most), so sort beats a node-based set.
@@ -389,13 +362,6 @@ void ClusterState::co_runners_into(std::span<const int> gpus,
   }
 }
 
-std::vector<perf::CoRunner> ClusterState::co_runners(
-    std::span<const int> gpus, int exclude_job_id) const {
-  CoRunnerScratch scratch;
-  co_runners_into(gpus, exclude_job_id, scratch);
-  return std::move(scratch.co);
-}
-
 double ClusterState::fragmentation() const {
   // Eq. 5: average over sockets of freeGPUs/totalGPUs.
   double total = 0.0;
@@ -409,46 +375,6 @@ double ClusterState::fragmentation() const {
           std::count_if(gpus.begin(), gpus.end(),
                         [&](int g) { return gpu_free(g); }));
       total += static_cast<double>(free) / static_cast<double>(gpus.size());
-      ++sockets;
-    }
-  }
-  return sockets == 0 ? 0.0 : total / sockets;
-}
-
-double ClusterState::fragmentation_of_machine(int machine) const {
-  double total = 0.0;
-  int sockets = 0;
-  const int socket_count = topology_->sockets_of_machine(machine);
-  for (int socket = 0; socket < socket_count; ++socket) {
-    const std::vector<int>& gpus = topology_->gpus_of_socket(machine, socket);
-    if (gpus.empty()) continue;
-    const int free = static_cast<int>(std::count_if(
-        gpus.begin(), gpus.end(), [&](int g) { return gpu_free(g); }));
-    total += static_cast<double>(free) / static_cast<double>(gpus.size());
-    ++sockets;
-  }
-  return sockets == 0 ? 0.0 : total / sockets;
-}
-
-double ClusterState::fragmentation_after(std::span<const int> gpus) const {
-  // Temporarily mark, compute, restore — const_cast-free via copy of the
-  // small owner vector.
-  double total = 0.0;
-  int sockets = 0;
-  for (int machine = 0; machine < topology_->machine_count(); ++machine) {
-    const int socket_count = topology_->sockets_of_machine(machine);
-    for (int socket = 0; socket < socket_count; ++socket) {
-      const std::vector<int>& socket_gpus =
-          topology_->gpus_of_socket(machine, socket);
-      if (socket_gpus.empty()) continue;
-      int free = 0;
-      for (const int g : socket_gpus) {
-        const bool newly_taken =
-            std::find(gpus.begin(), gpus.end(), g) != gpus.end();
-        if (gpu_free(g) && !newly_taken) ++free;
-      }
-      total +=
-          static_cast<double>(free) / static_cast<double>(socket_gpus.size());
       ++sockets;
     }
   }
@@ -484,19 +410,10 @@ double ClusterState::solo_iteration_time(
 }
 
 perf::IterationBreakdown ClusterState::predict_iteration(
-    const jobgraph::JobRequest& request, std::span<const int> gpus) const {
-  const std::vector<perf::CoRunner> co = co_runners(gpus, request.id);
-  return model_->iteration(request, gpus, *topology_, &flows_, co);
-}
-
-perf::IterationBreakdown ClusterState::current_iteration(
-    const RunningJob& job) const {
-  const std::vector<perf::CoRunner> co = co_runners(job.gpus, job.request.id);
-  // The job's own flows are subtracted from the global table on read
-  // (FlowDelta) — bitwise-equal to the flows_excluding copy it replaces:
-  // the subtraction happens in integers before any division.
-  return model_->iteration(job.request, job.gpus, *topology_, &flows_, co,
-                           job.flow_link_counts);
+    const jobgraph::JobRequest& request, std::span<const int> gpus,
+    CoRunnerScratch& scratch) const {
+  co_runners_into(gpus, request.id, scratch);
+  return model_->iteration(request, gpus, *topology_, &flows_, scratch.co);
 }
 
 void ClusterState::gather_touched(
@@ -519,6 +436,8 @@ void ClusterState::gather_touched(
 
 void ClusterState::update_job_rate(RunningJob& job, double now) {
   co_runners_into(job.gpus, job.request.id, scratch_);
+  // The job's own flows are subtracted from the global table on read
+  // (perf::FlowDelta), in integers before any division.
   const perf::IterationBreakdown step =
       model_->iteration(job.request, job.gpus, *topology_, &flows_,
                         scratch_.co, job.flow_link_counts);

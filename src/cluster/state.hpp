@@ -55,8 +55,8 @@ struct RunningJob {
   /// Solo best-case iteration time (profile anchor or pack prediction).
   double solo_iteration_s = 0.0;
   /// Every link of every comm edge's routing path, flattened with
-  /// multiplicity — add_flows / flows_excluding / interference walk this
-  /// instead of re-running edges x gpu_path.
+  /// multiplicity — add_flows walks this instead of re-running
+  /// edges x gpu_path.
   std::vector<topo::LinkId> flow_links;
   /// flow_links condensed to sorted unique (link, multiplicity) pairs —
   /// the perf::FlowDelta the model subtracts on read when evaluating this
@@ -85,6 +85,14 @@ struct RunningJob {
     return std::min(progress_iterations + rate * (now - last_update),
                     static_cast<double>(request.iterations));
   }
+};
+
+/// Caller-owned scratch of ClusterState::co_runners_into. One per thread
+/// (or per serial owner): the query is const and touches nothing else.
+struct CoRunnerScratch {
+  std::vector<std::pair<int, int>> sockets;  // (machine, socket), sorted
+  std::vector<int> ids;  // jobs on the touched machines, sorted, unique
+  std::vector<perf::CoRunner> co;  // the result
 };
 
 class ClusterState {
@@ -223,13 +231,14 @@ class ClusterState {
   /// Link flow counts from all running jobs (index = LinkId).
   const perf::LinkFlows& link_flows() const noexcept { return flows_; }
 
-  /// Flow counts excluding one job — what that job sees as foreign flows.
-  perf::LinkFlows flows_excluding(int job_id) const;
-
-  /// Running jobs (excluding `exclude_job_id`) sharing any machine with a
-  /// hypothetical placement on `gpus`, with same-socket contention flagged.
-  std::vector<perf::CoRunner> co_runners(std::span<const int> gpus,
-                                         int exclude_job_id) const;
+  /// Fills `scratch.co` with the running jobs (excluding
+  /// `exclude_job_id`) sharing any machine with a hypothetical placement on
+  /// `gpus`, with same-socket contention flagged. Also leaves the gather
+  /// behind: `scratch.sockets` holds the (machine, socket) pairs of `gpus`
+  /// and `scratch.ids` every job on those machines, `exclude_job_id`
+  /// included; `co` follows `ids` with the excluded id skipped.
+  void co_runners_into(std::span<const int> gpus, int exclude_job_id,
+                       CoRunnerScratch& scratch) const;
 
   /// Machines a GPU list touches (sorted, unique).
   std::vector<int> machines_of(std::span<const int> gpus) const;
@@ -237,16 +246,14 @@ class ClusterState {
   // --- Eq. 5 fragmentation -------------------------------------------------
   /// Average free fraction across all sockets of the cluster.
   double fragmentation() const;
-  /// Average free fraction across the sockets of one machine.
-  double fragmentation_of_machine(int machine) const;
-  /// Fragmentation if `gpus` were additionally allocated (whole cluster).
-  double fragmentation_after(std::span<const int> gpus) const;
 
   /// Predicted iteration time for a hypothetical placement of `request`
   /// on `gpus` given everything currently running (used by schedulers for
-  /// Eq. 4 interference estimates).
+  /// Eq. 4 interference estimates). Leaves `scratch` holding the
+  /// co-runner gather of `gpus` excluding `request.id` (co_runners_into).
   perf::IterationBreakdown predict_iteration(
-      const jobgraph::JobRequest& request, std::span<const int> gpus) const;
+      const jobgraph::JobRequest& request, std::span<const int> gpus,
+      CoRunnerScratch& scratch) const;
 
   /// Solo best-case iteration time of a request: profile anchor when
   /// available, else the model's pack-placement prediction on an idle
@@ -254,10 +261,7 @@ class ClusterState {
   /// as RunningJob::solo_iteration_s.
   double solo_iteration_time(const jobgraph::JobRequest& request) const;
 
-  /// Current iteration breakdown of a *running* job.
-  perf::IterationBreakdown current_iteration(const RunningJob& job) const;
-
- /// Job ids currently occupying GPUs on `machine` (ascending).
+  /// Job ids currently occupying GPUs on `machine` (ascending).
   const std::vector<int>& jobs_of_machine(int machine) const {
     return jobs_by_machine_[static_cast<size_t>(machine)];
   }
@@ -310,19 +314,6 @@ class ClusterState {
   void corrupt_gpu_owner_for_test(int gpu, int job_id);
 
  private:
-  /// Scratch for co-runner gathering on the mutation path (the public
-  /// co_runners() allocates instead, so it stays a pure const read).
-  struct CoRunnerScratch {
-    std::vector<std::pair<int, int>> sockets;  // (machine, socket), sorted
-    std::vector<int> ids;
-    std::vector<perf::CoRunner> co;
-  };
-
-  /// Fills `scratch.co` with the co-runners of `gpus` (excluding
-  /// `exclude_job_id`); shared core of the public co_runners().
-  void co_runners_into(std::span<const int> gpus, int exclude_job_id,
-                       CoRunnerScratch& scratch) const;
-
   /// Re-rates one job at `now`: recomputes its iteration time from current
   /// flows and co-runners, and — only when the rate value actually changed
   /// bitwise — banks progress at the old rate, rebases last_update, and
@@ -387,7 +378,7 @@ class ClusterState {
   util::Rng noise_rng_{1234};
   AllocationListener allocation_listener_;
   // Mutation-path scratch (serial by the state's confinement contract;
-  // const readers never touch these).
+  // const readers bring their own).
   CoRunnerScratch scratch_;
   std::vector<int> touched_ids_;
   /// solo_iteration_time's pack-placement fallback, keyed by num_gpus (the

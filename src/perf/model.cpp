@@ -15,7 +15,7 @@ const NnParams& nn_params(const CalibrationParams& params,
   return params.nn[static_cast<size_t>(nn)];
 }
 
-/// Multiplicity of `link` in a sorted FlowDelta, 0 when absent.
+/// Signed count of `link` in a sorted FlowDelta, 0 when absent.
 int excluded_count(FlowDelta exclude_flows, topo::LinkId link) {
   const auto it = std::lower_bound(
       exclude_flows.begin(), exclude_flows.end(), link,
@@ -25,18 +25,9 @@ int excluded_count(FlowDelta exclude_flows, topo::LinkId link) {
   return (it != exclude_flows.end() && it->first == link) ? it->second : 0;
 }
 
-}  // namespace
-
-double DlWorkloadModel::compute_time(jobgraph::NeuralNet nn,
-                                     int batch_size) const {
-  const NnParams& p = nn_params(params_, nn);
-  return params_.compute_scale *
-         (p.compute_base_s + p.compute_per_sample_s * batch_size);
-}
-
-PathClass DlWorkloadModel::classify_path(const topo::TopologyGraph& topology,
-                                         int gpu_a, int gpu_b) const {
-  const topo::GpuPath& path = topology.gpu_path(gpu_a, gpu_b);
+/// classify_path's rule applied to the already routed `path` of the pair.
+PathClass path_class(const topo::TopologyGraph& topology,
+                     const topo::GpuPath& path, int gpu_a, int gpu_b) {
   if (path.peer_to_peer) return PathClass::kPeerToPeer;
   if (!topology.same_machine(gpu_a, gpu_b)) return PathClass::kCrossMachine;
   if (topology.same_socket(gpu_a, gpu_b)) return PathClass::kSameSocketHost;
@@ -56,10 +47,28 @@ PathClass DlWorkloadModel::classify_path(const topo::TopologyGraph& topology,
   return PathClass::kCrossSocketPcieHost;
 }
 
-double DlWorkloadModel::effective_bandwidth(
-    const topo::TopologyGraph& topology, int gpu_a, int gpu_b,
-    const LinkFlows* extra_flows, FlowDelta exclude_flows) const {
-  const topo::GpuPath& path = topology.gpu_path(gpu_a, gpu_b);
+double class_efficiency(const PathEfficiency& efficiency, PathClass cls) {
+  switch (cls) {
+    case PathClass::kPeerToPeer:
+      return efficiency.peer_to_peer;
+    case PathClass::kSameSocketHost:
+      return efficiency.same_socket_host;
+    case PathClass::kCrossSocketNvlinkHost:
+      return efficiency.cross_socket_nvlink_host;
+    case PathClass::kCrossSocketPcieHost:
+      return efficiency.cross_socket_pcie_host;
+    case PathClass::kCrossMachine:
+      return efficiency.cross_machine;
+  }
+  return 1.0;
+}
+
+/// effective_bandwidth's rule applied to the already routed and
+/// classified `path` of the pair.
+double path_bandwidth(const topo::TopologyGraph& topology,
+                      const PathEfficiency& efficiency,
+                      const topo::GpuPath& path, PathClass cls,
+                      const LinkFlows* extra_flows, FlowDelta exclude_flows) {
   if (path.links.empty()) return 0.0;
 
   // Bottleneck bandwidth under fair link sharing with foreign flows.
@@ -79,26 +88,42 @@ double DlWorkloadModel::effective_bandwidth(
       bottleneck = std::min(bottleneck, share);
     }
   }
+  return bottleneck * class_efficiency(efficiency, cls);
+}
 
-  double efficiency = 1.0;
-  switch (classify_path(topology, gpu_a, gpu_b)) {
-    case PathClass::kPeerToPeer:
-      efficiency = params_.efficiency.peer_to_peer;
-      break;
-    case PathClass::kSameSocketHost:
-      efficiency = params_.efficiency.same_socket_host;
-      break;
-    case PathClass::kCrossSocketNvlinkHost:
-      efficiency = params_.efficiency.cross_socket_nvlink_host;
-      break;
-    case PathClass::kCrossSocketPcieHost:
-      efficiency = params_.efficiency.cross_socket_pcie_host;
-      break;
-    case PathClass::kCrossMachine:
-      efficiency = params_.efficiency.cross_machine;
-      break;
+}  // namespace
+
+void condense_flows(std::vector<topo::LinkId>& links,
+                    std::vector<std::pair<topo::LinkId, int>>& counts) {
+  std::sort(links.begin(), links.end());
+  counts.clear();
+  for (size_t i = 0; i < links.size();) {
+    size_t j = i;
+    while (j < links.size() && links[j] == links[i]) ++j;
+    counts.emplace_back(links[i], static_cast<int>(j - i));
+    i = j;
   }
-  return bottleneck * efficiency;
+}
+
+double DlWorkloadModel::compute_time(jobgraph::NeuralNet nn,
+                                     int batch_size) const {
+  const NnParams& p = nn_params(params_, nn);
+  return params_.compute_scale *
+         (p.compute_base_s + p.compute_per_sample_s * batch_size);
+}
+
+PathClass DlWorkloadModel::classify_path(const topo::TopologyGraph& topology,
+                                         int gpu_a, int gpu_b) const {
+  return path_class(topology, topology.gpu_path(gpu_a, gpu_b), gpu_a, gpu_b);
+}
+
+double DlWorkloadModel::effective_bandwidth(
+    const topo::TopologyGraph& topology, int gpu_a, int gpu_b,
+    const LinkFlows* extra_flows, FlowDelta exclude_flows) const {
+  const topo::GpuPath& path = topology.gpu_path(gpu_a, gpu_b);
+  return path_bandwidth(topology, params_.efficiency, path,
+                        path_class(topology, path, gpu_a, gpu_b), extra_flows,
+                        exclude_flows);
 }
 
 double DlWorkloadModel::interference_factor(
@@ -134,22 +159,23 @@ IterationBreakdown DlWorkloadModel::iteration(
   double worst_time = 0.0;
   out.effective_bw_gbps = std::numeric_limits<double>::infinity();
   for (const jobgraph::CommEdge& edge : job.comm_graph.edges()) {
+    // One route lookup per pair feeds its bandwidth, class and P2P flag.
     const int gpu_a = gpus[static_cast<size_t>(edge.a)];
     const int gpu_b = gpus[static_cast<size_t>(edge.b)];
-    const double bw =
-        effective_bandwidth(topology, gpu_a, gpu_b, extra_flows, exclude_flows);
+    const topo::GpuPath& path = topology.gpu_path(gpu_a, gpu_b);
+    const PathClass cls = path_class(topology, path, gpu_a, gpu_b);
+    const double bw = path_bandwidth(topology, params_.efficiency, path, cls,
+                                     extra_flows, exclude_flows);
     if (bw <= 0.0) continue;
     const double volume_gb =
         nn.grad_volume_gb * (edge.weight / reference_weight);
     const double pair_time = volume_gb / bw;
     if (pair_time > worst_time) {
       worst_time = pair_time;
-      out.worst_path = classify_path(topology, gpu_a, gpu_b);
+      out.worst_path = cls;
       out.effective_bw_gbps = bw;
     }
-    if (!topology.gpu_path(gpu_a, gpu_b).peer_to_peer) {
-      out.all_pairs_p2p = false;
-    }
+    if (!path.peer_to_peer) out.all_pairs_p2p = false;
   }
   if (job.comm_graph.edge_count() == 0) {
     out.effective_bw_gbps = 0.0;

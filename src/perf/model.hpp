@@ -28,12 +28,19 @@ namespace gts::perf {
 using LinkFlows = std::vector<int>;
 
 /// Per-link flow counts to subtract from a LinkFlows table on read:
-/// sorted-by-link (link, multiplicity) pairs, typically one running job's
-/// own contribution (RunningJob::flow_link_counts). Passing the global
-/// flow table plus this delta is bitwise-equivalent to materializing a
-/// "flows excluding me" copy — the subtraction happens in integers before
-/// any division — without the O(links) copy per query.
+/// sorted-by-link (link, signed count) pairs. Typically one running job's
+/// own contribution (RunningJob::flow_link_counts); a negative count adds,
+/// so Eq. 4 passes "own minus candidate" to see a hypothetical placement's
+/// flows too. Passing the global flow table plus this delta is
+/// bitwise-equivalent to materializing the adjusted copy — the arithmetic
+/// happens in integers before any division — without the O(links) copy
+/// per query.
 using FlowDelta = std::span<const std::pair<topo::LinkId, int>>;
+
+/// Sorts `links` (a flattened per-edge path list, with multiplicity) and
+/// writes its (link, multiplicity) runs to `counts` — the FlowDelta shape.
+void condense_flows(std::vector<topo::LinkId>& links,
+                    std::vector<std::pair<topo::LinkId, int>>& counts);
 
 /// A job sharing machine resources with the one under evaluation.
 struct CoRunner {

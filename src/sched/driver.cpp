@@ -95,7 +95,7 @@ DriverReport Driver::run(std::vector<jobgraph::JobRequest> jobs) {
   engine_.run();
   sync_report();
   report_.end_time = report_.recorder.makespan();
-  return std::move(report_);
+  return report_;
 }
 
 SubmitResult Driver::submit(const jobgraph::JobRequest& request) {

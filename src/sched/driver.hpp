@@ -121,8 +121,10 @@ class Driver : public DriverApi {
     std::uint64_t attempted_version = ~0ULL;
   };
 
-  /// Runs the whole workload to completion and returns the report.
-  /// `jobs` need not be sorted; arrival order is established internally.
+  /// Runs the whole workload to completion and returns a copy of the
+  /// report; report(), recorder() and lifecycle() still read the run
+  /// afterwards. `jobs` need not be sorted; arrival order is established
+  /// internally.
   DriverReport run(std::vector<jobgraph::JobRequest> jobs);
 
   // --- online mode ---------------------------------------------------------

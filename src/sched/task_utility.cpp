@@ -102,10 +102,9 @@ double TaskUtility::comm_utility(int task, double d_intra, double d_cross,
 
 double TaskUtility::interference_utility(
     const std::vector<int>& side_gpus) const {
-  const std::vector<perf::CoRunner> co =
-      state_.co_runners(side_gpus, request_.id);
-  const double factor =
-      state_.model().interference_factor(request_.profile.batch, co);
+  state_.co_runners_into(side_gpus, request_.id, co_scratch_);
+  const double factor = state_.model().interference_factor(
+      request_.profile.batch, co_scratch_.co);
   return factor > 0.0 ? 1.0 / factor : 1.0;
 }
 

@@ -81,10 +81,11 @@ class TaskUtility final : public partition::DrbCallbacks {
   mutable const std::vector<int>* bip_gpus_[2] = {nullptr, nullptr};
   mutable SideCache side_cache_[2];
 
-  // Scratch: task-id bitset for "partner routed to the other side" and a
-  // machine-id list for the fragmentation scan.
+  // Scratch: task-id bitset for "partner routed to the other side", a
+  // machine-id list for the fragmentation scan and the co-runner gather.
   mutable std::vector<std::uint8_t> on_other_;
   mutable std::vector<int> machines_scratch_;
+  mutable cluster::CoRunnerScratch co_scratch_;
 };
 
 }  // namespace gts::sched

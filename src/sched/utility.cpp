@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
+
 #include "perf/profile.hpp"
 
 namespace gts::sched {
@@ -12,16 +15,34 @@ constexpr double kFloor = 1e-3;  // keeps log terms finite
 
 double clamp01(double v) { return std::clamp(v, kFloor, 1.0); }
 
-/// Adds the candidate job's communication flows onto a flow vector.
-void add_candidate_flows(perf::LinkFlows& flows,
-                         const jobgraph::JobRequest& request,
-                         std::span<const int> gpus,
-                         const topo::TopologyGraph& topology) {
-  for (const jobgraph::CommEdge& edge : request.comm_graph.edges()) {
-    const int gpu_a = gpus[static_cast<size_t>(edge.a)];
-    const int gpu_b = gpus[static_cast<size_t>(edge.b)];
-    for (const topo::LinkId link : topology.gpu_path(gpu_a, gpu_b).links) {
-      ++flows[static_cast<size_t>(link)];
+/// Per-thread scratch of UtilityModel::interference: nothing mutable is
+/// shared between concurrent scorers, and no call allocates once warm.
+struct InterferenceScratch {
+  cluster::CoRunnerScratch candidate;  // the candidate placement's gather
+  cluster::CoRunnerScratch job;        // one affected job's co-runners
+  std::vector<topo::LinkId> links;     // candidate flows, flattened
+  std::vector<std::pair<topo::LinkId, int>> candidate_counts;
+  std::vector<std::pair<topo::LinkId, int>> delta;  // own - candidate
+};
+
+/// `own` minus `candidate`, both sorted by link, into `delta` (sorted by
+/// link; a negative count adds the candidate's flows on read).
+void merge_delta(perf::FlowDelta own, perf::FlowDelta candidate,
+                 std::vector<std::pair<topo::LinkId, int>>& delta) {
+  delta.clear();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < own.size() || j < candidate.size()) {
+    if (j == candidate.size() ||
+        (i < own.size() && own[i].first < candidate[j].first)) {
+      delta.push_back(own[i++]);
+    } else if (i == own.size() || candidate[j].first < own[i].first) {
+      delta.emplace_back(candidate[j].first, -candidate[j].second);
+      ++j;
+    } else {
+      delta.emplace_back(own[i].first, own[i].second - candidate[j].second);
+      ++i;
+      ++j;
     }
   }
 }
@@ -61,70 +82,59 @@ double UtilityModel::interference(const jobgraph::JobRequest& request,
                                   const cluster::ClusterState& state) const {
   // Eq. 4: I = sum_{j in running+candidate} solo(j)/colloc(j) / (n+1).
   const topo::TopologyGraph& topology = state.topology();
+  thread_local InterferenceScratch scratch;
   double ratio_sum = 0.0;
   int count = 0;
 
-  // Candidate's own ratio under the hypothetical placement.
+  // Candidate's own ratio under the hypothetical placement. The
+  // prediction leaves the candidate's co-runner gather in
+  // scratch.candidate: the jobs on its machines (taken from the
+  // per-machine index, so cost scales with touched machines, not cluster
+  // size) and whether each shares a socket with it.
   {
     const double best = state.solo_iteration_time(request);
-    const double predicted = state.predict_iteration(request, gpus).total_s;
+    const double predicted =
+        state.predict_iteration(request, gpus, scratch.candidate).total_s;
     ratio_sum += (best > 0.0 && predicted > 0.0)
                      ? std::min(1.0, best / predicted)
                      : 1.0;
     ++count;
   }
 
-  // Each running job that shares a machine with the candidate placement
-  // (taken from the per-machine index so cost scales with touched
-  // machines, not cluster size).
-  const std::vector<int> machines = state.machines_of(gpus);
-  perf::LinkFlows adjusted = state.link_flows();
-  add_candidate_flows(adjusted, request, gpus, topology);
-
-  // (machine, socket) pairs the candidate touches, as a sorted vector —
-  // the sets involved are tiny, so binary search beats a node-based set.
-  std::vector<std::pair<int, int>> candidate_sockets;
-  candidate_sockets.reserve(gpus.size());
-  for (const int gpu : gpus) {
-    candidate_sockets.emplace_back(topology.machine_of_gpu(gpu),
-                                   topology.socket_of_gpu(gpu));
+  // The candidate's flows, condensed once.
+  scratch.links.clear();
+  for (const jobgraph::CommEdge& edge : request.comm_graph.edges()) {
+    const topo::GpuPath& path =
+        topology.gpu_path(gpus[static_cast<size_t>(edge.a)],
+                          gpus[static_cast<size_t>(edge.b)]);
+    scratch.links.insert(scratch.links.end(), path.links.begin(),
+                         path.links.end());
   }
-  std::sort(candidate_sockets.begin(), candidate_sockets.end());
-  candidate_sockets.erase(
-      std::unique(candidate_sockets.begin(), candidate_sockets.end()),
-      candidate_sockets.end());
+  perf::condense_flows(scratch.links, scratch.candidate_counts);
 
-  std::vector<int> affected_ids;
-  for (const int machine : machines) {
-    const std::vector<int>& ids = state.jobs_of_machine(machine);
-    affected_ids.insert(affected_ids.end(), ids.begin(), ids.end());
-  }
-  std::sort(affected_ids.begin(), affected_ids.end());
-  affected_ids.erase(std::unique(affected_ids.begin(), affected_ids.end()),
-                     affected_ids.end());
-  for (const int id : affected_ids) {
+  // Each running job that shares a machine with the candidate placement.
+  // co[k] is the k-th of them (the gather skips request.id), flagged with
+  // whether it shares a socket with the candidate.
+  const std::vector<perf::CoRunner>& candidate_co = scratch.candidate.co;
+  size_t k = 0;
+  for (const int id : scratch.candidate.ids) {
+    if (id == request.id) continue;
+    const bool candidate_shares_socket = candidate_co[k++].same_socket;
     const cluster::RunningJob& job = state.running_jobs().at(id);
-    // Foreign flows for this job = all flows + candidate - its own. Its
-    // own contribution (condensed at placement into flow_link_counts) is
-    // subtracted on read inside the model (perf::FlowDelta) — the same
-    // integer counts the previous in-place twiddling produced, without
-    // mutating the shared vector per co-runner.
     // Its co-runners now include the candidate.
-    std::vector<perf::CoRunner> co = state.co_runners(job.gpus, id);
-    const bool candidate_shares_socket = std::any_of(
-        job.gpus.begin(), job.gpus.end(), [&](int gpu) {
-          return std::binary_search(
-              candidate_sockets.begin(), candidate_sockets.end(),
-              std::pair<int, int>{topology.machine_of_gpu(gpu),
-                                  topology.socket_of_gpu(gpu)});
-        });
-    co.push_back({request.profile.batch, candidate_shares_socket});
+    state.co_runners_into(job.gpus, id, scratch.job);
+    scratch.job.co.push_back({request.profile.batch, candidate_shares_socket});
+    // Foreign flows for this job = all flows - its own + the candidate's,
+    // applied on read as one signed delta (perf::FlowDelta) in integers
+    // before any division: no copy of the flow table.
+    merge_delta(job.flow_link_counts, scratch.candidate_counts,
+                scratch.delta);
 
     const double solo = job.solo_iteration_s;
     const double colloc =
         state.model()
-            .iteration(job.request, job.gpus, topology, &adjusted, co,
-                       job.flow_link_counts)
+            .iteration(job.request, job.gpus, topology, &state.link_flows(),
+                       scratch.job.co, scratch.delta)
             .total_s;
     ratio_sum += (solo > 0.0 && colloc > 0.0)
                      ? std::min(1.0, solo / colloc)

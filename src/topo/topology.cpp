@@ -10,6 +10,7 @@
 #include <sstream>
 #include <utility>
 
+#include "check/check.hpp"
 #include "util/strings.hpp"
 
 namespace gts::topo {
@@ -541,9 +542,9 @@ void TopologyGraph::ensure_paths() const {
     max_gpu_distance_ = top1 + top2;
   }
 
-  // Intra-machine dense tables: full GpuPath objects keyed by pair for
-  // gpu_path(), plus one flat double block per machine (indexed by local
-  // GPU index) for gpu_distance().
+  // Intra-machine dense tables, one block per machine indexed by local
+  // GPU index: full GpuPath objects for gpu_path() and flat doubles for
+  // gpu_distance(). Diagonal slots stay empty.
   machine_dist_offset_.assign(static_cast<size_t>(machine_count_) + 1, 0);
   for (int machine = 0; machine < machine_count_; ++machine) {
     const size_t count = machine_gpus_[static_cast<size_t>(machine)].size();
@@ -551,27 +552,21 @@ void TopologyGraph::ensure_paths() const {
         machine_dist_offset_[static_cast<size_t>(machine)] +
         static_cast<int>(count * count);
   }
-  intra_dist_.assign(
-      static_cast<size_t>(machine_dist_offset_[static_cast<size_t>(
-          machine_count_)]),
-      0.0);
+  const size_t intra_cells = static_cast<size_t>(
+      machine_dist_offset_[static_cast<size_t>(machine_count_)]);
+  intra_dist_.assign(intra_cells, 0.0);
+  intra_paths_.assign(intra_cells, GpuPath{});
   for (int machine = 0; machine < machine_count_; ++machine) {
     const std::vector<int>& gpus = machine_gpus_[static_cast<size_t>(machine)];
-    const size_t count = gpus.size();
-    const size_t base =
-        static_cast<size_t>(machine_dist_offset_[static_cast<size_t>(machine)]);
     for (const int a : gpus) {
       for (const int b : gpus) {
         if (a == b) continue;
         GpuPath path = shortest_path(gpu_nodes_[static_cast<size_t>(a)],
                                      gpu_nodes_[static_cast<size_t>(b)]);
         max_gpu_distance_ = std::max(max_gpu_distance_, path.distance);
-        intra_dist_[base +
-                    static_cast<size_t>(gpu_local_index_[static_cast<size_t>(a)]) *
-                        count +
-                    static_cast<size_t>(gpu_local_index_[static_cast<size_t>(b)])] =
-            path.distance;
-        intra_paths_.emplace(pair_key(a, b), std::move(path));
+        const size_t cell = intra_index(machine, a, b);
+        intra_dist_[cell] = path.distance;
+        intra_paths_[cell] = std::move(path);
       }
     }
   }
@@ -585,8 +580,10 @@ const GpuPath& TopologyGraph::gpu_path(int gpu_a, int gpu_b) const {
                              static_cast<size_t>(gpu_count()) +
                          static_cast<size_t>(gpu_b));
   }
-  if (machine_of_gpu(gpu_a) == machine_of_gpu(gpu_b)) {
-    return intra_paths_.at(pair_key(gpu_a, gpu_b));
+  GTS_DCHECK(gpu_a != gpu_b, "gpu_path of GPU ", gpu_a, " to itself");
+  const int machine = gpu_machine_[static_cast<size_t>(gpu_a)];
+  if (machine == gpu_machine_[static_cast<size_t>(gpu_b)]) {
+    return intra_paths_[intra_index(machine, gpu_a, gpu_b)];
   }
   const std::uint64_t key = pair_key(gpu_a, gpu_b);
   if (const auto it = cross_cache_.find(key); it != cross_cache_.end()) {
@@ -622,14 +619,7 @@ double TopologyGraph::gpu_distance(int gpu_a, int gpu_b) const {
     return root_dist_[static_cast<size_t>(gpu_a)] +
            root_dist_[static_cast<size_t>(gpu_b)];
   }
-  const size_t count = machine_gpus_[static_cast<size_t>(machine)].size();
-  return intra_dist_[static_cast<size_t>(
-                         machine_dist_offset_[static_cast<size_t>(machine)]) +
-                     static_cast<size_t>(
-                         gpu_local_index_[static_cast<size_t>(gpu_a)]) *
-                         count +
-                     static_cast<size_t>(
-                         gpu_local_index_[static_cast<size_t>(gpu_b)])];
+  return intra_dist_[intra_index(machine, gpu_a, gpu_b)];
 }
 
 double TopologyGraph::max_gpu_distance() const {

@@ -189,12 +189,14 @@ class TopologyGraph {
 
   /// Cached min-weight path between two GPUs by global index.
   ///
-  /// Storage is hierarchical above 64 GPUs: intra-machine pairs are dense
-  /// per machine, and cross-machine paths are synthesized from each GPU's
-  /// cached route to the network root (exact, because inter-machine
-  /// traffic always crosses the root in tree-shaped clusters) and cached
-  /// on demand. This keeps a 1000-machine cluster at O(G) memory instead
-  /// of an O(G^2) all-pairs table.
+  /// Storage is hierarchical above 64 GPUs: intra-machine pairs live in
+  /// one dense block per machine (an index, no hash probe), and
+  /// cross-machine paths are synthesized from each GPU's cached route to
+  /// the network root (exact, because inter-machine traffic always
+  /// crosses the root in tree-shaped clusters) and cached on demand. This
+  /// keeps a 1000-machine cluster at O(G) memory instead of an O(G^2)
+  /// all-pairs table. In hierarchical mode gpu_a == gpu_b is a checked
+  /// error.
   const GpuPath& gpu_path(int gpu_a, int gpu_b) const;
 
   /// Distance only. Served from flat double tables (dense n^2 for small
@@ -227,6 +229,16 @@ class TopologyGraph {
  private:
   void ensure_paths() const;
   void ensure_structure() const;
+  /// Hierarchical mode: slot of the pair (gpu_a, gpu_b), both on
+  /// `machine`, in intra_paths_ and intra_dist_ — the machine's block
+  /// offset + local a x GPUs-per-machine + local b.
+  size_t intra_index(int machine, int gpu_a, int gpu_b) const {
+    return static_cast<size_t>(
+               machine_dist_offset_[static_cast<size_t>(machine)]) +
+           static_cast<size_t>(gpu_local_index_[static_cast<size_t>(gpu_a)]) *
+               machine_gpus_[static_cast<size_t>(machine)].size() +
+           static_cast<size_t>(gpu_local_index_[static_cast<size_t>(gpu_b)]);
+  }
   void build_machine_classes() const;
 
   std::vector<Node> nodes_;
@@ -241,7 +253,9 @@ class TopologyGraph {
   mutable bool paths_valid_ = false;
   mutable bool hierarchical_paths_ = false;
   mutable std::vector<GpuPath> gpu_paths_;  // dense mode: gpu_count^2
-  mutable std::unordered_map<std::uint64_t, GpuPath> intra_paths_;
+  // Hierarchical mode: one dense block per machine, laid out like
+  // intra_dist_ (intra_index).
+  mutable std::vector<GpuPath> intra_paths_;
   mutable std::unordered_map<std::uint64_t, GpuPath> cross_cache_;
   mutable std::vector<GpuPath> root_paths_;  // per GPU: route to the root
   mutable double max_gpu_distance_ = 0.0;

@@ -8,6 +8,7 @@
 #include "cluster/recorder.hpp"
 #include "cluster/state.hpp"
 #include "perf/profile.hpp"
+#include "sched/utility.hpp"
 #include "topo/builders.hpp"
 
 namespace gts::cluster {
@@ -61,10 +62,26 @@ TEST_F(ClusterStateTest, LinkFlowsRegisteredAlongPaths) {
   EXPECT_EQ(total, 4);
 }
 
-TEST_F(ClusterStateTest, FlowsExcludingRemovesOwnContribution) {
+TEST_F(ClusterStateTest, FlowDeltaRemovesOwnContribution) {
   state_.place(job(1, 2), {0, 2}, 0.0);
-  const perf::LinkFlows without = state_.flows_excluding(1);
-  for (const int f : without) EXPECT_EQ(f, 0);
+  const RunningJob& running = *state_.find(1);
+  // One cross-socket edge: each of its 4 links carries one own flow.
+  ASSERT_EQ(running.flow_link_counts.size(), 4u);
+  for (const auto& [link, count] : running.flow_link_counts) {
+    EXPECT_EQ(count, 1);
+  }
+  // The global table minus the job's own counts reads as an empty table.
+  const perf::LinkFlows empty(static_cast<size_t>(topo_.link_count()), 0);
+  const perf::IterationBreakdown with_delta =
+      model_.iteration(running.request, running.gpus, topo_,
+                       &state_.link_flows(), {}, running.flow_link_counts);
+  const perf::IterationBreakdown on_empty =
+      model_.iteration(running.request, running.gpus, topo_, &empty);
+  EXPECT_EQ(with_delta.effective_bw_gbps, on_empty.effective_bw_gbps);
+  EXPECT_EQ(with_delta.total_s, on_empty.total_s);
+  const perf::IterationBreakdown contended = model_.iteration(
+      running.request, running.gpus, topo_, &state_.link_flows());
+  EXPECT_LT(contended.effective_bw_gbps, on_empty.effective_bw_gbps);
 }
 
 TEST_F(ClusterStateTest, ProgressBanksAtCurrentRate) {
@@ -107,29 +124,44 @@ TEST_F(ClusterStateTest, CoRunnersScopedByMachineAndSocket) {
   state_.place(job(1, 1, 1), {0}, 0.0);
   const std::vector<int> same_socket = {1};
   const std::vector<int> other_socket = {2};
-  const auto near = state_.co_runners(same_socket, -1);
-  ASSERT_EQ(near.size(), 1u);
-  EXPECT_TRUE(near[0].same_socket);
-  const auto far = state_.co_runners(other_socket, -1);
-  ASSERT_EQ(far.size(), 1u);
-  EXPECT_FALSE(far[0].same_socket);
-  // Excluding the job itself.
-  EXPECT_TRUE(state_.co_runners(same_socket, 1).empty());
+  CoRunnerScratch scratch;
+  state_.co_runners_into(same_socket, -1, scratch);
+  ASSERT_EQ(scratch.co.size(), 1u);
+  EXPECT_TRUE(scratch.co[0].same_socket);
+  state_.co_runners_into(other_socket, -1, scratch);
+  ASSERT_EQ(scratch.co.size(), 1u);
+  EXPECT_FALSE(scratch.co[0].same_socket);
+  // Excluding the job itself: it stays in the gather, not in the result.
+  state_.co_runners_into(same_socket, 1, scratch);
+  EXPECT_TRUE(scratch.co.empty());
+  EXPECT_EQ(scratch.ids, (std::vector<int>{1}));
 }
 
 TEST_F(ClusterStateTest, FragmentationAfterHypothetical) {
-  EXPECT_DOUBLE_EQ(state_.fragmentation_after(std::vector<int>{0, 1}), 0.5);
-  EXPECT_DOUBLE_EQ(state_.fragmentation_after(std::vector<int>{0, 2}), 0.5);
+  // Eq. 5 over the touched machine (here the whole cluster), counting the
+  // candidate's GPUs as taken.
+  const sched::UtilityModel utility;
   EXPECT_DOUBLE_EQ(
-      state_.fragmentation_after(std::vector<int>{0, 1, 2, 3}), 0.0);
+      utility.evaluate(job(9, 2), std::vector<int>{0, 1}, state_).frag_omega,
+      0.5);
+  EXPECT_DOUBLE_EQ(
+      utility.evaluate(job(9, 2), std::vector<int>{0, 2}, state_).frag_omega,
+      0.5);
+  EXPECT_DOUBLE_EQ(
+      utility.evaluate(job(9, 4), std::vector<int>{0, 1, 2, 3}, state_)
+          .frag_omega,
+      0.0);
 }
 
 TEST_F(ClusterStateTest, PredictIterationSeesContention) {
   const JobRequest candidate = job(9, 2, 1);
   const std::vector<int> pack = {0, 1};
-  const double solo = state_.predict_iteration(candidate, pack).total_s;
+  CoRunnerScratch scratch;
+  const double solo =
+      state_.predict_iteration(candidate, pack, scratch).total_s;
   state_.place(job(1, 2, 1), {2, 3}, 0.0);
-  const double contended = state_.predict_iteration(candidate, pack).total_s;
+  const double contended =
+      state_.predict_iteration(candidate, pack, scratch).total_s;
   EXPECT_GT(contended, solo);
 }
 

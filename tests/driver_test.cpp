@@ -47,6 +47,24 @@ TEST_F(DriverTest, SingleJobRunsToCompletion) {
   EXPECT_GT(report.decision_count, 0);
 }
 
+TEST_F(DriverTest, StaysReadableAfterRun) {
+  // Four 3-GPU jobs at once on one 4-GPU machine: three of them wait
+  // beside a free GPU, so every pass postpones them.
+  std::vector<JobRequest> jobs;
+  for (int i = 0; i < 4; ++i) jobs.push_back(job(i, 0.0, 3));
+  const auto scheduler = make_scheduler(Policy::kBestFit);
+  Driver driver(topo_, model_, *scheduler);
+  const DriverReport report = driver.run(jobs);
+  long long postponements = 0;
+  for (const cluster::JobRecord& record : report.recorder.records()) {
+    postponements += record.postponements;
+  }
+  EXPECT_GT(postponements, 0);
+  EXPECT_EQ(driver.lifecycle().postponements, postponements);
+  EXPECT_EQ(driver.recorder().records().size(), 4u);
+  EXPECT_EQ(driver.report().decision_count, report.decision_count);
+}
+
 TEST_F(DriverTest, CompletionTimesReflectInterference) {
   // Two identical 2-GPU jobs, one per socket: each suffers the Fig. 6
   // tiny|tiny machine-level slowdown (30%).

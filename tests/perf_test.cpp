@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "exp/figures.hpp"
 #include "perf/model.hpp"
 #include "perf/params.hpp"
 #include "perf/profile.hpp"
 #include "topo/builders.hpp"
+#include "util/rng.hpp"
 
 namespace gts::perf {
 namespace {
@@ -313,6 +321,107 @@ TEST_F(PerfModelTest, SingleGpuJobHasNoCommTime) {
   const IterationBreakdown step = model_.iteration(job, gpus, minsky_);
   EXPECT_DOUBLE_EQ(step.comm_s, 0.0);
   EXPECT_TRUE(step.all_pairs_p2p);
+}
+
+// iteration() routes each comm pair once and derives its bandwidth, class
+// and P2P flag from that one path; the result must equal the per-edge
+// composition of the public effective_bandwidth / classify_path queries,
+// under foreign flows and a signed FlowDelta, on dense and hierarchical
+// path tables.
+TEST_F(PerfModelTest, IterationMatchesPerEdgeReference) {
+  using topo::builders::MachineShape;
+  std::vector<MachineShape> shapes;
+  for (int i = 0; i < 5; ++i) {
+    shapes.insert(shapes.end(), {MachineShape::kPower8Minsky,
+                                 MachineShape::kDgx1,
+                                 MachineShape::kPower8Pcie});
+  }
+  const topo::TopologyGraph hierarchical =
+      topo::builders::mixed_cluster(shapes);  // 80 GPUs
+  const topo::TopologyGraph dense = topo::builders::mixed_cluster(
+      {MachineShape::kPower8Minsky, MachineShape::kDgx1,
+       MachineShape::kPower8Pcie});  // 16 GPUs
+  util::Rng rng(20261019);
+  int compared = 0;
+  for (const topo::TopologyGraph* graph : {&hierarchical, &dense}) {
+    const topo::TopologyGraph& g = *graph;
+    for (int trial = 0; trial < 200; ++trial) {
+      // Distinct random GPUs, often across machines.
+      const int tasks = 2 + static_cast<int>(rng.uniform_int(5));
+      std::vector<int> gpus;
+      while (static_cast<int>(gpus.size()) < tasks) {
+        const int gpu = static_cast<int>(
+            rng.uniform_int(static_cast<std::uint64_t>(g.gpu_count())));
+        if (std::find(gpus.begin(), gpus.end(), gpu) == gpus.end()) {
+          gpus.push_back(gpu);
+        }
+      }
+      JobRequest job = JobRequest::make_dl(
+          trial, 0.0, static_cast<NeuralNet>(trial % jobgraph::kNeuralNetCount),
+          1 << (trial % 8), tasks, 0.0, 10);
+      if (trial % 3 == 1) job.comm_graph = jobgraph::JobGraph::ring(tasks, 2.0);
+      if (trial % 3 == 2) {
+        jobgraph::JobGraph skewed(tasks);
+        for (int a = 0; a + 1 < tasks; ++a) {
+          skewed.add_edge(a, a + 1, rng.uniform(0.5, 5.0));
+        }
+        job.comm_graph = skewed;
+      }
+      // Foreign flows, and a signed delta that keeps every count >= 0.
+      LinkFlows flows(static_cast<size_t>(g.link_count()), 0);
+      for (int& f : flows) f = static_cast<int>(rng.uniform_int(4));
+      std::vector<std::pair<topo::LinkId, int>> delta;
+      for (topo::LinkId link = 0; link < g.link_count(); ++link) {
+        if (rng.uniform() < 0.3) {
+          const int f = flows[static_cast<size_t>(link)];
+          delta.emplace_back(link, static_cast<int>(rng.uniform_int(
+                                       static_cast<std::uint64_t>(f + 3))) -
+                                       2);
+        }
+      }
+      for (const LinkFlows* extra : {static_cast<const LinkFlows*>(nullptr),
+                                     static_cast<const LinkFlows*>(&flows)}) {
+        const FlowDelta exclude =
+            extra == nullptr ? FlowDelta{} : FlowDelta{delta};
+        const IterationBreakdown got =
+            model_.iteration(job, gpus, g, extra, {}, exclude);
+
+        // Reference: the per-edge composition of the public queries.
+        const NnParams& nn =
+            model_.params().nn[static_cast<size_t>(job.profile.nn)];
+        const double reference_weight =
+            job.profile.comm_weight > 0.0 ? job.profile.comm_weight : 1.0;
+        double worst_time = 0.0;
+        PathClass worst_path = PathClass::kPeerToPeer;
+        double worst_bw = std::numeric_limits<double>::infinity();
+        bool all_p2p = true;
+        for (const jobgraph::CommEdge& edge : job.comm_graph.edges()) {
+          const int a = gpus[static_cast<size_t>(edge.a)];
+          const int b = gpus[static_cast<size_t>(edge.b)];
+          const double bw = model_.effective_bandwidth(g, a, b, extra, exclude);
+          if (bw <= 0.0) continue;
+          const double pair_time =
+              nn.grad_volume_gb * (edge.weight / reference_weight) / bw;
+          if (pair_time > worst_time) {
+            worst_time = pair_time;
+            worst_path = model_.classify_path(g, a, b);
+            worst_bw = bw;
+          }
+          if (!g.gpu_path(a, b).peer_to_peer) all_p2p = false;
+        }
+        EXPECT_EQ(got.worst_path, worst_path) << "trial " << trial;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.effective_bw_gbps),
+                  std::bit_cast<std::uint64_t>(worst_bw))
+            << "trial " << trial;
+        EXPECT_EQ(got.all_pairs_p2p, all_p2p) << "trial " << trial;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.comm_s),
+                  std::bit_cast<std::uint64_t>(worst_time))
+            << "trial " << trial;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 800);
 }
 
 // Parameterized sweep: iteration time is strictly positive and finite for

@@ -492,7 +492,10 @@ bool same_result(const std::optional<Placement>& a,
 std::string describe(const std::optional<Placement>& placement) {
   if (!placement) return "none";
   std::string out = "gpus";
-  for (const int gpu : placement->gpus) out += " " + std::to_string(gpu);
+  for (const int gpu : placement->gpus) {
+    out += ' ';
+    out += std::to_string(gpu);
+  }
   return out + " utility " + std::to_string(placement->utility);
 }
 
@@ -732,7 +735,7 @@ TEST(EmptyMemoTest, MachineCarryingAnotherMachinesRouteIsNeverServed) {
       topology.add_node({NodeKind::kNetwork, "net", -1, -1, -1, -1});
   std::vector<topo::NodeId> sockets0;
   for (int m = 0; m < 5; ++m) {
-    const std::string name = "m" + std::to_string(m);
+    const std::string name = std::string("m") + std::to_string(m);
     const topo::NodeId machine =
         topology.add_node({NodeKind::kMachine, name, m, -1, -1, -1});
     for (int s = 0; s < 2; ++s) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -8,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/check.hpp"
 #include "decision_digest.hpp"
 #include "shard/cells.hpp"
 #include "topo/builders.hpp"
@@ -220,6 +222,46 @@ TEST(HierarchicalPathCacheTest, MatchesDirectDijkstraAtScale) {
   // Diameter equals the brute-force maximum over the sample structure:
   // cross-machine worst case is 242 on this homogeneous cluster.
   EXPECT_DOUBLE_EQ(g.max_gpu_distance(), 242.0);
+}
+
+TEST(HierarchicalPathCacheTest, IntraMachinePathsEqualShortestPathOnMixedCluster) {
+  // Five each of Minsky, DGX-1 and PCI-e machines: 80 GPUs, hierarchical
+  // tables over three machine shapes. Every intra-machine gpu_path is the
+  // dense table's slot and must equal a direct search bit for bit.
+  std::vector<MachineShape> shapes;
+  for (int i = 0; i < 5; ++i) {
+    shapes.insert(shapes.end(), {MachineShape::kPower8Minsky,
+                                 MachineShape::kDgx1,
+                                 MachineShape::kPower8Pcie});
+  }
+  const TopologyGraph g = builders::mixed_cluster(shapes);
+  ASSERT_EQ(g.gpu_count(), 80);
+  int pairs = 0;
+  for (int machine = 0; machine < g.machine_count(); ++machine) {
+    for (const int a : g.gpus_of_machine(machine)) {
+      for (const int b : g.gpus_of_machine(machine)) {
+        if (a == b) continue;
+        const GpuPath direct = g.shortest_path(g.gpu_node(a), g.gpu_node(b));
+        const GpuPath& cached = g.gpu_path(a, b);
+        EXPECT_EQ(cached.links, direct.links) << "pair " << a << "," << b;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.distance),
+                  std::bit_cast<std::uint64_t>(direct.distance))
+            << "pair " << a << "," << b;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.bottleneck_gbps),
+                  std::bit_cast<std::uint64_t>(direct.bottleneck_gbps))
+            << "pair " << a << "," << b;
+        EXPECT_EQ(cached.peer_to_peer, direct.peer_to_peer)
+            << "pair " << a << "," << b;
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 5 * (4 * 3 + 8 * 7 + 4 * 3));
+#if GTS_DCHECKS_ENABLED
+  // A GPU paired with itself has no route: a checked error.
+  const check::ScopedFailureMode mode(check::FailureMode::kThrow);
+  EXPECT_THROW(static_cast<void>(g.gpu_path(5, 5)), check::CheckFailedError);
+#endif
 }
 
 TEST(HierarchicalPathCacheTest, CrossMachinePathsTraverseTheRoot) {
@@ -501,7 +543,7 @@ TEST(MachineClassTest, SingletonLinksIncludeRoutesThroughOtherMachines) {
   const NodeId root = g.add_node({NodeKind::kNetwork, "net", -1, -1, -1, -1});
   std::vector<std::vector<NodeId>> sockets(2);
   for (int m = 0; m < 2; ++m) {
-    const std::string name = "m" + std::to_string(m);
+    const std::string name = std::string("m") + std::to_string(m);
     const NodeId machine =
         g.add_node({NodeKind::kMachine, name, m, -1, -1, -1});
     g.add_link({machine, root, LinkKind::kNetwork, 100.0, 10.0, 1});
