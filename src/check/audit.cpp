@@ -240,11 +240,14 @@ util::Status validate(const cluster::ClusterState& state) {
 
   // Occupancy counters and the capacity index are maintained
   // incrementally, so replay them from ownership: per-machine and
-  // per-socket free counts, the machines-by-free-count histogram and the
-  // fragmented-machine count.
+  // per-socket free counts, the machines- and sockets-by-free-count
+  // histograms and the integer Eq. 5 numerator over sockets with GPUs.
   {
-    int fragmented = 0;
     std::vector<int> hist(state.machine_free_histogram().size(), 0);
+    std::vector<int> socket_hist(state.socket_free_histogram().size(), 0);
+    const long long scale = state.fragmentation_scale();
+    long long numerator = 0;
+    int frag_sockets = 0;
     for (int machine = 0; machine < machines; ++machine) {
       const std::vector<int>& gpus = topology.gpus_of_machine(machine);
       int machine_free = 0;
@@ -275,11 +278,21 @@ util::Status validate(const cluster::ClusterState& state) {
               "implies {}",
               machine, socket, socket_free[socket], replay)};
         }
+        ++socket_hist[static_cast<size_t>(replay)];
+        if (const long long size =
+                static_cast<long long>(sockets[socket].size());
+            size > 0) {
+          if (scale % size != 0) {
+            return util::Error{util::fmt(
+                "cluster: Eq. 5 scale {} is not a multiple of machine {} "
+                "socket {}'s {} GPUs",
+                scale, machine, socket, size)};
+          }
+          numerator += replay * (scale / size);
+          ++frag_sockets;
+        }
       }
       ++hist[static_cast<size_t>(machine_free)];
-      if (machine_free > 0 && machine_free < static_cast<int>(gpus.size())) {
-        ++fragmented;
-      }
     }
     const std::span<const int> index = state.machine_free_histogram();
     for (size_t k = 0; k < hist.size(); ++k) {
@@ -290,10 +303,22 @@ util::Status validate(const cluster::ClusterState& state) {
             index[k], k, hist[k])};
       }
     }
-    if (state.fragmented_machine_count() != fragmented) {
+    const std::span<const int> socket_index = state.socket_free_histogram();
+    for (size_t k = 0; k < socket_hist.size(); ++k) {
+      if (socket_index[k] != socket_hist[k]) {
+        return util::Error{util::fmt(
+            "cluster: {} sockets indexed with {} free GPUs but replay "
+            "gives {}",
+            socket_index[k], k, socket_hist[k])};
+      }
+    }
+    if (state.fragmentation_sockets() != frag_sockets ||
+        state.fragmentation_numerator() != numerator) {
       return util::Error{util::fmt(
-          "cluster: fragmented-machine count {} but replay gives {}",
-          state.fragmented_machine_count(), fragmented)};
+          "cluster: Eq. 5 numerator {} over {} sockets but replay gives {} "
+          "over {}",
+          state.fragmentation_numerator(), state.fragmentation_sockets(),
+          numerator, frag_sockets)};
     }
   }
 

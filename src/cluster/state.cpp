@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "check/check.hpp"
 #include "obs/metrics.hpp"
@@ -42,6 +43,22 @@ ClusterState::ClusterState(const topo::TopologyGraph& topology,
     }
     socket_begin_[m + 1] = socket_free_.size();
   }
+  // Every socket starts all free: it sits in the bucket of its size and
+  // contributes L/size · size = L to the Eq. 5 numerator.
+  for (const int size : socket_free_) {
+    socket_hist_.resize(
+        std::max(socket_hist_.size(), static_cast<size_t>(size) + 1), 0);
+    ++socket_hist_[static_cast<size_t>(size)];
+    if (size > 0) {
+      fragmentation_scale_ = std::lcm(fragmentation_scale_, size);
+      ++fragmentation_sockets_;
+    }
+  }
+  socket_weight_.reserve(socket_free_.size());
+  for (const int size : socket_free_) {
+    socket_weight_.push_back(size > 0 ? fragmentation_scale_ / size : 0);
+  }
+  fragmentation_numerator_ = fragmentation_scale_ * fragmentation_sockets_;
 }
 
 void ClusterState::set_execution_noise(double sigma, std::uint64_t seed) {
@@ -104,27 +121,26 @@ std::vector<int> ClusterState::free_gpus_of_machine(int machine) const {
 void ClusterState::track_gpu(int gpu, bool allocated) {
   const int machine = topology_->machine_of_gpu(gpu);
   int& free = machine_free_[static_cast<size_t>(machine)];
-  const int total =
-      static_cast<int>(topology_->gpus_of_machine(machine).size());
-  const bool was_fragmented = free > 0 && free < total;
   const int delta = allocated ? -1 : 1;
   if (const int socket = topology_->socket_of_gpu(gpu); socket >= 0) {
-    int& socket_free = socket_free_[socket_begin_[static_cast<size_t>(
-                                        machine)] +
-                                    static_cast<size_t>(socket)];
+    const size_t slot = socket_begin_[static_cast<size_t>(machine)] +
+                        static_cast<size_t>(socket);
+    int& socket_free = socket_free_[slot];
+    --socket_hist_[static_cast<size_t>(socket_free)];
     socket_free += delta;
     GTS_DCHECK(socket_free >= 0, "machine ", machine, " socket ", socket,
                " free-GPU counter negative: ", socket_free);
+    ++socket_hist_[static_cast<size_t>(socket_free)];
+    fragmentation_numerator_ += delta * socket_weight_[slot];
   }
   --machine_hist_[static_cast<size_t>(free)];
   free += delta;
   free_gpu_count_ += delta;
-  GTS_DCHECK(free >= 0 && free <= total, "machine ", machine,
-             " free-GPU counter out of range: ", free);
+  GTS_DCHECK(free >= 0 &&
+                 free <= static_cast<int>(
+                             topology_->gpus_of_machine(machine).size()),
+             "machine ", machine, " free-GPU counter out of range: ", free);
   ++machine_hist_[static_cast<size_t>(free)];
-  const bool is_fragmented = free > 0 && free < total;
-  fragmented_machines_ +=
-      (is_fragmented ? 1 : 0) - (was_fragmented ? 1 : 0);
 }
 
 void ClusterState::corrupt_gpu_owner_for_test(int gpu, int job_id) {
@@ -256,21 +272,14 @@ void ClusterState::publish_occupancy_metrics() const {
   if (!obs::metrics_enabled() && !obs::tracing_enabled(obs::kCluster)) {
     return;
   }
-  // Fragmentation: fraction of machines left partially occupied — free
-  // GPUs stranded next to co-runners, the condition Eq. 5 penalizes.
-  // Both counters are maintained per allocation delta, so publishing is
-  // O(1) instead of a machines x GPUs rescan.
-  const int machine_count = topology_->machine_count();
-  const double fragmentation =
-      machine_count > 0 ? static_cast<double>(fragmented_machines_) /
-                              static_cast<double>(machine_count)
-                        : 0.0;
+  // Both values come from the capacity index, so publishing is O(1).
   GTS_METRIC_GAUGE_SET("cluster.free_gpus",
                        static_cast<double>(free_gpu_count_));
-  GTS_METRIC_GAUGE_SET("cluster.fragmentation", fragmentation);
+  GTS_METRIC_GAUGE_SET("cluster.fragmentation", fragmentation());
   GTS_TRACE_COUNTER(obs::kCluster, "cluster.free_gpus",
                     static_cast<double>(free_gpu_count_));
-  GTS_TRACE_COUNTER(obs::kCluster, "cluster.fragmentation", fragmentation);
+  GTS_TRACE_COUNTER(obs::kCluster, "cluster.fragmentation",
+                    fragmentation());
 }
 
 const RunningJob* ClusterState::find(int job_id) const {
@@ -362,23 +371,36 @@ void ClusterState::co_runners_into(std::span<const int> gpus,
   }
 }
 
-double ClusterState::fragmentation() const {
-  // Eq. 5: average over sockets of freeGPUs/totalGPUs.
-  double total = 0.0;
+double ClusterState::fragmentation_after(std::span<const int> gpus) const {
+  // The numerator over the touched machines' sockets, less each taken
+  // GPU's weight: integers, so the machine order does not matter.
+  long long numerator = 0;
   int sockets = 0;
-  for (int machine = 0; machine < topology_->machine_count(); ++machine) {
-    const int socket_count = topology_->sockets_of_machine(machine);
-    for (int socket = 0; socket < socket_count; ++socket) {
-      const std::vector<int>& gpus = topology_->gpus_of_socket(machine, socket);
-      if (gpus.empty()) continue;
-      const int free = static_cast<int>(
-          std::count_if(gpus.begin(), gpus.end(),
-                        [&](int g) { return gpu_free(g); }));
-      total += static_cast<double>(free) / static_cast<double>(gpus.size());
-      ++sockets;
+  for (size_t i = 0; i < gpus.size(); ++i) {
+    const int machine = topology_->machine_of_gpu(gpus[i]);
+    bool seen = false;
+    for (size_t j = 0; j < i && !seen; ++j) {
+      seen = topology_->machine_of_gpu(gpus[j]) == machine;
+    }
+    if (seen) continue;
+    const size_t end = socket_begin_[static_cast<size_t>(machine) + 1];
+    for (size_t slot = socket_begin_[static_cast<size_t>(machine)];
+         slot < end; ++slot) {
+      numerator += socket_free_[slot] * socket_weight_[slot];
+      if (socket_weight_[slot] > 0) ++sockets;
     }
   }
-  return sockets == 0 ? 0.0 : total / sockets;
+  for (const int gpu : gpus) {
+    const int socket = topology_->socket_of_gpu(gpu);
+    if (!gpu_free(gpu) || socket < 0) continue;
+    numerator -= socket_weight_[socket_begin_[static_cast<size_t>(
+                                    topology_->machine_of_gpu(gpu))] +
+                                static_cast<size_t>(socket)];
+  }
+  return sockets == 0 ? 0.0
+                      : static_cast<double>(numerator) /
+                            (static_cast<double>(fragmentation_scale_) *
+                             static_cast<double>(sockets));
 }
 
 double ClusterState::solo_iteration_time(
@@ -388,23 +410,9 @@ double ClusterState::solo_iteration_time(
            static_cast<double>(request.iterations);
   }
   // Fallback for unprofiled jobs: evaluate the model on an idle packed
-  // placement. The pack itself depends only on (topology, num_gpus), so it
-  // is memoized per state instead of being rebuilt on every placement.
-  std::vector<int> pack;
-  bool cached = false;
-  {
-    util::MutexLock lock(pack_cache_mutex_);
-    const auto it = pack_cache_.find(request.num_gpus);
-    if (it != pack_cache_.end()) {
-      pack = it->second;
-      cached = true;
-    }
-  }
-  if (!cached) {
-    pack = perf::pack_placement(*topology_, request.num_gpus);
-    util::MutexLock lock(pack_cache_mutex_);
-    pack_cache_.emplace(request.num_gpus, pack);
-  }
+  // placement (pack_placement stops after num_gpus GPUs).
+  const std::vector<int> pack =
+      perf::pack_placement(*topology_, request.num_gpus);
   if (static_cast<int>(pack.size()) != request.num_gpus) return 0.0;
   return model_->iteration(request, pack, *topology_).total_s;
 }

@@ -29,9 +29,7 @@
 #include "jobgraph/jobgraph.hpp"
 #include "perf/model.hpp"
 #include "topo/topology.hpp"
-#include "util/annotations.hpp"
 #include "util/rng.hpp"
-#include "util/sync.hpp"
 
 namespace gts::cluster {
 
@@ -120,11 +118,12 @@ class ClusterState {
   int free_gpu_count() const noexcept { return free_gpu_count_; }
 
   // --- capacity index ------------------------------------------------------
-  // Free GPUs per machine and per socket plus a histogram of machines by
-  // free count, all updated per GPU flip in O(1) (DESIGN.md section 21).
-  // Schedulers skip or pre-score a machine by its counts before building a
-  // free list; the driver and the shard router decline a shape that
-  // cannot fit with one may_fit call.
+  // Free GPUs per machine and per socket, histograms of machines and of
+  // sockets by free count, and the Eq. 5 numerator, all updated per GPU
+  // flip in O(1) (DESIGN.md section 21). Schedulers skip or pre-score a
+  // machine by its counts before building a free list; the driver and the
+  // shard router decline a shape that cannot fit with one may_fit call,
+  // and the router ranks cells by max_socket_free and fragmentation.
   /// Free GPUs on `machine`.
   int machine_free_count(int machine) const {
     return machine_free_[static_cast<size_t>(machine)];
@@ -152,6 +151,17 @@ class ClusterState {
   std::span<const int> machine_free_histogram() const noexcept {
     return machine_hist_;
   }
+  /// Largest free-GPU count of any single socket: a top-down scan of the
+  /// socket histogram, at most GPUs-per-socket + 1 buckets.
+  int max_socket_free() const noexcept {
+    int k = static_cast<int>(socket_hist_.size()) - 1;
+    while (k > 0 && socket_hist_[static_cast<size_t>(k)] == 0) --k;
+    return k;
+  }
+  /// Entry k: sockets with exactly k free GPUs.
+  std::span<const int> socket_free_histogram() const noexcept {
+    return socket_hist_;
+  }
   /// O(1) necessary condition for placing `request` now — exactly the
   /// capacity rules check::audit_placement enforces on every placement:
   /// num_gpus free GPUs; for single-node jobs one machine holding all of
@@ -173,12 +183,10 @@ class ClusterState {
 
   /// Observer of allocation mutations. Fired synchronously after place()
   /// and restore_job() with allocated=true and after remove() with
-  /// allocated=false, carrying the job's GPU ids. The sharded scheduler's
-  /// per-cell routing summaries subscribe here so they update in
-  /// O(gpus-of-job) per event instead of rescanning the state. At most one
-  /// listener; install it before any traffic. Not fired by
-  /// corrupt_gpu_owner_for_test (the fault injector deliberately
-  /// desynchronizes state).
+  /// allocated=false, carrying the job's GPU ids; benchmarks count
+  /// allocations through it. At most one listener; install it before any
+  /// traffic. Not fired by corrupt_gpu_owner_for_test (the fault injector
+  /// deliberately desynchronizes state).
   using AllocationListener =
       std::function<void(std::span<const int> gpus, bool allocated)>;
   void set_allocation_listener(AllocationListener listener) {
@@ -244,8 +252,33 @@ class ClusterState {
   std::vector<int> machines_of(std::span<const int> gpus) const;
 
   // --- Eq. 5 fragmentation -------------------------------------------------
-  /// Average free fraction across all sockets of the cluster.
-  double fragmentation() const;
+  // Eq. 5 averages free/size over every socket that holds a GPU. The
+  // capacity index keeps that sum in integers: with L the lcm of the
+  // socket sizes, a socket contributes free·L/size, so the mean is one
+  // division by L·S (S sockets). It is exact and independent of the order
+  // GPUs flipped; on 2- and 4-GPU sockets every partial sum of free/size
+  // is exact in double too, so the value is bit-identical to that walk.
+  /// Average free fraction across all sockets of the cluster. O(1).
+  double fragmentation() const noexcept {
+    return fragmentation_sockets_ == 0
+               ? 0.0
+               : static_cast<double>(fragmentation_numerator_) /
+                     (static_cast<double>(fragmentation_scale_) *
+                      static_cast<double>(fragmentation_sockets_));
+  }
+  /// Eq. 5 over the sockets of the machines `gpus` (distinct ids) touches,
+  /// once the free GPUs among them are taken: the hypothetical-placement
+  /// term of the utility. O(|gpus|^2 + touched sockets), no allocation.
+  double fragmentation_after(std::span<const int> gpus) const;
+  /// S, L and the numerator sum of free·L/size of fragmentation(), for
+  /// check::validate's replay and the sharded socket-weighted mean.
+  int fragmentation_sockets() const noexcept { return fragmentation_sockets_; }
+  long long fragmentation_scale() const noexcept {
+    return fragmentation_scale_;
+  }
+  long long fragmentation_numerator() const noexcept {
+    return fragmentation_numerator_;
+  }
 
   /// Predicted iteration time for a hypothetical placement of `request`
   /// on `gpus` given everything currently running (used by schedulers for
@@ -284,13 +317,6 @@ class ClusterState {
     return finish_heap_;
   }
 
-  /// Machines currently holding a strict subset of their GPUs free —
-  /// maintained incrementally per allocation delta (the numerator of the
-  /// occupancy gauge published to obs).
-  int fragmented_machine_count() const noexcept {
-    return fragmented_machines_;
-  }
-
   /// Host-bandwidth demand (GB/s) of the jobs on `machine` (Section 4.3's
   /// t_bw accounting; capacity is model().params().host_bw_capacity_gbps).
   double host_bw_used(int machine) const {
@@ -312,6 +338,13 @@ class ClusterState {
   /// preserves the audit's ability to pinpoint the job/owner mismatch
   /// itself. Never call outside tests.
   void corrupt_gpu_owner_for_test(int gpu, int job_id);
+  /// Fault injection for the same tests: moves one socket from histogram
+  /// bucket `from` to bucket `to` and changes nothing else, so the socket
+  /// histogram drifts from ownership. Never call outside tests.
+  void corrupt_socket_histogram_for_test(int from, int to) {
+    --socket_hist_.at(static_cast<size_t>(from));
+    ++socket_hist_.at(static_cast<size_t>(to));
+  }
 
  private:
   /// Re-rates one job at `now`: recomputes its iteration time from current
@@ -371,8 +404,14 @@ class ClusterState {
   std::vector<int> machine_hist_;  // machines with exactly k free GPUs
   std::vector<int> socket_free_;   // free GPUs per (machine, socket)
   std::vector<size_t> socket_begin_;  // machine m: [begin[m], begin[m + 1])
+  std::vector<int> socket_hist_ = {0};  // sockets with exactly k free GPUs
+  // Eq. 5 in integers: per socket L/size (0 for a socket without GPUs),
+  // L, S and the running sum of free·L/size.
+  std::vector<long long> socket_weight_;
+  long long fragmentation_scale_ = 1;
+  int fragmentation_sockets_ = 0;
+  long long fragmentation_numerator_ = 0;
   int free_gpu_count_ = 0;
-  int fragmented_machines_ = 0;
   std::uint64_t version_ = 0;
   double noise_sigma_ = 0.0;
   util::Rng noise_rng_{1234};
@@ -381,13 +420,6 @@ class ClusterState {
   // const readers bring their own).
   CoRunnerScratch scratch_;
   std::vector<int> touched_ids_;
-  /// solo_iteration_time's pack-placement fallback, keyed by num_gpus (the
-  /// topology is fixed for the state's lifetime, so no epoch in the key).
-  /// Mutex-guarded so the const prediction paths stay safe to call from
-  /// any thread.
-  mutable util::Mutex pack_cache_mutex_;
-  mutable std::map<int, std::vector<int>> pack_cache_
-      GTS_GUARDED_BY(pack_cache_mutex_);
 };
 
 }  // namespace gts::cluster

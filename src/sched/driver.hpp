@@ -48,8 +48,9 @@ struct DriverOptions {
   /// simulation event. Any inconsistency fires GTS_CHECK. O(jobs) per
   /// event — meant for tests and debugging runs, off by default.
   bool self_audit = false;
-  /// Installed on the ClusterState before any traffic; the sharded
-  /// scheduler's per-cell routing summaries subscribe here.
+  /// Installed on the ClusterState before any traffic (benchmarks count
+  /// allocations through it). ShardedDriver refuses it: cells would
+  /// report cell-local GPU ids.
   cluster::ClusterState::AllocationListener allocation_listener;
 };
 

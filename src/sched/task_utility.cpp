@@ -119,19 +119,13 @@ void TaskUtility::fragmentation_counts(const std::vector<int>& side_gpus,
   machines_scratch_.erase(
       std::unique(machines_scratch_.begin(), machines_scratch_.end()),
       machines_scratch_.end());
+  // Every GPU sits on a socket, so a machine's size and free count are
+  // the sums of its sockets' sizes and socket counts.
   *total = 0;
   *free_now = 0;
   for (const int machine : machines_scratch_) {
-    const std::vector<std::vector<int>>& sockets =
-        topology.socket_gpu_lists(machine);
-    const size_t socket_count = std::min(
-        sockets.size(), static_cast<size_t>(topology.sockets_of_machine(machine)));
-    for (size_t socket = 0; socket < socket_count; ++socket) {
-      for (const int gpu : sockets[socket]) {
-        ++*total;
-        if (state_.gpu_free(gpu)) ++*free_now;
-      }
-    }
+    *total += static_cast<int>(topology.gpus_of_machine(machine).size());
+    *free_now += state_.machine_free_count(machine);
   }
 }
 

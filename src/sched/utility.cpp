@@ -174,33 +174,8 @@ UtilityBreakdown UtilityModel::evaluate(
 
   // Eq. 5 over the sockets of the machines the placement touches, after
   // the hypothetical allocation.
-  {
-    double free_fraction = 0.0;
-    int sockets = 0;
-    for (const int machine : state.machines_of(gpus)) {
-      // One lookup per machine instead of one per socket.
-      const std::vector<std::vector<int>>& socket_lists =
-          topology.socket_gpu_lists(machine);
-      const size_t socket_count =
-          std::min(socket_lists.size(),
-                   static_cast<size_t>(topology.sockets_of_machine(machine)));
-      for (size_t socket = 0; socket < socket_count; ++socket) {
-        const std::vector<int>& socket_gpus = socket_lists[socket];
-        if (socket_gpus.empty()) continue;
-        int free = 0;
-        for (const int g : socket_gpus) {
-          const bool taken =
-              std::find(gpus.begin(), gpus.end(), g) != gpus.end();
-          if (state.gpu_free(g) && !taken) ++free;
-        }
-        free_fraction += static_cast<double>(free) /
-                         static_cast<double>(socket_gpus.size());
-        ++sockets;
-      }
-    }
-    out.frag_omega = sockets == 0 ? 0.0 : free_fraction / sockets;
-    out.frag_utility = 1.0 - out.frag_omega;
-  }
+  out.frag_omega = state.fragmentation_after(gpus);
+  out.frag_utility = 1.0 - out.frag_omega;
 
   out.utility = combine(out.comm_utility, out.interference, out.frag_utility,
                         out.comm_weight);

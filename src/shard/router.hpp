@@ -1,13 +1,9 @@
-// Per-cell routing summaries and the two-stage inter-shard router
-// (DESIGN.md section 19).
+// The two-stage inter-shard router (DESIGN.md section 19).
 //
-// A CellSummary is the router's per-socket view of one cell: a max-tier
-// histogram of free GPUs per socket and the Eq. 5 fragmentation estimate.
-// It is maintained incrementally — O(GPUs of the job) per
-// placement/completion event via ClusterState's allocation listener — so
-// routing never rescans a cell. Machine-level capacity (free total,
-// largest free machine, machines with a free GPU) comes from the cell
-// state's own capacity index (ClusterState, DESIGN.md section 21).
+// Routing reads each cell's ClusterState capacity index (DESIGN.md
+// section 21) — free total, largest free machine and socket, machines
+// with a free GPU, Eq. 5 fragmentation — all maintained per GPU flip, so
+// routing never rescans a cell.
 //
 // Routing runs two stages before any full scheduler pass happens:
 //
@@ -29,7 +25,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "cluster/state.hpp"
 #include "jobgraph/jobgraph.hpp"
@@ -38,37 +33,9 @@
 
 namespace gts::shard {
 
-class CellSummary {
- public:
-  /// Builds the all-free summary of `cell` (the cell's own sub-topology;
-  /// GPU ids below are cell-local).
-  explicit CellSummary(const topo::TopologyGraph& cell);
-
-  /// Allocation-listener target: `gpus` (cell-local) were just allocated
-  /// or freed as one job-sized event.
-  void on_allocation(std::span<const int> gpus, bool allocated);
-
-  /// Largest number of free GPUs on any single socket (top-down histogram
-  /// scan; sockets hold at most a few GPUs).
-  int max_free_socket() const;
-  int socket_count() const noexcept {
-    return static_cast<int>(socket_free_.size());
-  }
-  /// Eq. 5 mean free-socket fraction, maintained incrementally.
-  double fragmentation() const;
-
- private:
-  double frag_sum_ = 0.0;  // sum over sockets of free/size
-  std::vector<int> gpu_socket_slot_;  // per local GPU, flat socket index
-  std::vector<double> socket_inv_size_;  // per socket slot, 1/size
-  std::vector<int> socket_free_;      // free GPUs per socket slot
-  std::vector<int> socket_hist_;      // sockets with exactly k free GPUs
-};
-
-/// One routing candidate: the cell's summary and state (whose topology is
-/// the cell's), plus its current queue depth (jobs already waiting there).
+/// One routing candidate: the cell's state (whose topology is the
+/// cell's), plus its current queue depth (jobs already waiting there).
 struct ShardCandidate {
-  const CellSummary* summary = nullptr;
   const cluster::ClusterState* state = nullptr;
   int queue_depth = 0;
 };

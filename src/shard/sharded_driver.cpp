@@ -20,8 +20,8 @@ ShardedDriver::ShardedDriver(const topo::TopologyGraph& topology,
                              ShardedOptions options)
     : model_(model), options_(std::move(options)) {
   GTS_CHECK(!options_.driver.allocation_listener,
-            "ShardedOptions::driver.allocation_listener is reserved for the "
-            "facade's cell summaries");
+            "ShardedOptions::driver.allocation_listener is unsupported: "
+            "cells would report cell-local GPU ids");
   const int machines = std::max(1, topology.machine_count());
   const int shards = std::clamp(options_.shards, 1, machines);
   cells_.reserve(static_cast<size_t>(shards));
@@ -38,17 +38,10 @@ ShardedDriver::ShardedDriver(const topo::TopologyGraph& topology,
       gpu_shard_[static_cast<size_t>(global)] = s;
       gpu_local_[static_cast<size_t>(global)] = static_cast<int>(local);
     }
-    cell.summary = std::make_unique<CellSummary>(cell.topo->graph);
     cell.scheduler =
         sched::make_scheduler(options_.policy, options_.driver.utility_weights);
-    sched::DriverOptions driver_options = options_.driver;
-    CellSummary* summary = cell.summary.get();
-    driver_options.allocation_listener =
-        [summary](std::span<const int> gpus, bool allocated) {
-          summary->on_allocation(gpus, allocated);
-        };
     cell.driver = std::make_unique<sched::Driver>(
-        cell.topo->graph, model_, *cell.scheduler, std::move(driver_options));
+        cell.topo->graph, model_, *cell.scheduler, options_.driver);
     cells_.push_back(std::move(cell));
   }
 }
@@ -126,9 +119,7 @@ std::vector<ShardCandidate> ShardedDriver::candidates() const {
   std::vector<ShardCandidate> candidates;
   candidates.reserve(cells_.size());
   for (const Cell& cell : cells_) {
-    candidates.push_back(
-        {cell.summary.get(), &cell.driver->state(),
-         cell.driver->queue_depth()});
+    candidates.push_back({&cell.driver->state(), cell.driver->queue_depth()});
   }
   return candidates;
 }
@@ -153,7 +144,7 @@ int ShardedDriver::route_one(const jobgraph::JobRequest& request) {
 
 void ShardedDriver::route_batch(double ta, std::vector<PendingJob> batch) {
   // Bring every cell to the arrival timestamp first, so completions up to
-  // `ta` have freed capacity and updated the summaries the router reads.
+  // `ta` have freed capacity in the cell indexes the router reads.
   advance_cells_to(ta);
   std::sort(batch.begin(), batch.end(),
             [](const PendingJob& a, const PendingJob& b) {
@@ -281,7 +272,7 @@ double ShardedDriver::fragmentation() const {
   double weighted = 0.0;
   int sockets = 0;
   for (const Cell& cell : cells_) {
-    const int cell_sockets = cell.summary->socket_count();
+    const int cell_sockets = cell.driver->state().fragmentation_sockets();
     weighted += cell.driver->fragmentation() * cell_sockets;
     sockets += cell_sockets;
   }
@@ -560,8 +551,8 @@ void ShardedDriver::restore_waiting(const jobgraph::JobRequest& request,
     shard = shard_hint;
   } else {
     // Older snapshot (or a different shard layout): re-route against the
-    // restored occupancy — running jobs restore first, so the summaries
-    // are current. No router telemetry: this is reconstruction.
+    // restored occupancy — running jobs restore first, so the cell
+    // indexes are current. No router telemetry: this is reconstruction.
     const RouteDecision decision = route_job(request, candidates(), model_);
     shard = decision.shard >= 0 ? decision.shard : 0;
   }

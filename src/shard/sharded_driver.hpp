@@ -4,7 +4,7 @@
 // The facade partitions the cluster into contiguous machine cells
 // (shard/cells.hpp), gives each cell its own sched::Driver + scheduler
 // over the cell's sub-topology, and routes every arriving job through the
-// two-stage Filter/Score router (shard/summary.hpp) before exactly one
+// two-stage Filter/Score router (shard/router.hpp) before exactly one
 // cell runs a full scheduling pass on it. Placement work is therefore
 // O(cell), not O(cluster), per decision — the property bench/bench_scale
 // measures from 500 to 5000 machines.
@@ -22,7 +22,7 @@
 // digest.
 //
 // One shard is one cell spanning every machine, run through the same
-// router, summary, id translation and restore path as N cells;
+// router, id translation and restore path as N cells;
 // tests/shard_test.cpp holds it byte-identical to an unsharded Driver
 // under all four policies.
 #pragma once
@@ -33,7 +33,7 @@
 
 #include "sched/driver.hpp"
 #include "shard/cells.hpp"
-#include "shard/summary.hpp"
+#include "shard/router.hpp"
 
 namespace gts::shard {
 
@@ -47,8 +47,8 @@ struct ShardedOptions {
   /// Placement policy instantiated per cell.
   sched::Policy policy = sched::Policy::kTopoAwareP;
   /// Per-cell driver options (noise, audit, utility weights).
-  /// `allocation_listener` is reserved for the facade's own cell
-  /// summaries and must be empty.
+  /// `allocation_listener` must be empty: cells would report cell-local
+  /// GPU ids.
   sched::DriverOptions driver;
 };
 
@@ -121,11 +121,10 @@ class ShardedDriver : public sched::DriverApi {
 
  private:
   struct Cell {
-    /// Heap-held so the Driver's topology reference and the summary the
-    /// allocation listener points at stay stable as cells_ grows.
+    /// Heap-held so the Driver's topology and scheduler references stay
+    /// stable as cells_ grows.
     std::unique_ptr<CellTopology> topo;
     std::unique_ptr<sched::Scheduler> scheduler;
-    std::unique_ptr<CellSummary> summary;
     std::unique_ptr<sched::Driver> driver;
     long long routed = 0;
   };
@@ -144,8 +143,8 @@ class ShardedDriver : public sched::DriverApi {
   /// One routing candidate per cell, indexed by shard.
   std::vector<ShardCandidate> candidates() const;
   /// Routes one arrival batch: all pending jobs with arrival time `ta`,
-  /// in submission order. Cells are first advanced to `ta` (so summaries
-  /// reflect completions up to the arrival), then each job is routed and
+  /// in submission order. Cells are first advanced to `ta` (so their
+  /// capacity indexes reflect completions up to the arrival), then each job is routed and
   /// submitted to its cell. Its arrival event fires on the cell's next
   /// advance to `ta` or later, so advance_to(t) enacts arrivals at exactly
   /// `t`, as Driver::advance_to(t) does.

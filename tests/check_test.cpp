@@ -292,6 +292,23 @@ TEST_F(ClusterAuditTest, SocketFreeCountsFollowCorruptedOwnership) {
   EXPECT_EQ(counts(1), (std::vector<int>{2, 2}));
 }
 
+TEST_F(ClusterAuditTest, DesyncedSocketHistogramIsFlagged) {
+  // validate replays the socket histogram from ownership next to the
+  // socket counts, so a histogram that drifts while ownership and every
+  // count stay right is caught by name.
+  state_.place(job(1, 2), {0, 1}, 0.0);
+  ASSERT_TRUE(check::validate(state_).is_ok());
+  EXPECT_EQ(state_.max_socket_free(), 2);
+  state_.corrupt_socket_histogram_for_test(/*from=*/2, /*to=*/1);
+  const util::Status drift = check::validate(state_);
+  ASSERT_FALSE(drift.is_ok());
+  EXPECT_NE(drift.error().message.find("sockets indexed with 1 free GPUs"),
+            std::string::npos)
+      << drift.error().message;
+  state_.corrupt_socket_histogram_for_test(/*from=*/1, /*to=*/2);  // repair
+  EXPECT_TRUE(check::validate(state_).is_ok());
+}
+
 TEST_F(ClusterAuditTest, PlacementAuditEnforcesShapeAndConstraints) {
   // Wrong GPU count for the task graph.
   EXPECT_FALSE(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "perf/profile.hpp"
 #include "sched/utility.hpp"
 #include "topo/builders.hpp"
+#include "util/rng.hpp"
 
 namespace gts::cluster {
 namespace {
@@ -187,6 +189,144 @@ TEST_F(ClusterStateTest, MultiMachineFreeLists) {
   EXPECT_EQ(state.free_gpus_of_machine(1).size(), 2u);
   EXPECT_EQ(state.machines_of(std::vector<int>{0, 5}),
             (std::vector<int>{0, 1}));
+}
+
+// The socket side of the capacity index (free counts, histogram, Eq. 5
+// numerator) against a per-GPU recount: the way Eq. 5 was computed before
+// the index kept it, summing free/size in double per socket.
+struct SocketRecount {
+  std::vector<int> free;  // per socket, machine-major
+  std::vector<int> hist;  // sockets with exactly k free GPUs, k <= size
+  int max_free = 0;
+  int sockets = 0;        // sockets holding a GPU
+  double fragmentation = 0.0;
+};
+
+SocketRecount recount_sockets(const ClusterState& state) {
+  const topo::TopologyGraph& topology = state.topology();
+  SocketRecount out;
+  double total = 0.0;
+  for (int machine = 0; machine < topology.machine_count(); ++machine) {
+    for (const std::vector<int>& socket : topology.socket_gpu_lists(machine)) {
+      const int free = static_cast<int>(std::count_if(
+          socket.begin(), socket.end(),
+          [&state](int gpu) { return state.gpu_free(gpu); }));
+      out.free.push_back(free);
+      out.hist.resize(std::max(out.hist.size(), socket.size() + 1), 0);
+      ++out.hist[static_cast<size_t>(free)];
+      out.max_free = std::max(out.max_free, free);
+      if (socket.empty()) continue;
+      total += static_cast<double>(free) / static_cast<double>(socket.size());
+      ++out.sockets;
+    }
+  }
+  out.fragmentation = out.sockets == 0 ? 0.0 : total / out.sockets;
+  return out;
+}
+
+/// Eq. 5 over the machines `gpus` touches with `gpus` taken, walked per GPU.
+double recount_fragmentation_after(const ClusterState& state,
+                                   const std::vector<int>& gpus) {
+  const topo::TopologyGraph& topology = state.topology();
+  double total = 0.0;
+  int sockets = 0;
+  for (const int machine : state.machines_of(gpus)) {
+    for (const std::vector<int>& socket : topology.socket_gpu_lists(machine)) {
+      if (socket.empty()) continue;
+      int free = 0;
+      for (const int gpu : socket) {
+        if (state.gpu_free(gpu) &&
+            std::find(gpus.begin(), gpus.end(), gpu) == gpus.end()) {
+          ++free;
+        }
+      }
+      total += static_cast<double>(free) / static_cast<double>(socket.size());
+      ++sockets;
+    }
+  }
+  return sockets == 0 ? 0.0 : total / sockets;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(CapacityIndexTest, SocketIndexMatchesPerGpuRecountUnderChurn) {
+  using topo::builders::MachineShape;
+  const topo::TopologyGraph topology = topo::builders::mixed_cluster(
+      {MachineShape::kPower8Minsky, MachineShape::kPower8Pcie,
+       MachineShape::kDgx1});
+  const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
+  ClusterState state(topology, model);
+  util::Rng rng(2026);
+  std::vector<int> resident;
+  double now = 0.0;
+  int next_id = 1;
+  int checks = 0;
+
+  const auto expect_index_matches = [&](const char* op) {
+    const SocketRecount want = recount_sockets(state);
+    std::vector<int> got;
+    for (int machine = 0; machine < topology.machine_count(); ++machine) {
+      const std::span<const int> free = state.socket_free_counts(machine);
+      got.insert(got.end(), free.begin(), free.end());
+    }
+    EXPECT_EQ(got, want.free) << op;
+    const std::span<const int> hist = state.socket_free_histogram();
+    EXPECT_EQ(std::vector<int>(hist.begin(), hist.end()), want.hist) << op;
+    EXPECT_EQ(state.max_socket_free(), want.max_free) << op;
+    EXPECT_EQ(state.fragmentation_sockets(), want.sockets) << op;
+    EXPECT_EQ(bits(state.fragmentation()), bits(want.fragmentation)) << op;
+    ++checks;
+  };
+
+  expect_index_matches("construction");
+  for (int step = 0; step < 400; ++step) {
+    now += 1.0;
+    const std::vector<int> free = state.free_gpus();
+    const double roll = rng.uniform();
+    if (!free.empty() && (resident.empty() || roll < 0.5)) {
+      // Place a 1-4 GPU job on random free GPUs, across machines or not.
+      std::vector<int> pool = free;
+      const int k = static_cast<int>(
+          rng.uniform_int(1, std::min<long long>(4, static_cast<long long>(
+                                                        pool.size()))));
+      std::vector<int> gpus;
+      for (int i = 0; i < k; ++i) {
+        const size_t pick = static_cast<size_t>(
+            rng.uniform_int(0, static_cast<long long>(pool.size()) - 1));
+        gpus.push_back(pool[pick]);
+        pool.erase(pool.begin() + static_cast<long>(pick));
+      }
+      EXPECT_EQ(bits(state.fragmentation_after(gpus)),
+                bits(recount_fragmentation_after(state, gpus)))
+          << "step " << step;
+      const JobRequest job = perf::make_profiled_dl(
+          next_id, now, NeuralNet::kAlexNet, 1, k, 0.0, model, topology);
+      state.place(job, gpus, now);
+      resident.push_back(next_id++);
+      expect_index_matches("place");
+      // Busy GPUs in the candidate are not taken twice.
+      EXPECT_EQ(bits(state.fragmentation_after(gpus)),
+                bits(recount_fragmentation_after(state, gpus)))
+          << "step " << step;
+    } else if (roll < 0.8) {
+      const size_t victim = static_cast<size_t>(
+          rng.uniform_int(0, static_cast<long long>(resident.size()) - 1));
+      state.remove(resident[victim], now);
+      resident.erase(resident.begin() + static_cast<long>(victim));
+      expect_index_matches("remove");
+    } else {
+      // Remove a job and restore it onto the same GPUs, as a snapshot
+      // restore would.
+      const RunningJob job = *state.find(resident.front());
+      state.remove(job.request.id, now);
+      expect_index_matches("remove before restore");
+      state.restore_job(job.request, job.gpus, job.start_time,
+                        job.progress_at(now), job.placement_utility,
+                        job.noise_factor, now);
+      expect_index_matches("restore_job");
+    }
+  }
+  EXPECT_GT(checks, 400);
 }
 
 // ------------------------------------------------------------ Recorder ----

@@ -8,6 +8,7 @@
 #include "perf/profile.hpp"
 #include "trace/generator.hpp"
 #include "sched/driver.hpp"
+#include "sched/topo_aware.hpp"
 #include "topo/builders.hpp"
 
 namespace gts::sched {
@@ -266,7 +267,9 @@ TEST_F(DriverTest, MakespanIsLastCompletion) {
 // policy could place, so the schedule, the postponement total and the
 // offer total (scheduler calls + gate skips) must all stay exactly put.
 // The work counts (scheduler calls, gate skips, engine events) are pinned
-// too, so a change that makes the driver do more work fails here.
+// too, so a change that makes the driver do more work fails here. For the
+// two TOPO-AWARE policies so are the DRB counts (bipartitions, FM passes),
+// which guard the mid-recursion utility's Eq. 5 inputs.
 
 struct PinnedPolicy {
   Policy policy;
@@ -276,6 +279,8 @@ struct PinnedPolicy {
   long long decisions;
   long long capacity_skips;
   std::uint64_t events;
+  int bipartitions;  // TOPO-AWARE policies only; -1 elsewhere
+  int fm_passes;
 };
 
 TEST(CapacityGateTest, QueueHeavyDecisionsMatchCommittedDigests) {
@@ -291,11 +296,13 @@ TEST(CapacityGateTest, QueueHeavyDecisionsMatchCommittedDigests) {
       trace::generate_workload(generator, model, topology);
 
   const PinnedPolicy pinned[] = {
-      {Policy::kBestFit, 0xf975dc3cca382916ULL, 4287, 4787, 500, 4287, 999},
-      {Policy::kFcfs, 0x8d2d940924880e97ULL, 280, 780, 500, 280, 997},
-      {Policy::kTopoAware, 0x02c5b489fd024585ULL, 4629, 5129, 500, 4629, 998},
-      {Policy::kTopoAwareP, 0x40c3fad06c5f80c3ULL, 4097, 4597, 522, 4075,
-       997},
+      {Policy::kBestFit, 0xf975dc3cca382916ULL, 4287, 4787, 500, 4287, 999,
+       -1, -1},
+      {Policy::kFcfs, 0x8d2d940924880e97ULL, 280, 780, 500, 280, 997, -1, -1},
+      {Policy::kTopoAware, 0x02c5b489fd024585ULL, 4629, 5129, 500, 4629, 998,
+       643, 643},
+      {Policy::kTopoAwareP, 0x40c3fad06c5f80c3ULL, 4097, 4597, 522, 4075, 997,
+       670, 670},
   };
   for (const PinnedPolicy& pin : pinned) {
     const std::string name(to_string(pin.policy));
@@ -325,6 +332,12 @@ TEST(CapacityGateTest, QueueHeavyDecisionsMatchCommittedDigests) {
                   report.declined_latency_us.count(),
               report.decision_count)
         << name;
+    if (const auto* topo_aware =
+            dynamic_cast<const TopoAwareScheduler*>(scheduler.get())) {
+      const partition::DrbStats drb = topo_aware->drb_stats();
+      EXPECT_EQ(drb.bipartitions, pin.bipartitions) << name;
+      EXPECT_EQ(drb.fm_passes, pin.fm_passes) << name;
+    }
   }
 }
 

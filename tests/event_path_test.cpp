@@ -289,7 +289,7 @@ TEST(EventPathTest, ChurnKeepsLinkIndexHeapAndCountersConsistent) {
     ASSERT_TRUE(check::validate(state).is_ok()) << "during teardown";
   }
   EXPECT_TRUE(state.finish_heap().empty());
-  EXPECT_EQ(state.fragmented_machine_count(), 0);
+  EXPECT_EQ(state.fragmentation(), 1.0);  // every socket free again
   EXPECT_EQ(state.free_gpu_count(), topology.gpu_count());
 }
 

@@ -31,7 +31,7 @@
 #include "sched/topo_aware.hpp"
 #include "shard/cells.hpp"
 #include "shard/sharded_driver.hpp"
-#include "shard/summary.hpp"
+#include "shard/router.hpp"
 #include "svc/service.hpp"
 #include "svc/snapshot.hpp"
 #include "topo/builders.hpp"
@@ -362,11 +362,6 @@ TEST(ShardRouterTest, FilterNeverRejectsAPlaceableShard) {
       const std::string label = std::string(sched::to_string(policy)) +
                                 " seed " + std::to_string(seed);
       cluster::ClusterState state(cell, model);
-      CellSummary summary(cell);
-      state.set_allocation_listener(
-          [&summary](std::span<const int> gpus, bool allocated) {
-            summary.on_allocation(gpus, allocated);
-          });
       const auto scheduler = sched::make_scheduler(policy);
 
       // Seeded random occupancy: keep placing random-size blockers until
@@ -390,7 +385,7 @@ TEST(ShardRouterTest, FilterNeverRejectsAPlaceableShard) {
 
       // Probes: every job size x constraint combination must obey the
       // implication place-able => may_fit => Filter-admitted.
-      const ShardCandidate candidate{&summary, &state, /*queue_depth=*/0};
+      const ShardCandidate candidate{&state, /*queue_depth=*/0};
       int probe_id = 1;
       for (const int gpus : {1, 2, 3, 4}) {
         for (const int shape : {0, 1, 2}) {  // single-node, multi, anti
@@ -416,12 +411,11 @@ TEST(ShardRouterTest, ScoreBreaksTiesTowardLowestShard) {
   const perf::DlWorkloadModel model{perf::CalibrationParams::paper_minsky()};
   const topo::TopologyGraph a = topo::builders::power8_minsky();
   const topo::TopologyGraph b = topo::builders::power8_minsky();
-  const CellSummary sa(a), sb(b);
   const cluster::ClusterState state_a(a, model), state_b(b, model);
   const JobRequest job = perf::make_profiled_dl(
       1, 0.0, NeuralNet::kAlexNet, 4, 2, 0.0, model, a);
   const std::vector<ShardCandidate> candidates = {
-      ShardCandidate{&sa, &state_a, 0}, ShardCandidate{&sb, &state_b, 0}};
+      ShardCandidate{&state_a, 0}, ShardCandidate{&state_b, 0}};
   const RouteDecision decision = route_job(job, candidates, model);
   EXPECT_EQ(decision.shard, 0);
   EXPECT_EQ(decision.filtered, 0);

@@ -51,7 +51,8 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Directories whose code computes or feeds scheduling decisions. The obs/
+# Directories whose code computes or feeds scheduling decisions (src/shard
+# routes each job to the cell that places it). The obs/
 # and svc/ layers are deliberately absent: observability owns wall-clock
 # timing, and the service layer timestamps requests.
 DECISION_DIRS = (
@@ -60,6 +61,7 @@ DECISION_DIRS = (
     "src/topo",
     "src/jobgraph",
     "src/cluster",
+    "src/shard",
 )
 
 # All first-party C++ (conventions + the raw-random / bare-assert rules,
