@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
         const sched::UtilityModel utility{sched::UtilityWeights{}};
         // Full-decision stage: a real scheduler instance, so the place
         // stage exercises the pre-score/candidate path rather than one
-        // bare drb_place call.
+        // bare drb_evaluate call.
         sched::TopoAwareScheduler scheduler(sched::UtilityWeights{},
                                             /*postpone=*/false);
         std::vector<StageSample> best;  // per decision, min across repeats
@@ -272,8 +272,8 @@ int main(int argc, char** argv) {
             std::optional<sched::Placement> placement;
             begin = Clock::now();
             if (static_cast<int>(available.size()) >= request.num_gpus) {
-              placement = sched::drb_place(request, available, state, utility,
-                                           nullptr);
+              placement =
+                  sched::drb_evaluate(request, available, state, utility);
             }
             sample.drb_us = elapsed_us(begin, Clock::now());
 

@@ -112,6 +112,9 @@ class ClusterState {
   bool gpu_free(int gpu) const { return owner_[static_cast<size_t>(gpu)] < 0; }
   /// Job id occupying `gpu`, or -1.
   int gpu_owner(int gpu) const { return owner_[static_cast<size_t>(gpu)]; }
+  /// Free GPUs of the cluster, or of `machine`, in ascending id order.
+  /// The order is a contract: the greedy baselines take the front of
+  /// these lists as the lowest free ids without sorting them.
   std::vector<int> free_gpus() const;
   std::vector<int> free_gpus_of_machine(int machine) const;
   /// O(1): maintained incrementally from allocation deltas.

@@ -1,6 +1,7 @@
 #include "json/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -311,9 +312,11 @@ void write_number(std::ostringstream& os, double n) {
     os << static_cast<long long>(n);
     return;
   }
+  // The shortest text that parses back to the same bits.
   char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", n);
-  os << buffer;
+  const std::to_chars_result end =
+      std::to_chars(buffer, buffer + sizeof(buffer), n);
+  os << std::string_view(buffer, static_cast<size_t>(end.ptr - buffer));
 }
 
 void write_value(std::ostringstream& os, const Value& value, int indent,

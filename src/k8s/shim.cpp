@@ -1,6 +1,5 @@
 #include "k8s/shim.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "perf/profile.hpp"
@@ -64,33 +63,22 @@ util::Expected<jobgraph::JobRequest> KubeTopologyScheduler::pod_to_job(
 bool KubeTopologyScheduler::filter(const jobgraph::JobRequest& job,
                                    const cluster::ClusterState& state,
                                    int node) const {
-  if (node < 0 || node >= topology_.machine_count()) return false;
-  // Section 4.3 capacity constraints, per node.
-  if (!state.host_bw_available(node, job.profile.host_bw_demand_gbps)) {
-    return false;
-  }
-  const int free = state.machine_free_count(node);
-  if (job.profile.anti_collocate) return free >= 1;
-  return free >= job.num_gpus;
-}
-
-std::optional<sched::Placement> KubeTopologyScheduler::place_in_node(
-    const jobgraph::JobRequest& job, const cluster::ClusterState& state,
-    int node) const {
-  // One utility-driven DRB mapping restricted to the node's free GPUs —
-  // exactly what the TOPO-AWARE scheduler's scalable path evaluates per
-  // candidate machine.
-  if (state.machine_free_count(node) < job.num_gpus) return std::nullopt;
-  const std::vector<int> free = state.free_gpus_of_machine(node);
-  const sched::UtilityModel utility(weights_);
-  return sched::drb_place(job, free, state, utility);
+  return node >= 0 && node < topology_.machine_count() &&
+         sched::host_fits(job, state, node);
 }
 
 int KubeTopologyScheduler::score(const jobgraph::JobRequest& job,
                                  const cluster::ClusterState& state,
                                  int node) const {
-  if (!filter(job, state, node)) return 0;
-  const auto placement = place_in_node(job, state, node);
+  // One utility-driven DRB mapping restricted to the node's free GPUs,
+  // exactly what TOPO-AWARE's scalable path evaluates per candidate.
+  if (!filter(job, state, node) ||
+      state.machine_free_count(node) < job.num_gpus) {
+    return 0;
+  }
+  const auto placement =
+      sched::drb_evaluate(job, state.free_gpus_of_machine(node), state,
+                          sched::UtilityModel(weights_));
   if (!placement) return 0;
   return static_cast<int>(std::lround(placement->utility * 100.0));
 }
@@ -98,36 +86,20 @@ int KubeTopologyScheduler::score(const jobgraph::JobRequest& job,
 std::optional<Binding> KubeTopologyScheduler::bind(
     const jobgraph::JobRequest& job,
     const cluster::ClusterState& state) const {
-  int best_node = -1;
-  std::optional<sched::Placement> best_placement;
-  for (int node = 0; node < topology_.machine_count(); ++node) {
-    if (!filter(job, state, node)) continue;
-    auto placement = place_in_node(job, state, node);
-    if (!placement) continue;
-    if (!best_placement || placement->utility > best_placement->utility) {
-      best_placement = std::move(placement);
-      best_node = node;
-    }
-  }
-  if (!best_placement) return std::nullopt;
-  if (!best_placement->satisfied) {
-    // TOPO-AWARE-P semantics: leave the pod Pending rather than bind a
-    // below-SLO allocation.
-    return std::nullopt;
-  }
+  sched::TopoAwareScheduler scheduler(weights_, /*postpone=*/true);
+  const std::optional<sched::Placement> placement = scheduler.place(job, state);
+  if (!placement) return std::nullopt;
 
   Binding binding;
-  binding.node = best_node;
-  binding.global_gpu_ids = best_placement->gpus;
-  binding.score =
-      std::lround(best_placement->utility * 100.0);
-  for (const int gpu : best_placement->gpus) {
+  binding.global_gpu_ids = placement->gpus;
+  binding.score = std::lround(placement->utility * 100.0);
+  for (const int gpu : placement->gpus) {
+    binding.nodes.push_back(topology_.machine_of_gpu(gpu));
     binding.device_ids.push_back(
         topology_.node(topology_.gpu_node(gpu)).local_gpu);
   }
   binding.environment =
-      proto::make_enforcement_plan(topology_, best_placement->gpus)
-          .environment;
+      proto::make_enforcement_plan(topology_, placement->gpus).environment;
   return binding;
 }
 

@@ -6,10 +6,11 @@
 // implements: pods request "nvidia.com/gpu" extended resources and carry
 // the job profile as annotations; the plugin exposes the Filter phase
 // (node feasibility), the Score phase (0..100 per node), and Bind (GPU
-// device selection on the chosen node). Filter/Score map onto Algorithm
-// 1's host filtering and the placement utility; Bind runs the DRB mapper
-// inside the node and emits the CUDA_VISIBLE_DEVICES binding the paper's
-// prototype enforces.
+// device selection). Filter is Algorithm 1's host rule (sched::host_fits)
+// and Score the placement utility of a DRB mapping inside the node; Bind
+// is TOPO-AWARE-P's decision over the whole cluster, mapped to the device
+// allocation and the CUDA_VISIBLE_DEVICES binding the paper's prototype
+// enforces.
 #pragma once
 
 #include <map>
@@ -38,13 +39,14 @@ struct GpuPodSpec {
   std::map<std::string, std::string> annotations;
 };
 
-/// Result of the Bind phase: node plus the device plugin's allocation.
+/// Result of the Bind phase: the device plugin's allocation, one entry
+/// per task in every vector. A multi-node pod spans several nodes.
 struct Binding {
-  int node = -1;                       // machine index
+  std::vector<int> nodes;              // machine index of each device
   std::vector<int> device_ids;         // machine-local GPU indices
   std::vector<int> global_gpu_ids;     // library-level GPU indices
   std::vector<std::string> environment;  // CUDA_* launch recipe
-  double score = 0.0;                  // the winning node's score
+  double score = 0.0;                  // the placement's utility x 100
 };
 
 class KubeTopologyScheduler {
@@ -59,30 +61,27 @@ class KubeTopologyScheduler {
   util::Expected<jobgraph::JobRequest> pod_to_job(const GpuPodSpec& pod,
                                                   int job_id) const;
 
-  /// Filter phase: can `node` host the pod right now (GPU count, host
-  /// bandwidth, constraints)?
+  /// Filter phase: can `node` take part in the pod right now? Section
+  /// 4.3's host rule (sched::host_fits): all of a single-node pod, or one
+  /// device and an even bandwidth share of a multi-node or anti-affinity
+  /// pod.
   bool filter(const jobgraph::JobRequest& job,
               const cluster::ClusterState& state, int node) const;
 
-  /// Score phase: 0..100 — scaled placement utility of the best DRB
-  /// mapping inside `node`; 0 when Filter fails.
+  /// Score phase: 0..100 — scaled placement utility of the DRB mapping of
+  /// the whole pod inside `node`; 0 when Filter fails or the node cannot
+  /// hold every device.
   int score(const jobgraph::JobRequest& job,
             const cluster::ClusterState& state, int node) const;
 
-  /// Bind phase: pick the highest-scoring feasible node (ties to the
-  /// lowest node id, as kube-scheduler does), map GPUs inside it, and
-  /// return the device allocation. nullopt when no node is feasible or —
-  /// mirroring TOPO-AWARE-P — the achievable utility is below the pod's
+  /// Bind phase: TOPO-AWARE-P's placement of the pod on the cluster,
+  /// returned as the device allocation. nullopt (the pod stays Pending)
+  /// when the pod does not fit or its achievable utility is below its
   /// min-utility annotation.
   std::optional<Binding> bind(const jobgraph::JobRequest& job,
                               const cluster::ClusterState& state) const;
 
  private:
-  /// Best placement within one node via the DRB mapper.
-  std::optional<sched::Placement> place_in_node(
-      const jobgraph::JobRequest& job, const cluster::ClusterState& state,
-      int node) const;
-
   const topo::TopologyGraph& topology_;
   const perf::DlWorkloadModel& model_;
   sched::UtilityWeights weights_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "obs/explain.hpp"
 #include "obs/trace.hpp"
@@ -11,11 +12,8 @@ namespace gts::sched {
 
 namespace {
 
-/// Machines able to host the whole job, honoring the single-node
-/// constraint; for multi-node-capable jobs a single machine is still
-/// preferred, falling back to the global free list.
-std::optional<Placement> place_on_machine_gpus(std::vector<int> gpus,
-                                               int num_gpus) {
+/// The first `num_gpus` of `gpus`, or nullopt when there are fewer.
+std::optional<Placement> take_first(std::vector<int> gpus, int num_gpus) {
   if (static_cast<int>(gpus.size()) < num_gpus) return std::nullopt;
   gpus.resize(static_cast<size_t>(num_gpus));
   Placement placement;
@@ -27,6 +25,14 @@ std::optional<Placement> place_on_machine_gpus(std::vector<int> gpus,
     scope->add_candidate(std::move(candidate));
   }
   return placement;
+}
+
+/// A job no single machine can host: a multi-node one takes the lowest-id
+/// free GPUs of the cluster; a single-node one waits.
+std::optional<Placement> place_spanning(const jobgraph::JobRequest& request,
+                                        const cluster::ClusterState& state) {
+  if (request.profile.single_node) return std::nullopt;
+  return take_first(state.free_gpus(), request.num_gpus);
 }
 
 /// Anti-collocated jobs take one GPU per machine: the lowest free GPU of
@@ -47,10 +53,9 @@ std::optional<Placement> place_one_per_machine(
   for (const int machine : order) {
     if (static_cast<int>(gpus.size()) >= request.num_gpus) break;
     if (state.machine_free_count(machine) == 0) continue;
-    const std::vector<int> free = state.free_gpus_of_machine(machine);
-    gpus.push_back(*std::min_element(free.begin(), free.end()));
+    gpus.push_back(state.free_gpus_of_machine(machine).front());
   }
-  return place_on_machine_gpus(std::move(gpus), request.num_gpus);
+  return take_first(std::move(gpus), request.num_gpus);
 }
 
 }  // namespace
@@ -58,26 +63,18 @@ std::optional<Placement> place_one_per_machine(
 std::optional<Placement> FcfsScheduler::place(
     const jobgraph::JobRequest& request, const cluster::ClusterState& state) {
   GTS_TRACE_SPAN(obs::kSched, "fcfs.place");
-  const topo::TopologyGraph& topology = state.topology();
   if (request.profile.anti_collocate) {
     return place_one_per_machine(request, state, /*tightest_first=*/false);
   }
   // First machine that fits, lowest GPU ids first.
-  for (int machine = 0; machine < topology.machine_count(); ++machine) {
-    if (state.machine_free_count(machine) < request.num_gpus) continue;
-    std::vector<int> free = state.free_gpus_of_machine(machine);
-    std::sort(free.begin(), free.end());
-    if (auto placement = place_on_machine_gpus(std::move(free),
-                                               request.num_gpus)) {
-      return placement;
+  for (int machine = 0; machine < state.topology().machine_count();
+       ++machine) {
+    if (state.machine_free_count(machine) >= request.num_gpus) {
+      return take_first(state.free_gpus_of_machine(machine),
+                        request.num_gpus);
     }
   }
-  if (!request.profile.single_node) {
-    std::vector<int> free = state.free_gpus();
-    std::sort(free.begin(), free.end());
-    return place_on_machine_gpus(std::move(free), request.num_gpus);
-  }
-  return std::nullopt;
+  return place_spanning(request, state);
 }
 
 std::optional<Placement> BestFitScheduler::place(
@@ -98,46 +95,25 @@ std::optional<Placement> BestFitScheduler::place(
       best_machine = machine;
     }
   }
-  if (best_machine < 0) {
-    if (!request.profile.single_node) {
-      std::vector<int> free = state.free_gpus();
-      std::sort(free.begin(), free.end());
-      return place_on_machine_gpus(std::move(free), request.num_gpus);
-    }
-    return std::nullopt;
-  }
+  if (best_machine < 0) return place_spanning(request, state);
 
   // Inside the machine: GPUs from the most-used sockets first (bin
   // packing over domains), ties by socket id then GPU id.
-  struct SocketLoad {
-    int socket;
-    int free;
-    std::vector<int> free_gpus;
-  };
-  std::vector<SocketLoad> sockets;
-  const int socket_count = topology.sockets_of_machine(best_machine);
-  for (int socket = 0; socket < socket_count; ++socket) {
-    SocketLoad load{socket, 0, {}};
-    for (const int gpu : topology.gpus_of_socket(best_machine, socket)) {
-      if (state.gpu_free(gpu)) {
-        load.free_gpus.push_back(gpu);
-      }
-    }
-    load.free = static_cast<int>(load.free_gpus.size());
-    if (load.free > 0) sockets.push_back(std::move(load));
-  }
-  std::stable_sort(sockets.begin(), sockets.end(),
-                   [](const SocketLoad& a, const SocketLoad& b) {
-                     return a.free < b.free;  // most used (fewest free) first
-                   });
+  const std::span<const int> socket_free =
+      state.socket_free_counts(best_machine);
+  std::vector<int> sockets(socket_free.size());
+  std::iota(sockets.begin(), sockets.end(), 0);
+  std::stable_sort(sockets.begin(), sockets.end(), [&](int a, int b) {
+    return socket_free[static_cast<size_t>(a)] <
+           socket_free[static_cast<size_t>(b)];
+  });
   std::vector<int> gpus;
-  for (const SocketLoad& load : sockets) {
-    for (const int gpu : load.free_gpus) {
-      if (static_cast<int>(gpus.size()) >= request.num_gpus) break;
-      gpus.push_back(gpu);
+  for (const int socket : sockets) {
+    for (const int gpu : topology.gpus_of_socket(best_machine, socket)) {
+      if (state.gpu_free(gpu)) gpus.push_back(gpu);
     }
   }
-  return place_on_machine_gpus(std::move(gpus), request.num_gpus);
+  return take_first(std::move(gpus), request.num_gpus);
 }
 
 }  // namespace gts::sched

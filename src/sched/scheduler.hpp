@@ -7,6 +7,7 @@
 // lives in the Driver.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -54,9 +55,30 @@ class Scheduler {
 std::unique_ptr<Scheduler> make_scheduler(Policy policy,
                                           UtilityWeights weights = {});
 
-/// Host filtering (Algorithm 1's filterHostsByConstraints): free GPUs the
-/// job may use, honoring single-node / anti-collocation constraints.
-/// Returns an empty list when constraints cannot currently be met.
+/// Section 4.3's per-machine capacity rule (t_gpu <= p_gpu, t_bw <= p_bw),
+/// the one host test of every placement path. A whole job (single-node,
+/// not anti-collocated) needs all k GPUs and its full host-bandwidth
+/// demand on `machine`; any other job needs one free GPU and an even
+/// share (demand / k) of the bandwidth there.
+/// Inline: TOPO-AWARE's pre-score calls it for every machine of every
+/// decision.
+inline bool host_fits(const jobgraph::JobRequest& request,
+                      const cluster::ClusterState& state, int machine) {
+  const jobgraph::JobProfile& profile = request.profile;
+  const int k = request.num_gpus;
+  if (profile.single_node && !profile.anti_collocate) {
+    return state.machine_free_count(machine) >= k &&
+           state.host_bw_available(machine, profile.host_bw_demand_gbps);
+  }
+  return state.machine_free_count(machine) >= 1 &&
+         state.host_bw_available(machine,
+                                 profile.host_bw_demand_gbps / std::max(1, k));
+}
+
+/// Host filtering (Algorithm 1's filterHostsByConstraints): the free GPUs
+/// of every machine that passes host_fits, in ascending id order. Returns
+/// an empty list when the job cannot currently be met: fewer than k GPUs,
+/// or, for an anti-collocated job, fewer than k machines.
 std::vector<int> filter_hosts(const jobgraph::JobRequest& request,
                               const cluster::ClusterState& state);
 

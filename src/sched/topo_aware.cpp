@@ -57,7 +57,8 @@ std::optional<Placement> TopoAwareScheduler::place(
       return std::nullopt;
     }
     ++scoring_.scored;
-    placement = drb_place(request, available, state, utility_, &stats_);
+    placement = drb_evaluate(request, available, state, utility_, &stats_);
+    if (placement) explain_candidate(*placement, "drb");
   }
   if (!placement) return std::nullopt;
 
@@ -99,17 +100,6 @@ std::optional<Placement> drb_evaluate(const jobgraph::JobRequest& request,
   placement.gpus = result.assignment;
   placement.utility = utility.placement_utility(request, placement.gpus, state);
   placement.satisfied = placement.utility + 1e-9 >= request.min_utility;
-  return placement;
-}
-
-std::optional<Placement> drb_place(const jobgraph::JobRequest& request,
-                                   const std::vector<int>& available,
-                                   const cluster::ClusterState& state,
-                                   const UtilityModel& utility,
-                                   partition::DrbStats* stats) {
-  std::optional<Placement> placement =
-      drb_evaluate(request, available, state, utility, stats);
-  if (placement) explain_candidate(*placement, "drb");
   return placement;
 }
 
@@ -181,13 +171,8 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
   // sorting all of them and truncating would.
   std::vector<std::pair<long long, int>> candidates;  // (score, machine)
   for (int machine = 0; machine < topology.machine_count(); ++machine) {
-    // Section 4.3 capacity constraints: GPUs and host memory bandwidth.
+    if (!host_fits(request, state, machine)) continue;
     const int free = state.machine_free_count(machine);
-    if (free < request.num_gpus ||
-        !state.host_bw_available(machine,
-                                 request.profile.host_bw_demand_gbps)) {
-      continue;
-    }
     const std::span<const int> sockets = state.socket_free_counts(machine);
     const int best_socket_free =
         sockets.empty() ? 0 : *std::max_element(sockets.begin(), sockets.end());
@@ -265,7 +250,7 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
       if (empty) shape = store_result(shape, machine, placement, topology);
     }
     if (!placement) continue;
-    // The entry drb_place() writes for a mapped placement.
+    // The entry the direct path writes for a mapped placement.
     explain_candidate(*placement, "drb");
     explain_candidate(*placement, "best-machine:", machine);
     // Strict `>` keeps the FIRST maximum in candidate order.

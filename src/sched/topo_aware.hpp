@@ -51,15 +51,6 @@ std::optional<Placement> drb_evaluate(const jobgraph::JobRequest& request,
                                       const UtilityModel& utility,
                                       partition::DrbStats* stats = nullptr);
 
-/// drb_evaluate, plus the placement's "drb" entry in the explain record of
-/// the decision in flight. The building block behind TopoAwareScheduler
-/// and external integrations (the Kubernetes shim).
-std::optional<Placement> drb_place(const jobgraph::JobRequest& request,
-                                   const std::vector<int>& available,
-                                   const cluster::ClusterState& state,
-                                   const UtilityModel& utility,
-                                   partition::DrbStats* stats = nullptr);
-
 class TopoAwareScheduler final : public Scheduler {
  public:
   TopoAwareScheduler(UtilityWeights weights, bool postpone)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -275,6 +276,16 @@ TEST(CapacityIndexTest, SocketIndexMatchesPerGpuRecountUnderChurn) {
     EXPECT_EQ(state.max_socket_free(), want.max_free) << op;
     EXPECT_EQ(state.fragmentation_sockets(), want.sockets) << op;
     EXPECT_EQ(bits(state.fragmentation()), bits(want.fragmentation)) << op;
+    // FCFS and BF take the front of these lists as the lowest free ids.
+    const auto ascending = [](const std::vector<int>& gpus) {
+      return std::ranges::adjacent_find(gpus, std::greater_equal<>()) ==
+             gpus.end();
+    };
+    EXPECT_TRUE(ascending(state.free_gpus())) << op;
+    for (int machine = 0; machine < topology.machine_count(); ++machine) {
+      EXPECT_TRUE(ascending(state.free_gpus_of_machine(machine)))
+          << op << " machine " << machine;
+    }
     ++checks;
   };
 

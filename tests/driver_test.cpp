@@ -10,6 +10,7 @@
 #include "sched/driver.hpp"
 #include "sched/topo_aware.hpp"
 #include "topo/builders.hpp"
+#include "util/rng.hpp"
 
 namespace gts::sched {
 namespace {
@@ -338,6 +339,103 @@ TEST(CapacityGateTest, QueueHeavyDecisionsMatchCommittedDigests) {
       EXPECT_EQ(drb.bipartitions, pin.bipartitions) << name;
       EXPECT_EQ(drb.fm_passes, pin.fm_passes) << name;
     }
+  }
+}
+
+// --- wide jobs ---------------------------------------------------------------
+//
+// The capacity gate and the seeded-trace pins run single-node jobs only.
+// This trace pins the other placement paths: anti-collocated jobs (one GPU
+// per machine) and multi-node jobs that may span machines (the greedy
+// policies' global fallback, TOPO-AWARE's filter_hosts path), next to
+// single-node jobs, on a mixed Minsky / PCIe / DGX-1 cluster with
+// arrivals dense enough to queue. The per-policy digests and decision
+// counts were recorded before the greedy baselines and the host filter
+// were rewritten over one host rule.
+std::vector<JobRequest> wide_job_trace(const topo::TopologyGraph& topology,
+                                       const perf::DlWorkloadModel& model) {
+  constexpr int sizes[] = {1, 2, 4, 8};
+  constexpr NeuralNet nets[] = {NeuralNet::kAlexNet, NeuralNet::kCaffeRef,
+                                NeuralNet::kGoogLeNet};
+  util::Rng rng(20261020);
+  std::vector<JobRequest> jobs;
+  double arrival = 0.0;
+  for (int id = 0; id < 300; ++id) {
+    arrival += rng.exponential(0.04);
+    const int gpus = sizes[rng.uniform_int(4)];
+    const NeuralNet nn = nets[rng.uniform_int(3)];
+    const int batch = 1 << rng.uniform_int(0, 6);
+    // Every fifth job is anti-collocated; it never packs, so it asks for
+    // no utility. 8-task jobs may span machines.
+    const bool anti = id % 5 == 4;
+    JobRequest job = perf::make_profiled_dl(
+        id, arrival, nn, batch, gpus, anti ? 0.0 : (gpus > 1 ? 0.5 : 0.3),
+        model, topology, 200);
+    job.profile.single_node = gpus < 8 && !anti;
+    job.profile.anti_collocate = anti;
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+struct WideJobPin {
+  Policy policy;
+  std::uint64_t digest;
+  long long decisions;
+};
+
+TEST(WideJobPinTest, SpanningAndAntiCollocatedDecisionsMatchCommittedDigests) {
+  using topo::builders::MachineShape;
+  std::vector<MachineShape> shapes;
+  for (int i = 0; i < 4; ++i) {
+    shapes.insert(shapes.end(), {MachineShape::kPower8Minsky,
+                                 MachineShape::kPower8Pcie,
+                                 MachineShape::kDgx1});
+  }
+  const topo::TopologyGraph topology = topo::builders::mixed_cluster(shapes);
+  const perf::DlWorkloadModel model{perf::CalibrationParams::paper_minsky()};
+  const std::vector<JobRequest> jobs = wide_job_trace(topology, model);
+
+  const WideJobPin pinned[] = {
+      {Policy::kBestFit, 0x048b4274cf43dde9ULL, 300},
+      {Policy::kFcfs, 0x0fec5073c837c745ULL, 300},
+      {Policy::kTopoAware, 0x2e6a93f89616d5b8ULL, 303},
+      {Policy::kTopoAwareP, 0xc36490a33eca970cULL, 5664},
+  };
+  for (const WideJobPin& pin : pinned) {
+    const std::string name(to_string(pin.policy));
+    const auto scheduler = make_scheduler(pin.policy);
+    Driver driver(topology, model, *scheduler);
+    const DriverReport report = driver.run(jobs);
+    // The trace reaches the paths it pins: jobs queue, anti-collocated
+    // jobs land on distinct machines, and multi-node jobs span.
+    int queued = 0;
+    int spread = 0;
+    int spanning = 0;
+    for (const cluster::JobRecord& record : report.recorder.records()) {
+      EXPECT_TRUE(record.finished()) << name << " job " << record.id;
+      if (record.start > record.arrival) ++queued;
+      std::set<int> machines;
+      for (const int gpu : record.gpus) {
+        machines.insert(topology.machine_of_gpu(gpu));
+      }
+      const JobRequest& request = jobs[static_cast<size_t>(record.id)];
+      if (request.profile.anti_collocate) {
+        EXPECT_EQ(machines.size(), record.gpus.size()) << name;
+        if (record.gpus.size() > 1) ++spread;
+      } else if (machines.size() > 1) {
+        EXPECT_FALSE(request.profile.single_node) << name;
+        ++spanning;
+      }
+    }
+    EXPECT_GT(queued, 100) << name;
+    EXPECT_GT(spread, 20) << name;
+    EXPECT_GT(spanning, 20) << name;
+    const std::uint64_t digest =
+        testing_digest::decision_digest(report.recorder);
+    EXPECT_EQ(digest, pin.digest)
+        << name << " digest " << testing_digest::hex(digest);
+    EXPECT_EQ(report.decision_count, pin.decisions) << name;
   }
 }
 

@@ -213,7 +213,7 @@ TEST_P(InvariantTest, DrbAssignsOnlyAvailableGpus) {
   }
 }
 
-// Every placement drb_place accepts on an evolving cluster passes the
+// Every placement drb_evaluate accepts on an evolving cluster passes the
 // check subsystem's full feasibility audit.
 TEST_P(InvariantTest, AcceptedPlacementsPassAudit) {
   // A smaller case count: each case is a whole multi-job episode.
@@ -235,7 +235,7 @@ TEST_P(InvariantTest, AcceptedPlacementsPassAudit) {
       const std::vector<int> available = sched::filter_hosts(request, state);
       if (available.empty()) continue;
       const std::optional<sched::Placement> placement =
-          sched::drb_place(request, available, state, utility);
+          sched::drb_evaluate(request, available, state, utility);
       if (!placement) continue;
       const util::Status audit =
           check::audit_placement(request, placement->gpus, state);

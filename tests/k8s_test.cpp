@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "k8s/shim.hpp"
 #include "perf/profile.hpp"
 #include "topo/builders.hpp"
@@ -105,8 +107,11 @@ TEST_F(K8sShimTest, BindReturnsDeviceAllocationAndEnv) {
   ASSERT_TRUE(job.has_value());
   const auto binding = shim_.bind(*job, state_);
   ASSERT_TRUE(binding.has_value());
-  EXPECT_GE(binding->node, 0);
   ASSERT_EQ(binding->device_ids.size(), 2u);
+  // A single-node pod: both devices on one node.
+  ASSERT_EQ(binding->nodes.size(), 2u);
+  EXPECT_GE(binding->nodes[0], 0);
+  EXPECT_EQ(binding->nodes[0], binding->nodes[1]);
   // Same socket on the chosen node -> local device ids are a socket pair.
   EXPECT_TRUE(cluster_.same_socket(binding->global_gpu_ids[0],
                                    binding->global_gpu_ids[1]));
@@ -116,6 +121,39 @@ TEST_F(K8sShimTest, BindReturnsDeviceAllocationAndEnv) {
   }
   EXPECT_TRUE(has_visible_devices);
   EXPECT_GE(binding->score, 50.0);
+}
+
+// Pods that no single node hosts bind as TOPO-AWARE-P places them: an
+// anti-affinity pod one device per node, a multi-node pod larger than any
+// node across nodes. Filter passes a node for either, as Section 4.3's
+// host rule asks only one free device and a bandwidth share of it.
+TEST_F(K8sShimTest, BindsAntiAffinityAndMultiNodePods) {
+  GpuPodSpec spread = pod(2, "1", "0.0");
+  spread.annotations["gts.io/multi-node"] = "true";
+  spread.annotations["gts.io/anti-affinity"] = "true";
+  GpuPodSpec wide = pod(8, "1");
+  wide.annotations["gts.io/multi-node"] = "true";
+  for (const GpuPodSpec& spec : {spread, wide}) {
+    const auto job = shim_.pod_to_job(spec, 1);
+    ASSERT_TRUE(job.has_value()) << job.error().message;
+    EXPECT_TRUE(shim_.filter(*job, state_, 0)) << spec.gpu_request;
+    const auto binding = shim_.bind(*job, state_);
+    ASSERT_TRUE(binding.has_value()) << spec.gpu_request;
+    const size_t devices = static_cast<size_t>(spec.gpu_request);
+    ASSERT_EQ(binding->global_gpu_ids.size(), devices);
+    ASSERT_EQ(binding->device_ids.size(), devices);
+    ASSERT_EQ(binding->nodes.size(), devices);
+    for (size_t i = 0; i < devices; ++i) {
+      EXPECT_EQ(binding->nodes[i],
+                cluster_.machine_of_gpu(binding->global_gpu_ids[i]));
+    }
+    const std::set<int> nodes(binding->nodes.begin(), binding->nodes.end());
+    if (job->profile.anti_collocate) {
+      EXPECT_EQ(nodes.size(), devices);
+    } else {
+      EXPECT_GE(nodes.size(), 2u);
+    }
+  }
 }
 
 TEST_F(K8sShimTest, BindLeavesPodPendingBelowSlo) {

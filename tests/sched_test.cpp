@@ -255,6 +255,13 @@ TEST_F(SchedTest, FilterHostsEnforcesBandwidthCapacity) {
   frugal.profile.host_bw_demand_gbps = 1.0;
   EXPECT_FALSE(filter_hosts(frugal, state_).empty());
 
+  // A job that may span machines needs only demand / k on each one.
+  JobRequest shared = job(3, 2, 64);
+  shared.profile.host_bw_demand_gbps = 8.0;  // 4 per machine; 5 are left
+  EXPECT_FALSE(host_fits(shared, state_, 0));
+  shared.profile.single_node = false;
+  EXPECT_TRUE(host_fits(shared, state_, 0));
+
   // Bandwidth frees with the job.
   state_.remove(9, 1.0);
   EXPECT_NEAR(state_.host_bw_used(0), 0.0, 1e-9);
@@ -864,7 +871,10 @@ TEST(TwinReuseTest, SeededTraceKeepsCommittedDecisionsAndScoringCounts) {
 // candidate-scoring pool was removed. The DRB and scoring counters were
 // re-pinned when the empty-machine memo replaced per-decision twins: the
 // candidates weighed (scored + twin_reuses) did not change, but more of
-// them are memo hits, so fewer run DRB.
+// them are memo hits, so fewer run DRB. The explain digests were re-pinned
+// when the JSON writer moved from %.17g to shortest round-trip numbers:
+// the bytes changed, and the old and new JSONL parse to bit-identical
+// values.
 struct SeededTracePin {
   bool postpone;
   std::uint64_t decisions;
@@ -888,9 +898,9 @@ TEST(SeededTracePinTest, FiveHundredJobsMatchCommittedPinsInBothModes) {
 
   const SeededTracePin pins[] = {
       {false, 0xd0bad453d1363ecaULL, 274, 274, 3, 556, 430, 126,
-       0xd520c8b52fd1c4c1ULL},
+       0x2627b85e490a7614ULL},
       {true, 0xa2e080f372025e6eULL, 388, 388, 3, 671, 545, 126,
-       0x0f57b1853c65e289ULL},
+       0xf3a3b15ec2c1877fULL},
   };
   for (const SeededTracePin& pin : pins) {
     const std::string label = "postpone=" + std::to_string(pin.postpone);

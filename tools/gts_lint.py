@@ -52,7 +52,8 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Directories whose code computes or feeds scheduling decisions (src/shard
-# routes each job to the cell that places it). The obs/
+# routes each job to the cell that places it; src/k8s binds pods through
+# TOPO-AWARE-P). The obs/
 # and svc/ layers are deliberately absent: observability owns wall-clock
 # timing, and the service layer timestamps requests.
 DECISION_DIRS = (
@@ -62,6 +63,7 @@ DECISION_DIRS = (
     "src/jobgraph",
     "src/cluster",
     "src/shard",
+    "src/k8s",
 )
 
 # All first-party C++ (conventions + the raw-random / bare-assert rules,
