@@ -37,8 +37,8 @@
 #include "perf/profile.hpp"
 #include "runner/experiments.hpp"
 #include "runner/sweep.hpp"
-#include "sim/arrivals.hpp"
 #include "topo/builders.hpp"
+#include "trace/arrivals.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 
@@ -83,7 +83,7 @@ std::vector<jobgraph::JobRequest> event_jobs(
   const double rate_per_minute =
       10.0 * static_cast<double>(topology.machine_count()) / 5.0;
   const std::vector<double> arrivals =
-      sim::poisson_arrivals(job_count, rate_per_minute, arrival_rng);
+      trace::poisson_arrivals(job_count, rate_per_minute, arrival_rng);
 
   const jobgraph::NeuralNet nets[] = {jobgraph::NeuralNet::kAlexNet,
                                       jobgraph::NeuralNet::kCaffeRef,
@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
 
           const auto probe = [&](double now) {
             const auto begin = Clock::now();
-            (void)state.next_completion(now);
+            (void)state.next_completion();
             (void)state.due_completions(now);
             const double us = elapsed_us(begin, Clock::now());
             pass.event_us.push_back(us);

@@ -39,8 +39,8 @@
 #include "sched/scheduler.hpp"
 #include "sched/topo_aware.hpp"
 #include "sched/utility.hpp"
-#include "sim/arrivals.hpp"
 #include "topo/builders.hpp"
+#include "trace/arrivals.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 
@@ -81,7 +81,7 @@ std::vector<jobgraph::JobRequest> micro_jobs(
   const double rate_per_minute =
       10.0 * static_cast<double>(topology.machine_count()) / 5.0;
   const std::vector<double> arrivals =
-      sim::poisson_arrivals(job_count, rate_per_minute, arrival_rng);
+      trace::poisson_arrivals(job_count, rate_per_minute, arrival_rng);
 
   const jobgraph::NeuralNet nets[] = {jobgraph::NeuralNet::kAlexNet,
                                       jobgraph::NeuralNet::kCaffeRef,

@@ -2,7 +2,7 @@
 // as a multi-seed sweep on the parallel experiment runner.
 //
 // Each (seed) replica runs the full four-policy comparison on its own
-// sim::Engine/ClusterState; replicas fan out over --threads workers and
+// sched::Driver/ClusterState; replicas fan out over --threads workers and
 // the per-replica payloads are byte-identical for any thread count.
 // --out writes the versioned BENCH_fig10.json document. With a single
 // seed, also prints the paper's slowdown curves (jobs ordered worst to

@@ -23,8 +23,8 @@
 #include "obs/obs.hpp"
 #include "perf/profile.hpp"
 #include "runner/experiments.hpp"
-#include "sim/arrivals.hpp"
 #include "topo/builders.hpp"
+#include "trace/arrivals.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 
@@ -62,7 +62,7 @@ std::vector<jobgraph::JobRequest> overhead_jobs(
   const double rate_per_minute =
       10.0 * static_cast<double>(topology.machine_count()) / 5.0;
   const std::vector<double> arrivals =
-      sim::poisson_arrivals(job_count, rate_per_minute, arrival_rng);
+      trace::poisson_arrivals(job_count, rate_per_minute, arrival_rng);
 
   const jobgraph::NeuralNet nets[] = {jobgraph::NeuralNet::kAlexNet,
                                       jobgraph::NeuralNet::kCaffeRef,

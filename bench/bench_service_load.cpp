@@ -43,12 +43,12 @@
 #include "obs/obs.hpp"
 #include "perf/model.hpp"
 #include "runner/sweep.hpp"
-#include "sim/arrivals.hpp"
 #include "svc/client.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
 #include "topo/builders.hpp"
+#include "trace/arrivals.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 
@@ -63,7 +63,7 @@ std::vector<jobgraph::JobRequest> service_jobs(
     util::Rng& rng) {
   util::Rng arrival_rng = rng.fork(1);
   const std::vector<double> arrivals =
-      sim::poisson_arrivals(job_count, rate_per_minute, arrival_rng);
+      trace::poisson_arrivals(job_count, rate_per_minute, arrival_rng);
   const jobgraph::NeuralNet nets[] = {jobgraph::NeuralNet::kAlexNet,
                                       jobgraph::NeuralNet::kCaffeRef,
                                       jobgraph::NeuralNet::kGoogLeNet};

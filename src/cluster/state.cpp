@@ -542,8 +542,8 @@ void ClusterState::heap_erase(RunningJob& job) {
   }
 }
 
-std::optional<std::pair<int, double>> ClusterState::next_completion(
-    double /*now*/) const {
+std::optional<std::pair<int, double>> ClusterState::next_completion()
+    const {
   if (finish_heap_.empty()) return std::nullopt;
   const FinishEntry& top = finish_heap_.front();
   return std::make_pair(top.id, top.time);

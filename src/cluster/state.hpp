@@ -232,7 +232,7 @@ class ClusterState {
   /// returned time is the finish time stored when the job's rate last
   /// changed — the same piecewise-exact value the pre-heap scan
   /// recomputed per query, modulo query-point rounding.
-  std::optional<std::pair<int, double>> next_completion(double now) const;
+  std::optional<std::pair<int, double>> next_completion() const;
 
   /// Job ids whose stored finish time has been reached at `now`
   /// (ascending). The driver's completion event consumes this instead of

@@ -57,7 +57,7 @@ struct PolicyComparison {
     int slo_violations = 0;
     double mean_waiting = 0.0;
     double mean_decision_us = 0.0;
-    std::uint64_t events = 0;  // engine events fired during this run
+    std::uint64_t events = 0;  // driver events fired during this run
     long long capacity_skips = 0;  // offers declined by the capacity gate
     std::vector<double> qos_slowdowns;       // sorted descending
     std::vector<double> qos_wait_slowdowns;  // sorted descending

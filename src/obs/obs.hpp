@@ -28,7 +28,7 @@ namespace gts::obs {
 /// "cat" field of exported trace events.
 enum Category : unsigned {
   kSched = 1u << 0,    // scheduler passes & decisions
-  kSim = 1u << 1,      // discrete-event engine dispatch
+  kSim = 1u << 1,      // driver event dispatch (sim.event)
   kDrb = 1u << 2,      // DRB mapper recursion
   kFm = 1u << 3,       // Fiduccia-Mattheyses refinement
   kRunner = 1u << 5,   // sweep replica lifecycle

@@ -4,8 +4,8 @@
 // hot path beyond one relaxed atomic check) and exported on demand as a
 // Chrome trace_event document loadable in Perfetto / chrome://tracing.
 // Events carry wall time (ts/dur, microseconds since the first event) and,
-// when a simulation engine is running on the thread, the simulated time as
-// an argument ("sim_s").
+// while a simulation driver fires events on the thread, the simulated time
+// as an argument ("sim_s").
 //
 // Event names and argument keys must be string literals (static storage):
 // the recorder stores the pointers, not copies.
@@ -51,9 +51,9 @@ struct TraceEvent {
 };
 
 namespace detail {
-/// Per-thread sim-clock pointer installed by sim::Engine while it runs;
-/// spans snapshot the pointed-to time when non-null. Behind an accessor
-/// (function-local thread_local) rather than an extern thread_local:
+/// Per-thread sim-clock pointer installed by sched::Driver while it fires
+/// events; spans snapshot the pointed-to time when non-null. Behind an
+/// accessor (function-local thread_local) rather than an extern thread_local:
 /// GCC's cross-TU TLS wrapper for the latter trips a UBSan
 /// "store to null pointer" false positive.
 const double*& sim_clock() noexcept;

@@ -105,6 +105,24 @@ class Mapper {
       gpus0.assign(gpus.begin(), gpus.begin() + static_cast<long>(gpus.size() / 2));
       gpus1.assign(gpus.begin() + static_cast<long>(gpus.size() / 2), gpus.end());
     }
+    if (options_.span == SpanMode::kAntiCollocate &&
+        !is_machine_split(gpus0, gpus1)) {
+      // A cut that is no machine split (on heterogeneous clusters the
+      // physical cut peels off single GPUs) never reaches
+      // anti_collocate_split, and the per-task loop would co-locate
+      // tasks. Split by machine instead: the lower half of the machine
+      // ids to side 0.
+      const std::vector<int> machines = machines_of(gpus, topology_);
+      if (machines.size() > 1) {
+        const int last0 = machines[machines.size() / 2 - 1];
+        gpus0.clear();
+        gpus1.clear();
+        for (const int gpu : gpus) {
+          (topology_.machine_of_gpu(gpu) <= last0 ? gpus0 : gpus1)
+              .push_back(gpu);
+        }
+      }
+    }
 
     std::vector<int> tasks0;
     std::vector<int> tasks1;

@@ -5,7 +5,7 @@
 // and aggregates their metrics. Determinism contract:
 //
 //   * one replica == one (scenario, seed) cell; the replica function must
-//     build everything it touches (sim::Engine, ClusterState, topology,
+//     build everything it touches (sched::Driver, ClusterState, topology,
 //     model) locally — replicas share no mutable state;
 //   * a replica's util::Rng comes from util::Rng::for_stream(seed, stream)
 //     where stream is the scenario index, a pure derivation independent of

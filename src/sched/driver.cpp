@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "check/audit.hpp"
@@ -35,12 +36,6 @@ Driver::Driver(const topo::TopologyGraph& topology,
     const util::Status status = check::validate(topology_);
     GTS_CHECK(status.is_ok(),
               "topology failed validation: ", status.error().message);
-    engine_.set_post_event_hook([this] {
-      const util::Status audit = check::validate(state_);
-      GTS_CHECK(audit.is_ok(),
-                "cluster self-audit failed at t=", engine_.now(), ": ",
-                audit.error().message);
-    });
   }
 }
 
@@ -92,8 +87,7 @@ DriverReport Driver::run(std::vector<jobgraph::JobRequest> jobs) {
     const SubmitResult result = submit(job);
     if (result == SubmitResult::kDuplicate) ++report_.rejected_jobs;
   }
-  engine_.run();
-  sync_report();
+  advance_all();
   report_.end_time = report_.recorder.makespan();
   return report_;
 }
@@ -105,7 +99,7 @@ SubmitResult Driver::submit(const jobgraph::JobRequest& request) {
     return SubmitResult::kDuplicate;
   }
   jobgraph::JobRequest job = request;
-  if (job.arrival_time < engine_.now()) job.arrival_time = engine_.now();
+  if (job.arrival_time < now_) job.arrival_time = now_;
   report_.recorder.on_submit(job);
   if (!job_can_ever_fit(job, topology_, model_)) {
     report_.recorder.on_reject(job.id);
@@ -113,31 +107,30 @@ SubmitResult Driver::submit(const jobgraph::JobRequest& request) {
     GTS_LOG_WARN("driver", "job ", job.id, " can never fit; rejected");
     return SubmitResult::kNeverFits;
   }
-  const sim::EventHandle handle = engine_.schedule_at(
-      job.arrival_time, [this, job]() { on_arrival(job); });
-  pending_arrivals_.emplace(job.id, std::make_pair(handle, job));
+  const std::pair key(job.arrival_time, submit_sequence_++);
+  pending_arrivals_.emplace(key, std::move(job));
   return SubmitResult::kAccepted;
 }
 
 bool Driver::cancel(int job_id) {
-  const double now = engine_.now();
-  if (const auto pending = pending_arrivals_.find(job_id);
+  if (const auto pending = std::find_if(
+          pending_arrivals_.begin(), pending_arrivals_.end(),
+          [job_id](const auto& entry) { return entry.second.id == job_id; });
       pending != pending_arrivals_.end()) {
-    engine_.cancel(pending->second.first);
     pending_arrivals_.erase(pending);
-    report_.recorder.on_cancel(job_id, now);
+    report_.recorder.on_cancel(job_id, now_);
     return true;
   }
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (it->request.id == job_id) {
       queue_.erase(it);
-      report_.recorder.on_cancel(job_id, now);
+      report_.recorder.on_cancel(job_id, now_);
       return true;
     }
   }
   if (state_.find(job_id) != nullptr) {
-    state_.remove(job_id, now);
-    report_.recorder.on_cancel(job_id, now);
+    state_.remove(job_id, now_);
+    report_.recorder.on_cancel(job_id, now_);
     // Freed capacity: let waiting jobs take it right away.
     ++capacity_version_;
     scheduling_pass();
@@ -147,29 +140,70 @@ bool Driver::cancel(int job_id) {
 }
 
 void Driver::advance_to(double t) {
-  GTS_DCHECK(t >= engine_.now() - 1e-9, "advance into the past: t=", t,
-             " now=", engine_.now());
-  engine_.run_until(t);
+  GTS_DCHECK(t >= now_ - 1e-9, "advance into the past: t=", t,
+             " now=", now_);
+  // Spans recorded while events fire carry the simulated time too.
+  obs::SimClockScope sim_clock(&now_);
+  while (step(t)) {
+  }
+  now_ = t;
   sync_report();
 }
 
 double Driver::advance_all() {
-  engine_.run();
+  obs::SimClockScope sim_clock(&now_);
+  while (step(std::numeric_limits<double>::infinity())) {
+  }
   sync_report();
-  return engine_.now();
+  return now_;
+}
+
+bool Driver::step(double until) {
+  const auto arrival = pending_arrivals_.begin();
+  const auto completion = state_.next_completion();
+  if (arrival == pending_arrivals_.end() && !completion) return false;
+  // A completion never fires in the past; an arrival at the same time as
+  // a completion fires first.
+  const double completion_time =
+      completion ? std::max(completion->second, now_)
+                 : std::numeric_limits<double>::infinity();
+  const bool fire_arrival = arrival != pending_arrivals_.end() &&
+                            arrival->first.first <= completion_time;
+  const double when = fire_arrival ? arrival->first.first : completion_time;
+  if (when > until) return false;
+  now_ = when;
+  ++report_.events;
+  {
+    GTS_TRACE_SPAN(obs::kSim, "sim.event");
+    GTS_METRIC_COUNT("sim.events", 1);
+    if (fire_arrival) {
+      on_arrival(std::move(pending_arrivals_.extract(arrival).mapped()));
+    } else {
+      on_completion_event();
+    }
+  }
+  if (options_.self_audit) {
+    const util::Status audit = check::validate(state_);
+    GTS_CHECK(audit.is_ok(), "cluster self-audit failed at t=", now_, ": ",
+              audit.error().message);
+  }
+  return true;
 }
 
 std::vector<jobgraph::JobRequest> Driver::pending_arrivals() const {
   std::vector<jobgraph::JobRequest> pending;
   pending.reserve(pending_arrivals_.size());
-  for (const auto& [id, entry] : pending_arrivals_) {
-    pending.push_back(entry.second);
+  for (const auto& [key, request] : pending_arrivals_) {
+    pending.push_back(request);
   }
+  std::sort(pending.begin(), pending.end(),
+            [](const jobgraph::JobRequest& a, const jobgraph::JobRequest& b) {
+              return a.id < b.id;
+            });
   return pending;
 }
 
 void Driver::sync_report() {
-  report_.events = engine_.events_fired();
   const double makespan = report_.recorder.makespan();
   if (makespan > report_.end_time) report_.end_time = makespan;
 }
@@ -289,11 +323,15 @@ util::Status Driver::validate() const { return check::validate(state_); }
 util::Status Driver::begin_restore(double now,
                                    std::uint64_t capacity_version) {
   if (state_.running_job_count() > 0 || !queue_.empty() ||
-      engine_.has_pending() || report_.decision_count > 0) {
+      !pending_arrivals_.empty() || report_.decision_count > 0) {
     return util::Error{"restore requires a freshly constructed driver"};
   }
-  if (now < 0.0) return util::Error{"restore: negative simulated time"};
-  engine_.fast_forward(now);
+  if (now < now_) {
+    return util::Error{util::fmt(
+        "restore: simulated time {} is before the driver's clock {}", now,
+        now_)};
+  }
+  now_ = now;
   capacity_version_ = capacity_version;
   return util::Status::ok();
 }
@@ -324,7 +362,7 @@ util::Status Driver::restore_running(const jobgraph::JobRequest& request,
   }
   report_.recorder.on_submit(request);
   state_.restore_job(request, gpus, start_time, progress_iterations,
-                     placement_utility, noise_factor, engine_.now());
+                     placement_utility, noise_factor, now_);
   const cluster::RunningJob* running = state_.find(request.id);
   report_.recorder.on_place(request.id, start_time, gpus, placement_utility,
                             running != nullptr && running->p2p);
@@ -397,29 +435,25 @@ util::Status Driver::finish_restore() {
   if (util::Status status = check::validate(state_); !status) {
     return status.error().with_context("restored cluster state");
   }
-  arm_completion_event();
   return util::Status::ok();
 }
 
-void Driver::on_arrival(const jobgraph::JobRequest& request) {
-  pending_arrivals_.erase(request.id);
-  queue_.push_back({request, ~0ULL});
+void Driver::on_arrival(jobgraph::JobRequest request) {
+  queue_.push_back({std::move(request), ~0ULL});
   scheduling_pass();
 }
 
 void Driver::on_completion_event() {
-  completion_event_ = sim::kInvalidEvent;
-  const double now = engine_.now();
   const std::int64_t t0_us = obs::wall_now_us();
   // Jobs whose stored finish time has been reached (ties arrive together:
   // identical rate regimes store bitwise-equal finish times). No
   // cluster-wide banking — every untouched job's progress extrapolates
   // exactly from its regime anchor, and remove() re-rates only the
   // machine/link sharers of each finished job.
-  const std::vector<int> done = state_.due_completions(now);
+  const std::vector<int> done = state_.due_completions(now_);
   for (const int id : done) {
-    state_.remove(id, now);
-    report_.recorder.on_finish(id, now);
+    state_.remove(id, now_);
+    report_.recorder.on_finish(id, now_);
   }
   const double advance_us = static_cast<double>(obs::wall_now_us() - t0_us);
   report_.advance_seconds += advance_us * 1e-6;
@@ -431,24 +465,9 @@ void Driver::on_completion_event() {
   scheduling_pass();
 }
 
-void Driver::checkpoint_progress() {
-  state_.bank_progress(engine_.now());
-  arm_completion_event();
-}
-
-void Driver::arm_completion_event() {
-  if (completion_event_ != sim::kInvalidEvent) {
-    engine_.cancel(completion_event_);
-    completion_event_ = sim::kInvalidEvent;
-  }
-  if (const auto next = state_.next_completion(engine_.now())) {
-    completion_event_ = engine_.schedule_at(
-        next->second, [this]() { on_completion_event(); });
-  }
-}
+void Driver::checkpoint_progress() { state_.bank_progress(now_); }
 
 void Driver::scheduling_pass() {
-  const double now = engine_.now();
   obs::SpanGuard pass_span(obs::kSched, "sched.pass");
   pass_span.arg("queue", static_cast<double>(queue_.size()));
 
@@ -481,7 +500,7 @@ void Driver::scheduling_pass() {
     std::optional<obs::DecisionScope> explain_scope;
     if (obs::explain_enabled()) {
       explain_scope.emplace(scheduler_.name(), request.id, request.num_gpus,
-                            request.min_utility, now);
+                            request.min_utility, now_);
     }
 
     const std::int64_t t0_us = obs::wall_now_us();
@@ -507,7 +526,7 @@ void Driver::scheduling_pass() {
       GTS_FLIGHT_AT(obs::FlightKind::kPostponement, request.id, decision_us,
                     static_cast<double>(queue_.size()),
                     scheduler_.blocking_queue() ? "postponed" : "declined",
-                    now);
+                    now_);
       if (explain_scope) {
         explain_scope->record().outcome =
             scheduler_.blocking_queue() ? "postponed" : "declined";
@@ -551,9 +570,9 @@ void Driver::scheduling_pass() {
       record.chosen.has_breakdown = true;
       explain_scope->commit();
     }
-    state_.place(request, placement->gpus, now, utility);
+    state_.place(request, placement->gpus, now_, utility);
     const cluster::RunningJob* running = state_.find(request.id);
-    report_.recorder.on_place(request.id, now, placement->gpus, utility,
+    report_.recorder.on_place(request.id, now_, placement->gpus, utility,
                               running != nullptr && running->p2p);
     GTS_METRIC_COUNT("sched.placements", 1);
     if (utility + 1e-9 < request.min_utility) {
@@ -561,14 +580,13 @@ void Driver::scheduling_pass() {
     }
     GTS_METRIC_WINDOW("sched.placements", 1.0, obs::depth_bounds());
     GTS_FLIGHT_AT(obs::FlightKind::kDecision, request.id, decision_us,
-                  utility, "placed", now);
+                  utility, "placed", now_);
     it = queue_.erase(it);
   }
   GTS_METRIC_WINDOW("sched.queue_depth",
                     static_cast<double>(queue_.size()), obs::depth_bounds());
   GTS_METRIC_WINDOW("cluster.fragmentation", state_.fragmentation(),
                     obs::fraction_bounds());
-  arm_completion_event();
 }
 
 }  // namespace gts::sched

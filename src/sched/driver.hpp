@@ -1,16 +1,19 @@
-// Simulation driver: Algorithm 1's scheduler loop on the discrete-event
-// engine.
+// Simulation driver: Algorithm 1's scheduler loop in simulated time.
 //
 // The driver owns the waiting queue (sorted by arrival time — "the oldest
-// jobs have priority to be placed"), wakes on job arrivals and
-// completions, runs a scheduling pass over the queue, and tracks the
-// wall-clock cost of placement decisions (the Section 5.5.3 overhead
-// analysis).
+// jobs have priority to be placed"), wakes on its two kinds of events —
+// job arrivals and job completions — runs a scheduling pass over the
+// queue after each, and tracks the wall-clock cost of placement decisions
+// (the Section 5.5.3 overhead analysis). Pending arrivals wait in a map
+// ordered by (arrival time, submission order); the next completion is the
+// cluster state's finish-heap top. At equal timestamps arrivals fire
+// first, in submission order, then one completion event retires every
+// job due.
 //
 // Two operating modes share the same queue discipline:
 //
-//   * batch (`run`): submit a whole workload, run the engine to
-//     completion — the paper's Section 5 experiments;
+//   * batch (`run`): submit a whole workload, fire events until none
+//     remain — the paper's Section 5 experiments;
 //   * online (`submit` / `cancel` / `drain` / `advance_to` /
 //     `advance_all`): jobs arrive one at a time while the caller controls
 //     how far simulated time advances — the scheduler service
@@ -27,7 +30,6 @@
 #include "obs/metrics.hpp"
 #include "sched/driver_api.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/engine.hpp"
 #include "util/expected.hpp"
 
 namespace gts::sched {
@@ -95,8 +97,9 @@ struct DriverReport {
   }
   /// Simulated time when the last job finished.
   double end_time = 0.0;
-  /// Discrete events fired by the engine across the run (the runner's
-  /// events/sec throughput denominator).
+  /// Events fired across the run — arrivals plus completion events, each
+  /// of which retires every job due at its time (the runner's events/sec
+  /// throughput denominator).
   std::uint64_t events = 0;
   /// Jobs dropped because they can never fit the cluster (capacity), kept
   /// at zero by all paper scenarios.
@@ -134,7 +137,7 @@ class Driver : public DriverApi {
   /// by the next advance_to/advance_all call.
   SubmitResult submit(const jobgraph::JobRequest& request) override;
 
-  /// Withdraws a job: pending arrival events are cancelled, queued jobs
+  /// Withdraws a job: pending arrivals never fire, queued jobs
   /// leave the queue, running jobs release their GPUs (freed capacity is
   /// offered to the queue immediately). False when the id is unknown or
   /// the job already finished.
@@ -149,24 +152,26 @@ class Driver : public DriverApi {
   /// Runs until no events remain (all admitted work finished or stuck
   /// waiting for capacity that will never free). Returns the clock.
   double advance_all() override;
-  /// Banks every running job's progress at the current clock and re-arms
-  /// the completion event from the banked values. Taking a snapshot calls
-  /// this first so the snapshotting process and a process restored from
-  /// the snapshot continue with bitwise-identical progress arithmetic
-  /// (both then extrapolate from `now`, not from the last event).
+  /// Banks every running job's progress at the current clock, which
+  /// rebases the stored finish times on the banked values. Taking a
+  /// snapshot calls this first so the snapshotting process and a process
+  /// restored from the snapshot continue with bitwise-identical progress
+  /// arithmetic (both then extrapolate from `now`, not from the last
+  /// event).
   void checkpoint_progress() override;
   /// True when nothing is running, queued, or pending arrival.
   bool idle() const override {
     return state_.running_job_count() == 0 && queue_.empty() &&
-           !engine_.has_pending();
+           pending_arrivals_.empty();
   }
 
-  double now() const noexcept override { return engine_.now(); }
+  double now() const noexcept override { return now_; }
   int queue_depth() const noexcept override {
     return static_cast<int>(queue_.size());
   }
   const std::vector<QueueEntry>& waiting() const noexcept { return queue_; }
-  /// Jobs submitted with a future arrival time, not yet in the queue.
+  /// Jobs submitted with a future arrival time, not yet in the queue, in
+  /// id order.
   std::vector<jobgraph::JobRequest> pending_arrivals() const override;
   int pending_count() const noexcept override {
     return static_cast<int>(pending_arrivals_.size());
@@ -210,7 +215,7 @@ class Driver : public DriverApi {
   ///   restore_waiting(...)  per queued job   (queue order preserved)
   ///   submit(...)           per pending future arrival
   ///   restore_record(...)   per terminal job (finished/cancelled/rejected)
-  ///   finish_restore()                       (validate + arm completions)
+  ///   finish_restore()                       (validate)
   util::Status begin_restore(double now,
                              std::uint64_t capacity_version) override;
   util::Status restore_running(const jobgraph::JobRequest& request,
@@ -225,10 +230,12 @@ class Driver : public DriverApi {
   util::Status finish_restore() override;
 
  private:
-  void on_arrival(const jobgraph::JobRequest& request);
+  /// Fires the earlier of the next pending arrival and the next
+  /// completion if it is due at or before `until`; false when neither is.
+  bool step(double until);
+  void on_arrival(jobgraph::JobRequest request);
   void on_completion_event();
   void scheduling_pass();
-  void arm_completion_event();
   void sync_report();
 
   const topo::TopologyGraph& topology_;
@@ -237,18 +244,18 @@ class Driver : public DriverApi {
   DriverOptions options_;
   UtilityModel shared_utility_;
 
-  sim::Engine engine_;
+  double now_ = 0.0;  // simulated seconds
   cluster::ClusterState state_;
   std::vector<QueueEntry> queue_;  // waiting, arrival-ordered
-  /// Submitted jobs whose arrival event has not fired yet (id -> handle +
-  /// request), so online cancels can intercept them and snapshots can
-  /// carry them.
-  std::map<int, std::pair<sim::EventHandle, jobgraph::JobRequest>>
+  /// Submitted jobs whose arrival has not fired yet, keyed by (arrival
+  /// time, submission sequence) — the order they fire in. Online cancels
+  /// and snapshots scan it by id.
+  std::map<std::pair<double, std::uint64_t>, jobgraph::JobRequest>
       pending_arrivals_;
+  std::uint64_t submit_sequence_ = 0;
   std::uint64_t capacity_version_ = 0;
   bool draining_ = false;
   DriverReport report_;
-  sim::EventHandle completion_event_ = sim::kInvalidEvent;
 };
 
 }  // namespace gts::sched

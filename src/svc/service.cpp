@@ -669,7 +669,7 @@ Response ServiceCore::verb_advance(const Request& request) {
 }
 
 Response ServiceCore::verb_snapshot(const Request& request) {
-  // Bank running-job progress and re-arm the completion event before
+  // Bank running-job progress (rebasing the finish times) before
   // serializing: the origin process and one restored from this snapshot
   // then continue with bitwise-identical arithmetic (a snapshot request
   // is part of the decision-determining request sequence).

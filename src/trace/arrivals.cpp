@@ -1,6 +1,6 @@
-#include "sim/arrivals.hpp"
+#include "trace/arrivals.hpp"
 
-namespace gts::sim {
+namespace gts::trace {
 
 std::vector<double> poisson_arrivals(int count, double per_minute,
                                      util::Rng& rng, double start_time) {
@@ -15,4 +15,4 @@ std::vector<double> poisson_arrivals(int count, double per_minute,
   return arrivals;
 }
 
-}  // namespace gts::sim
+}  // namespace gts::trace

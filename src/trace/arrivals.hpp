@@ -8,7 +8,7 @@
 
 #include "util/rng.hpp"
 
-namespace gts::sim {
+namespace gts::trace {
 
 /// Generates `count` arrival timestamps (seconds) of a Poisson process
 /// with `per_minute` expected arrivals per minute, starting after
@@ -16,4 +16,4 @@ namespace gts::sim {
 std::vector<double> poisson_arrivals(int count, double per_minute,
                                      util::Rng& rng, double start_time = 0.0);
 
-}  // namespace gts::sim
+}  // namespace gts::trace

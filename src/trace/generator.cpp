@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "perf/profile.hpp"
-#include "sim/arrivals.hpp"
+#include "trace/arrivals.hpp"
 
 namespace gts::trace {
 
@@ -14,7 +14,7 @@ std::vector<jobgraph::JobRequest> generate_workload(
   util::Rng arrival_rng = rng.fork(1);
   util::Rng config_rng = rng.fork(2);
 
-  const std::vector<double> arrivals = sim::poisson_arrivals(
+  const std::vector<double> arrivals = poisson_arrivals(
       options.job_count, options.arrival_rate_per_minute, arrival_rng);
 
   std::vector<jobgraph::JobRequest> jobs;

@@ -110,14 +110,14 @@ TEST_F(ClusterStateTest, RatesSlowWhenInterferingJobArrives) {
 TEST_F(ClusterStateTest, NextCompletionAccountsForRateChanges) {
   // Solo: 100 iterations at 25 ms -> finishes at 2.5 s.
   state_.place(job(1, 1, 1, NeuralNet::kAlexNet, 100), {0}, 0.0);
-  const auto first = state_.next_completion(0.0);
+  const auto first = state_.next_completion();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->first, 1);
   EXPECT_NEAR(first->second, 100 * 0.0250, 0.01);
 
   // An interfering neighbor placed at t=1 stretches the remainder.
   state_.place(job(2, 1, 1, NeuralNet::kAlexNet, 10000), {1}, 1.0);
-  const auto second = state_.next_completion(1.0);
+  const auto second = state_.next_completion();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->first, 1);
   EXPECT_GT(second->second, first->second);

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "decision_digest.hpp"
 #include "perf/profile.hpp"
@@ -258,6 +262,82 @@ TEST_F(DriverTest, MakespanIsLastCompletion) {
   EXPECT_DOUBLE_EQ(report.end_time, latest);
 }
 
+// Records every offer, and postpones every job while job 0 runs (so no
+// placement re-rates job 0 and moves its finish time); otherwise FCFS.
+class RecordingScheduler : public Scheduler {
+ public:
+  struct Offer {
+    int job;
+    bool job0_running;
+  };
+  std::string name() const override { return "recording"; }
+  std::optional<Placement> place(const JobRequest& request,
+                                 const cluster::ClusterState& state) override {
+    const bool job0_running = state.find(0) != nullptr;
+    offers.push_back({request.id, job0_running});
+    if (job0_running) return std::nullopt;
+    return fcfs_->place(request, state);
+  }
+  std::vector<int> offered_jobs() const {
+    std::vector<int> jobs;
+    for (const Offer& offer : offers) jobs.push_back(offer.job);
+    return jobs;
+  }
+
+  std::vector<Offer> offers;
+
+ private:
+  std::unique_ptr<Scheduler> fcfs_ = make_scheduler(Policy::kFcfs);
+};
+
+TEST_F(DriverTest, EventOrderAndAdvanceBoundary) {
+  RecordingScheduler scheduler;
+  Driver driver(topo_, model_, scheduler);
+  ASSERT_EQ(driver.submit(job(0, 0.0, 3)), SubmitResult::kAccepted);
+  driver.advance_to(0.0);
+  ASSERT_EQ(driver.state().running_job_count(), 1);
+  const double finish = driver.state().next_completion()->second;
+
+  // Three arrivals at job 0's finish time, submitted out of id order, and
+  // two later ones. The completion event was due before they were
+  // submitted; the arrivals still fire first, in submission order, each
+  // offered while job 0 holds its GPUs. Then one completion event retires
+  // job 0 and the queue is re-offered in arrival order.
+  for (const int id : {5, 3, 7}) driver.submit(job(id, finish, 1));
+  driver.submit(job(9, finish + 100.0, 1));
+  driver.submit(job(11, finish + 200.0, 1));
+  driver.advance_to(finish);
+  EXPECT_EQ(scheduler.offered_jobs(), (std::vector<int>{0, 5, 3, 7, 5, 3, 7}));
+  for (size_t i = 1; i < scheduler.offers.size(); ++i) {
+    EXPECT_EQ(scheduler.offers[i].job0_running, i <= 3) << "offer " << i;
+  }
+  // advance_to fires the events at exactly `finish` — four arrivals and
+  // one completion — and leaves the later arrivals pending.
+  EXPECT_EQ(driver.report().events, 5u);
+  EXPECT_EQ(driver.pending_count(), 2);
+  EXPECT_EQ(driver.now(), finish);
+  EXPECT_TRUE(driver.recorder().find(0)->finished());
+  EXPECT_EQ(driver.state().running_job_count(), 3);
+
+  // Between events the clock still lands on the requested time.
+  driver.advance_to(finish + 50.0);
+  EXPECT_EQ(driver.now(), finish + 50.0);
+  EXPECT_EQ(driver.pending_count(), 2);
+
+  // A cancelled pending arrival never fires and is not counted.
+  EXPECT_TRUE(driver.cancel(11));
+  EXPECT_FALSE(driver.cancel(11));
+  driver.advance_all();
+  EXPECT_TRUE(driver.idle());
+  EXPECT_EQ(scheduler.offered_jobs(),
+            (std::vector<int>{0, 5, 3, 7, 5, 3, 7, 9}));
+  EXPECT_TRUE(driver.recorder().find(11)->cancelled);
+  // Five arrivals fired (jobs 0, 5, 3, 7 and 9; none for 11) plus the
+  // completion events.
+  EXPECT_EQ(driver.report().events,
+            5u + static_cast<std::uint64_t>(driver.report().advance_count));
+}
+
 // --- capacity gate -----------------------------------------------------------
 //
 // Decisions on a queue-heavy trace — the Fig. 11 Scenario 2 shape on 50
@@ -267,10 +347,13 @@ TEST_F(DriverTest, MakespanIsLastCompletion) {
 // gate. The gate declines only offers no
 // policy could place, so the schedule, the postponement total and the
 // offer total (scheduler calls + gate skips) must all stay exactly put.
-// The work counts (scheduler calls, gate skips, engine events) are pinned
+// The work counts (scheduler calls, gate skips, events) are pinned
 // too, so a change that makes the driver do more work fails here. For the
 // two TOPO-AWARE policies so are the DRB counts (bipartitions, FM passes),
-// which guard the mid-recursion utility's Eq. 5 inputs.
+// which guard the mid-recursion utility's Eq. 5 inputs. Each policy runs
+// in batch (Driver::run) and online — submit then advance_to each job's
+// arrival, as the scheduler service drives the driver — against the same
+// pins.
 
 struct PinnedPolicy {
   Policy policy;
@@ -306,38 +389,50 @@ TEST(CapacityGateTest, QueueHeavyDecisionsMatchCommittedDigests) {
        670, 670},
   };
   for (const PinnedPolicy& pin : pinned) {
-    const std::string name(to_string(pin.policy));
-    const auto scheduler = make_scheduler(pin.policy);
-    Driver driver(topology, model, *scheduler);
-    const DriverReport report = driver.run(jobs);
-    int finished = 0;
-    for (const cluster::JobRecord& record : report.recorder.records()) {
-      if (record.finished()) ++finished;
-    }
-    EXPECT_EQ(finished, 500) << name;
-    const std::uint64_t digest =
-        testing_digest::decision_digest(report.recorder);
-    EXPECT_EQ(digest, pin.digest)
-        << name << " digest " << testing_digest::hex(digest);
-    EXPECT_EQ(summarize_lifecycle(report.recorder).postponements,
-              pin.postponements)
-        << name;
-    EXPECT_EQ(report.decision_count + report.capacity_skips, pin.offers)
-        << name;
-    EXPECT_GT(report.capacity_skips, 0) << name << ": the gate never fired";
-    EXPECT_EQ(report.decision_count, pin.decisions) << name;
-    EXPECT_EQ(report.capacity_skips, pin.capacity_skips) << name;
-    EXPECT_EQ(report.events, pin.events) << name;
-    EXPECT_EQ(report.placed_latency_us.count(), 500) << name;
-    EXPECT_EQ(report.placed_latency_us.count() +
-                  report.declined_latency_us.count(),
-              report.decision_count)
-        << name;
-    if (const auto* topo_aware =
-            dynamic_cast<const TopoAwareScheduler*>(scheduler.get())) {
-      const partition::DrbStats drb = topo_aware->drb_stats();
-      EXPECT_EQ(drb.bipartitions, pin.bipartitions) << name;
-      EXPECT_EQ(drb.fm_passes, pin.fm_passes) << name;
+    for (const bool online : {false, true}) {
+      const std::string name =
+          std::string(to_string(pin.policy)) + (online ? " online" : " batch");
+      const auto scheduler = make_scheduler(pin.policy);
+      Driver driver(topology, model, *scheduler);
+      if (online) {
+        for (const JobRequest& job : jobs) {
+          driver.submit(job);
+          driver.advance_to(job.arrival_time);
+        }
+        driver.advance_all();
+      } else {
+        driver.run(jobs);
+      }
+      const DriverReport& report = driver.report();
+      int finished = 0;
+      for (const cluster::JobRecord& record : report.recorder.records()) {
+        if (record.finished()) ++finished;
+      }
+      EXPECT_EQ(finished, 500) << name;
+      const std::uint64_t digest =
+          testing_digest::decision_digest(report.recorder);
+      EXPECT_EQ(digest, pin.digest)
+          << name << " digest " << testing_digest::hex(digest);
+      EXPECT_EQ(summarize_lifecycle(report.recorder).postponements,
+                pin.postponements)
+          << name;
+      EXPECT_EQ(report.decision_count + report.capacity_skips, pin.offers)
+          << name;
+      EXPECT_GT(report.capacity_skips, 0) << name << ": the gate never fired";
+      EXPECT_EQ(report.decision_count, pin.decisions) << name;
+      EXPECT_EQ(report.capacity_skips, pin.capacity_skips) << name;
+      EXPECT_EQ(report.events, pin.events) << name;
+      EXPECT_EQ(report.placed_latency_us.count(), 500) << name;
+      EXPECT_EQ(report.placed_latency_us.count() +
+                    report.declined_latency_us.count(),
+                report.decision_count)
+          << name;
+      if (const auto* topo_aware =
+              dynamic_cast<const TopoAwareScheduler*>(scheduler.get())) {
+        const partition::DrbStats drb = topo_aware->drb_stats();
+        EXPECT_EQ(drb.bipartitions, pin.bipartitions) << name;
+        EXPECT_EQ(drb.fm_passes, pin.fm_passes) << name;
+      }
     }
   }
 }
@@ -351,7 +446,9 @@ TEST(CapacityGateTest, QueueHeavyDecisionsMatchCommittedDigests) {
 // single-node jobs, on a mixed Minsky / PCIe / DGX-1 cluster with
 // arrivals dense enough to queue. The per-policy digests and decision
 // counts were recorded before the greedy baselines and the host filter
-// were rewritten over one host rule.
+// were rewritten over one host rule; the two TOPO-AWARE rows were
+// re-recorded when DRB started splitting by machine for anti-collocated
+// jobs whose physical cut separates no machines.
 std::vector<JobRequest> wide_job_trace(const topo::TopologyGraph& topology,
                                        const perf::DlWorkloadModel& model) {
   constexpr int sizes[] = {1, 2, 4, 8};
@@ -399,8 +496,8 @@ TEST(WideJobPinTest, SpanningAndAntiCollocatedDecisionsMatchCommittedDigests) {
   const WideJobPin pinned[] = {
       {Policy::kBestFit, 0x048b4274cf43dde9ULL, 300},
       {Policy::kFcfs, 0x0fec5073c837c745ULL, 300},
-      {Policy::kTopoAware, 0x2e6a93f89616d5b8ULL, 303},
-      {Policy::kTopoAwareP, 0xc36490a33eca970cULL, 5664},
+      {Policy::kTopoAware, 0x49592a15306a4572ULL, 300},
+      {Policy::kTopoAwareP, 0x012b195c1d678a22ULL, 6412},
   };
   for (const WideJobPin& pin : pinned) {
     const std::string name(to_string(pin.policy));

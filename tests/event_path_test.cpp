@@ -34,8 +34,8 @@
 #include "sched/driver.hpp"
 #include "sched/topo_aware.hpp"
 #include "shard/sharded_driver.hpp"
-#include "sim/arrivals.hpp"
 #include "topo/builders.hpp"
+#include "trace/arrivals.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
 
@@ -53,7 +53,7 @@ std::vector<jobgraph::JobRequest> mixed_jobs(
     const topo::TopologyGraph& topology, std::uint64_t seed) {
   util::Rng rng(seed);
   const std::vector<double> arrivals =
-      sim::poisson_arrivals(job_count, /*rate_per_minute=*/40.0, rng);
+      trace::poisson_arrivals(job_count, /*rate_per_minute=*/40.0, rng);
   const jobgraph::NeuralNet nets[] = {jobgraph::NeuralNet::kAlexNet,
                                       jobgraph::NeuralNet::kCaffeRef,
                                       jobgraph::NeuralNet::kGoogLeNet};
@@ -168,7 +168,7 @@ TEST(EventPathTest, HeapAgreesWithScanAndBreaksTiesBySmallerId) {
   ASSERT_EQ(state.find(3)->rate, state.find(1)->rate);
   ASSERT_EQ(state.find(3)->finish_time, state.find(1)->finish_time);
 
-  const auto tied = state.next_completion(0.0);
+  const auto tied = state.next_completion();
   ASSERT_TRUE(tied.has_value());
   EXPECT_EQ(tied->first, 1);  // smaller id wins the bitwise tie
   const auto scanned = scan_next_completion(state, 0.0);
@@ -191,7 +191,7 @@ TEST(EventPathTest, HeapAgreesWithScanAndBreaksTiesBySmallerId) {
               {topology.gpus_of_machine(2)[0], topology.gpus_of_machine(2)[1]},
               1.0);
   state.bank_progress(2.5);
-  const auto heap_next = state.next_completion(2.5);
+  const auto heap_next = state.next_completion();
   const auto scan_next = scan_next_completion(state, 2.5);
   ASSERT_TRUE(heap_next.has_value());
   ASSERT_TRUE(scan_next.has_value());
@@ -200,7 +200,7 @@ TEST(EventPathTest, HeapAgreesWithScanAndBreaksTiesBySmallerId) {
 
   // Removing the heap top promotes the other half of the tie.
   state.remove(1, 3.0);
-  const auto promoted = state.next_completion(3.0);
+  const auto promoted = state.next_completion();
   ASSERT_TRUE(promoted.has_value());
   EXPECT_EQ(promoted->first, 3);
   EXPECT_EQ(promoted->second, scan_next_completion(state, 3.0)->second);
@@ -224,7 +224,7 @@ TEST(EventPathTest, ZeroRateJobsStayOutOfTheHeap) {
   EXPECT_EQ(state.find(0)->rate, 0.0);
   EXPECT_EQ(state.find(0)->heap_pos, -1);
   EXPECT_TRUE(state.finish_heap().empty());
-  EXPECT_FALSE(state.next_completion(0.0).has_value());
+  EXPECT_FALSE(state.next_completion().has_value());
   EXPECT_EQ(scan_next_completion(state, 0.0), std::nullopt);
   EXPECT_TRUE(state.due_completions(1e9).empty());
 
@@ -235,7 +235,7 @@ TEST(EventPathTest, ZeroRateJobsStayOutOfTheHeap) {
   state.place(pair, {4, 5}, 0.0);
   ASSERT_GT(state.find(1)->rate, 0.0);
   EXPECT_EQ(state.finish_heap().size(), 1u);
-  const auto next = state.next_completion(0.0);
+  const auto next = state.next_completion();
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(next->first, 1);
   EXPECT_EQ(next->second, scan_next_completion(state, 0.0)->second);
@@ -345,8 +345,8 @@ TEST(EventPathTest, SnapshotRestoreCarriesBitwiseIdenticalRates) {
     EXPECT_EQ(twin->last_update, job.last_update) << "job " << id;
     EXPECT_EQ(twin->finish_time, job.finish_time) << "job " << id;
   }
-  const auto next_a = original.state().next_completion(mid);
-  const auto next_b = restored.state().next_completion(mid);
+  const auto next_a = original.state().next_completion();
+  const auto next_b = restored.state().next_completion();
   ASSERT_EQ(next_a.has_value(), next_b.has_value());
   if (next_a) {
     EXPECT_EQ(next_a->first, next_b->first);

@@ -137,7 +137,7 @@ TEST(PostponementTest, TopoAwarePWaitsForP2pPlacement) {
 
 TEST(Fig9ValidationTest, PrototypeAndSimulatorAgree) {
   // The "prototype" runtime and the driver-based simulation share the
-  // engine by construction; Fig. 9's validation here means the manifest->
+  // driver by construction; Fig. 9's validation here means the manifest->
   // prototype pipeline reproduces the direct-driver numbers exactly.
   const topo::TopologyGraph topo = topo::builders::power8_minsky();
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());

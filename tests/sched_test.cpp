@@ -164,6 +164,36 @@ TEST_F(SchedTest, GreedyPoliciesSpreadAntiCollocatedJobs) {
   EXPECT_FALSE(state.may_fit(wide));
 }
 
+TEST_F(SchedTest, EveryPolicyPlacesAntiCollocatedJobsOnMixedCluster) {
+  // Interleaved Minsky / PCIe / DGX-1 machines: DRB's physical cut peels
+  // single GPUs off this graph instead of separating machines.
+  std::vector<MachineShape> shapes;
+  for (int i = 0; i < 4; ++i) {
+    shapes.insert(shapes.end(), {MachineShape::kPower8Minsky,
+                                 MachineShape::kPower8Pcie,
+                                 MachineShape::kDgx1});
+  }
+  const topo::TopologyGraph cluster = topo::builders::mixed_cluster(shapes);
+  const cluster::ClusterState state(cluster, model_);
+  for (const Policy policy : {Policy::kFcfs, Policy::kBestFit,
+                              Policy::kTopoAware, Policy::kTopoAwareP}) {
+    const auto scheduler = make_scheduler(policy);
+    for (const int k : {2, 3, 4, 8}) {
+      const std::string label =
+          std::string(to_string(policy)) + " k " + std::to_string(k);
+      JobRequest spread = perf::make_profiled_dl(
+          1, 0.0, NeuralNet::kAlexNet, 1, k, 0.0, model_, cluster, 700);
+      spread.profile.single_node = false;
+      spread.profile.anti_collocate = true;
+      const auto placement = scheduler->place(spread, state);
+      ASSERT_TRUE(placement.has_value()) << label;
+      const util::Status audit =
+          check::audit_placement(spread, placement->gpus, state);
+      EXPECT_TRUE(audit.is_ok()) << label << ": " << audit.error().message;
+    }
+  }
+}
+
 // ---------------------------------------------------------- TOPO-AWARE ----
 
 TEST_F(SchedTest, TopoAwarePacksCommunicatingJob) {

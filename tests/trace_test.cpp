@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "exp/scenarios.hpp"
+#include "metrics/stats.hpp"
+#include "topo/builders.hpp"
+#include "trace/arrivals.hpp"
 #include "trace/generator.hpp"
 #include "trace/tracefile.hpp"
-#include "topo/builders.hpp"
+#include "util/rng.hpp"
 
 namespace gts::trace {
 namespace {
@@ -146,6 +150,34 @@ TEST_F(TraceTest, ReadRejectsCorruptLines) {
   }
   EXPECT_FALSE(read_jsonl(path).has_value());
   std::remove(path.c_str());
+}
+
+TEST(ArrivalsTest, CountAndMonotonicity) {
+  util::Rng rng(7);
+  const auto arrivals = poisson_arrivals(100, 10.0, rng);
+  ASSERT_EQ(arrivals.size(), 100u);
+  for (size_t i = 1; i < arrivals.size(); ++i) {
+    EXPECT_GT(arrivals[i], arrivals[i - 1]);
+  }
+}
+
+TEST(ArrivalsTest, RateMatchesLambda) {
+  util::Rng rng(11);
+  // lambda = 10 jobs/minute -> mean inter-arrival 6 s.
+  const auto arrivals = poisson_arrivals(20000, 10.0, rng);
+  std::vector<double> gaps;
+  for (size_t i = 1; i < arrivals.size(); ++i) {
+    gaps.push_back(arrivals[i] - arrivals[i - 1]);
+  }
+  EXPECT_NEAR(metrics::mean(gaps), 6.0, 0.15);
+  // Exponential: stddev == mean.
+  EXPECT_NEAR(metrics::stddev(gaps), 6.0, 0.2);
+}
+
+TEST(ArrivalsTest, StartTimeOffsets) {
+  util::Rng rng(13);
+  const auto arrivals = poisson_arrivals(10, 10.0, rng, 100.0);
+  EXPECT_GT(arrivals.front(), 100.0);
 }
 
 }  // namespace

@@ -53,9 +53,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Directories whose code computes or feeds scheduling decisions (src/shard
 # routes each job to the cell that places it; src/k8s binds pods through
-# TOPO-AWARE-P). The obs/
-# and svc/ layers are deliberately absent: observability owns wall-clock
-# timing, and the service layer timestamps requests.
+# TOPO-AWARE-P; src/trace draws the arrival times every simulation replays).
+# The obs/ and svc/ layers are deliberately absent: observability owns
+# wall-clock timing, and the service layer timestamps requests.
 DECISION_DIRS = (
     "src/sched",
     "src/partition",
@@ -64,6 +64,7 @@ DECISION_DIRS = (
     "src/cluster",
     "src/shard",
     "src/k8s",
+    "src/trace",
 )
 
 # All first-party C++ (conventions + the raw-random / bare-assert rules,
